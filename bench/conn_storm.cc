@@ -4,24 +4,24 @@
 // metric is time-to-first-RPC (TTFR): sim-ns from the session's start (before
 // Join) until its first RPC response lands.
 //
-// Two configurations run in one binary over identical schedules:
-//   * eager     — the storm flags off: every lane is created up front
-//                 (CostModel::qp_create each), the handshake spends its
-//                 ctrl_rtt before ConnectAsync returns, every Leave bumps the
-//                 epoch and repartitions the server individually.
-//   * optimized — qp_recycling + lazy_lanes + connect_piggyback on, plus a
-//                 driver batching membership epochs in fixed windows: lane
-//                 shells harvested from closed connections are reused
-//                 (qp_reset instead of qp_create), only lane 0 exists until a
-//                 second thread shows up, and the ConnectRequest rides with
-//                 the first RPC.
+// Both configurations recycle lane shells harvested from closed connections
+// and departed clients (qp_reset instead of qp_create). Two configurations
+// run in one binary over identical schedules:
+//   * eager     — lazy_lanes and connect_piggyback off: every lane is built
+//                 up front, the handshake spends its ctrl_rtt before
+//                 ConnectAsync returns, and every Join/Leave bumps the epoch
+//                 and repartitions the server individually.
+//   * optimized — lazy_lanes + connect_piggyback on, plus a driver batching
+//                 membership epochs in fixed windows: only lane 0 exists
+//                 until a second thread shows up, and the ConnectRequest
+//                 rides with the first RPC.
 //
 // Each configuration runs twice; the two runs must produce identical
 // fingerprints (determinism gate). The optimized run must beat the eager
 // run's p99 TTFR by at least --min-improvement (default 2x), neither run may
-// see any control-plane reject or lane failure, and the optimized run's
-// end-of-storm census (live server lanes, sender slots, shell pools) must
-// stay bounded no matter how many sessions ran.
+// see any control-plane reject or lane failure, and both runs' end-of-storm
+// census (live server lanes, sender slots, shell pools) must stay bounded no
+// matter how many sessions ran.
 //
 // Usage:
 //   conn_storm [--sessions=400] [--clients=8] [--gap-us=1000] [--lanes=4]
@@ -48,7 +48,6 @@ struct StormParams {
   int rpcs = 4;
   uint32_t payload = 64;
   Nanos batch_window = 1 * kMillisecond;  // 0 = no epoch batching
-  bool recycle = false;
   bool lazy = false;
   bool piggyback = false;
 };
@@ -146,9 +145,7 @@ StormResult RunStorm(const StormParams& p) {
       .num_nodes = p.clients + 1, .cores_per_node = 16});
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster);
 
-  FlockConfig server_cfg;
-  server_cfg.qp_recycling = p.recycle;  // the harvest side of the pool
-  FlockRuntime server(cluster, 0, server_cfg);
+  FlockRuntime server(cluster, 0, FlockConfig{});
   server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len,
                                uint8_t* resp, uint32_t, Nanos* cpu) -> uint32_t {
     *cpu = 50;
@@ -158,7 +155,6 @@ StormResult RunStorm(const StormParams& p) {
   server.StartServer(4);
 
   FlockConfig client_cfg;
-  client_cfg.qp_recycling = p.recycle;
   client_cfg.lazy_lanes = p.lazy;
   client_cfg.connect_piggyback = p.piggyback;
   std::vector<std::unique_ptr<FlockRuntime>> clients;
@@ -353,6 +349,32 @@ bool CheckCommon(const char* name, const StormParams& p, const StormResult& r) {
                 static_cast<unsigned long>(r.replay_window));
     pass = false;
   }
+  // Census bounds: after the last Leave's teardown no live server lanes
+  // remain, the shell pools hold at most the storm's concurrent footprint,
+  // and sender slots were reused rather than grown per session.
+  const size_t slot_bound = static_cast<size_t>(p.clients) * 2;
+  const size_t pool_bound = static_cast<size_t>(p.clients) * p.lanes;
+  if (r.server_live_lanes != 0) {
+    std::printf("FAIL: %s left %lu live server lanes after the storm\n", name,
+                static_cast<unsigned long>(r.server_live_lanes));
+    pass = false;
+  }
+  if (r.sender_slots > slot_bound) {
+    std::printf("FAIL: %s sender slots grew to %lu (bound %lu)\n", name,
+                static_cast<unsigned long>(r.sender_slots),
+                static_cast<unsigned long>(slot_bound));
+    pass = false;
+  }
+  if (r.server_pool > pool_bound || r.client_pool > pool_bound) {
+    std::printf("FAIL: %s shell pools grew: server=%lu client=%lu\n", name,
+                static_cast<unsigned long>(r.server_pool),
+                static_cast<unsigned long>(r.client_pool));
+    pass = false;
+  }
+  if (r.qps_recycled == 0) {
+    std::printf("FAIL: %s never recycled a QP\n", name);
+    pass = false;
+  }
   return pass;
 }
 
@@ -372,7 +394,6 @@ int Main(int argc, char** argv) {
   StormParams eager = p;  // storm flags off, per-event epochs
   eager.batch_window = 0;
   StormParams optimized = p;
-  optimized.recycle = true;
   optimized.lazy = true;
   optimized.piggyback = true;
   optimized.batch_window = batch_window;
@@ -421,34 +442,6 @@ int Main(int argc, char** argv) {
   if (improvement < min_improvement) {
     std::printf("FAIL: p99 TTFR improvement %.2fx below %.2fx\n", improvement,
                 min_improvement);
-    pass = false;
-  }
-  if (o1.qps_recycled == 0) {
-    std::printf("FAIL: optimized run never recycled a QP\n");
-    pass = false;
-  }
-  // Census bounds (optimized only — without recycling, retired lanes and
-  // sender slots accumulate by design and the eager run documents it). After
-  // the last Leave's teardown, no live server lanes remain, the shell pools
-  // hold at most the storm's concurrent footprint, and sender slots were
-  // reused rather than grown per session.
-  const size_t slot_bound = static_cast<size_t>(p.clients) * 2;
-  if (o1.server_live_lanes != 0) {
-    std::printf("FAIL: %lu live server lanes after the storm\n",
-                static_cast<unsigned long>(o1.server_live_lanes));
-    pass = false;
-  }
-  if (o1.sender_slots > slot_bound) {
-    std::printf("FAIL: sender slots grew to %lu (bound %lu)\n",
-                static_cast<unsigned long>(o1.sender_slots),
-                static_cast<unsigned long>(slot_bound));
-    pass = false;
-  }
-  if (o1.server_pool > static_cast<size_t>(p.clients) * p.lanes ||
-      o1.client_pool > static_cast<size_t>(p.clients) * p.lanes) {
-    std::printf("FAIL: shell pools grew: server=%lu client=%lu\n",
-                static_cast<unsigned long>(o1.server_pool),
-                static_cast<unsigned long>(o1.client_pool));
     pass = false;
   }
   std::printf("%s\n", pass ? "PASS" : "FAIL");

@@ -180,7 +180,6 @@ IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
 
   FlockConfig cfg;
   cfg.tenancy = p.tenancy;
-  cfg.qp_recycling = true;  // churn rides the shell pools
   FlockRuntime server(cluster, 0, cfg);
   server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len,
                                uint8_t* resp, uint32_t, Nanos* cpu) -> uint32_t {

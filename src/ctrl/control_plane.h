@@ -1,7 +1,7 @@
 // The connection control plane (DESIGN.md §10): a deterministic, cluster-wide
 // service owning connection lifecycle — connect/accept handshakes with MR
 // rkey exchange and credit bootstrap, QP re-establishment for quarantined
-// lanes, elastic lane add/retire, and dynamic membership (join/leave/rejoin).
+// lanes, lazy lane add, and dynamic membership (join/leave/rejoin).
 //
 // It models the out-of-band channel real deployments run over RDMA-CM/TCP:
 // message delivery is a synchronous function call into the destination

@@ -28,10 +28,9 @@ enum class MsgType : uint16_t {
   kConnectAccept = 2,      // server → client: QPs, rings, rkeys, bootstrap
   kReconnectRequest = 3,   // client → server: fresh QP pair for a dead lane
   kReconnectAccept = 4,    // server → client: revived lane wiring + credits
-  kAddLaneRequest = 5,     // client → server: elastic grow by one lane
+  kAddLaneRequest = 5,     // client → server: grow a lazy handle by one lane
   kAddLaneAccept = 6,
-  kRetireLaneRequest = 7,  // client → server: elastic shrink by one lane
-  kRetireLaneAccept = 8,
+  // 7 and 8 are reserved: a removed type's number is never reused.
   kReject = 9,             // any request the receiver cannot honor right now
   kDisconnectRequest = 10, // client → server: orderly close of a whole handle
   kDisconnectAccept = 11,
@@ -129,18 +128,6 @@ struct AddLaneAccept {
   ServerLaneInfo lane;
 };
 
-struct RetireLaneRequest {
-  int32_t client_node = -1;
-  uint32_t conn_id = 0;
-  uint32_t lane_index = 0;
-  uint32_t pad = 0;
-};
-
-struct RetireLaneAccept {
-  uint32_t lane_index = 0;
-  uint32_t pad = 0;
-};
-
 // Orderly whole-handle close (DESIGN.md §15): the client tells the server it
 // is done, so sender-slot and tenant admission accounting are reclaimed
 // immediately instead of waiting for dead-sender detection to notice the
@@ -162,7 +149,7 @@ enum class RejectReason : uint32_t {
   kBadLane = 3,
   kLaneBusy = 4,      // the lane is mid-dispatch; retry after backoff
   kLaneHealthy = 5,   // reconnect asked for a lane that is not quarantined
-  kLastActiveLane = 6,  // retire would leave the handle with no lanes
+  // 6 is reserved: a removed reason's number is never reused.
   // Tenancy admission control (DESIGN.md §15):
   kUnknownTenant = 7,         // tenant id never registered (or forged)
   kTenantOverConnections = 8, // tenant at its max_connections ceiling
@@ -309,16 +296,6 @@ inline bool DecodeAddLaneRequest(const MsgHeader& h, const uint8_t* buf,
 inline bool DecodeAddLaneAccept(const MsgHeader& h, const uint8_t* buf,
                                 AddLaneAccept* out) {
   return DecodeFixed(h, buf, MsgType::kAddLaneAccept, out);
-}
-
-inline bool DecodeRetireLaneRequest(const MsgHeader& h, const uint8_t* buf,
-                                    RetireLaneRequest* out) {
-  return DecodeFixed(h, buf, MsgType::kRetireLaneRequest, out);
-}
-
-inline bool DecodeRetireLaneAccept(const MsgHeader& h, const uint8_t* buf,
-                                   RetireLaneAccept* out) {
-  return DecodeFixed(h, buf, MsgType::kRetireLaneAccept, out);
 }
 
 inline bool DecodeDisconnectRequest(const MsgHeader& h, const uint8_t* buf,

@@ -75,14 +75,10 @@ struct FlockConfig {
   Nanos ctrl_rtt = 5 * kMicrosecond;
 
   // ---- connection-storm control plane (DESIGN.md §13) ----
-  // All three default off: fault-free traces stay bit-identical. They only
-  // take effect on the asynchronous connect path (ConnectAsync /
-  // CloseConnection); the synchronous setup-phase Connect ignores them.
+  // Both default off: fault-free traces stay bit-identical. They only take
+  // effect on the asynchronous connect path (ConnectAsync); the synchronous
+  // setup-phase Connect ignores them.
   //
-  // Reuse lanes torn down by Leave/retire/close: the QP is ResetQp-recycled
-  // and the rings/MRs/slots are harvested into a per-node shell pool that the
-  // next Connect draws from (qp_reset instead of qp_create per lane).
-  bool qp_recycling = false;
   // Deferred lane bring-up: ConnectAsync materializes only lane 0 eagerly;
   // further lanes appear on first use (when a second thread maps onto the
   // handle), via the AddLane handshake.
@@ -91,20 +87,6 @@ struct FlockConfig {
   // exchange; the ConnectRequest rides with the first RPC's credit bootstrap
   // (no ctrl_rtt on the time-to-first-RPC path).
   bool connect_piggyback = false;
-
-  // ---- elastic lane scaling (DESIGN.md §10) ----
-  // Grow/shrink the per-handle lane set from the observed median coalescing
-  // degree. Off by default (zero new procs, traces untouched).
-  bool elastic_lanes = false;
-  Nanos elastic_interval = 1 * kMillisecond;
-  // Median coalescing degree at or above which a lane is added (the lanes
-  // are contended: more of the combining bound is being used than intended).
-  uint32_t elastic_grow_degree = 12;
-  // Median degree at or below which a lane is retired (requests rarely
-  // coalesce: the handle holds more QPs than its offered load needs).
-  uint32_t elastic_shrink_degree = 2;
-  // Never shrink below this many non-retired lanes.
-  uint32_t min_lanes = 1;
 
   // ---- multi-tenant service layer (DESIGN.md §15) ----
   // Master switch for tenancy enforcement: admission control at handshake,

@@ -249,8 +249,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     // in index order so the payout is deterministic at any shard count.
     for (SenderState& sender : server.senders) {
       for (ServerLane* lane : sender.lanes) {
-        if (lane->deferred_grant == 0 || lane->failed || lane->retired ||
-            !lane->active) {
+        if (lane->deferred_grant == 0 || lane->failed || !lane->active) {
           continue;
         }
         const uint32_t pay =
@@ -285,8 +284,8 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
   uint32_t dormant = 0;
   for (SenderState& sender : server.senders) {
     if (sender.lanes.empty()) {
-      // Fully harvested by TearDownSenders (qp_recycling): the slot is only
-      // a conn_id placeholder awaiting reuse. Without the skip, the
+      // Fully harvested by TearDownSenders: the slot is only a conn_id
+      // placeholder awaiting reuse. Without the skip, the
       // dead-recomputation below ("live == 0 && !lanes.empty()") would flip
       // it back to not-dead and re-admit it to the budget.
       continue;
@@ -298,9 +297,6 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       if (lane->failed) {
         any_failed = true;
         continue;
-      }
-      if (lane->retired) {
-        continue;  // holds no slot and is no evidence either way
       }
       ++live;
       lane->utilization += lane->messages_handled - lane->messages_at_last_sweep;
@@ -317,9 +313,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       --sender.revive_grace;
     } else if (any_failed && live > 0 && sender.utilization == 0) {
       for (ServerLane* lane : sender.lanes) {
-        if (!lane->failed && !lane->retired) {
-          QuarantineServerLane(*lane, server.stats);
-        }
+        QuarantineServerLane(*lane, server.stats);  // idempotent on failed
       }
       live = 0;
     }
@@ -359,9 +353,9 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       sender.utilization = 0;
       continue;
     }
-    uint32_t lane_count = 0;  // live (non-quarantined, non-retired) lanes only
+    uint32_t lane_count = 0;  // live (non-quarantined) lanes only
     for (ServerLane* lane : sender.lanes) {
-      lane_count += (lane->failed || lane->retired) ? 0 : 1;
+      lane_count += lane->failed ? 0 : 1;
     }
     if (lane_count == 0) {
       continue;
@@ -411,10 +405,10 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
                 }
                 return a->index < b->index;
               });
-    uint32_t rank = 0;  // rank among live lanes: failed/retired hold no slot
+    uint32_t rank = 0;  // rank among live lanes: failed ones hold no slot
     for (uint32_t i = 0; i < order.size(); ++i) {
       ServerLane& lane = *order[i];
-      if (lane.failed || lane.retired) {
+      if (lane.failed) {
         lane.messages_at_last_sweep = lane.messages_handled;
         lane.utilization = 0;
         continue;

@@ -100,12 +100,6 @@ void TenantRegistry::ReleaseConnection(TenantId id, uint32_t lanes) {
   }
 }
 
-void TenantRegistry::ReleaseLanes(TenantId id, uint32_t lanes) {
-  if (Entry* e = Find(id)) {
-    e->lanes -= std::min(e->lanes, lanes);
-  }
-}
-
 uint32_t TenantRegistry::LiveConnections(TenantId id) const {
   const Entry* e = Find(id);
   return e ? e->connections : 0;

@@ -85,7 +85,7 @@ class TenantRegistry {
   bool Registered(TenantId id) const { return Find(id) != nullptr; }
   const TenantPolicy* PolicyFor(TenantId id) const;
 
-  // ---- admission control (handshake / elastic lane growth) ----
+  // ---- admission control (handshake / lazy lane growth) ----
 
   // Charge one connection and up to `want_lanes` lanes. kAdmit with
   // lanes < want_lanes is a degraded accept. Non-admit verdicts charge
@@ -95,7 +95,6 @@ class TenantRegistry {
   bool AdmitLane(TenantId id);
   // Release accounting charged by the calls above (teardown paths).
   void ReleaseConnection(TenantId id, uint32_t lanes);
-  void ReleaseLanes(TenantId id, uint32_t lanes);
 
   uint32_t LiveConnections(TenantId id) const;
   uint32_t LiveLanes(TenantId id) const;

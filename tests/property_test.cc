@@ -608,9 +608,9 @@ TEST_P(CtrlFuzzProperty, MalformedHandshakesAreRejectedNotCrashed) {
         break;
       }
       case 5: {
-        cw::RetireLaneRequest req;
-        req.lane_index = static_cast<uint32_t>(rng.Next());
-        len = cw::EncodeMessage(buf, sizeof(buf), cw::MsgType::kRetireLaneRequest,
+        cw::DisconnectRequest req;
+        req.conn_id = static_cast<uint32_t>(rng.Next());
+        len = cw::EncodeMessage(buf, sizeof(buf), cw::MsgType::kDisconnectRequest,
                                 nonce, &req, sizeof(req));
         break;
       }
@@ -677,8 +677,8 @@ TEST_P(CtrlFuzzProperty, MalformedHandshakesAreRejectedNotCrashed) {
         break;
       }
       case cw::MsgType::kReconnectAccept:
-      case cw::MsgType::kRetireLaneRequest:
-      case cw::MsgType::kRetireLaneAccept:
+      case cw::MsgType::kDisconnectRequest:
+      case cw::MsgType::kDisconnectAccept:
       case cw::MsgType::kAddLaneAccept:
       case cw::MsgType::kReject:
       default: {
@@ -934,10 +934,10 @@ TEST(CtrlPlaneGuardTest, ReplayMalformedAndNonMemberAreRejected) {
 
   uint8_t msg[cw::kMaxMessageBytes];
   uint8_t resp[cw::kMaxMessageBytes];
-  cw::RetireLaneRequest req;
+  cw::DisconnectRequest req;
   const uint64_t nonce = cp.NextNonce();
   const uint32_t len = cw::EncodeMessage(msg, sizeof(msg),
-                                         cw::MsgType::kRetireLaneRequest, nonce,
+                                         cw::MsgType::kDisconnectRequest, nonce,
                                          &req, sizeof(req));
 
   // First delivery passes; the identical frame (same nonce) is a replay.
@@ -949,7 +949,7 @@ TEST(CtrlPlaneGuardTest, ReplayMalformedAndNonMemberAreRejected) {
 
   // Malformed frame (corrupted body → checksum mismatch): rejected up front.
   const uint32_t len2 = cw::EncodeMessage(msg, sizeof(msg),
-                                          cw::MsgType::kRetireLaneRequest,
+                                          cw::MsgType::kDisconnectRequest,
                                           cp.NextNonce(), &req, sizeof(req));
   msg[cw::kHeaderBytes] ^= 0xFF;
   EXPECT_EQ(cp.Call(0, msg, len2, resp, sizeof(resp)), 0u);
@@ -958,7 +958,7 @@ TEST(CtrlPlaneGuardTest, ReplayMalformedAndNonMemberAreRejected) {
 
   // Truncated frame.
   const uint32_t len3 = cw::EncodeMessage(msg, sizeof(msg),
-                                          cw::MsgType::kRetireLaneRequest,
+                                          cw::MsgType::kDisconnectRequest,
                                           cp.NextNonce(), &req, sizeof(req));
   EXPECT_EQ(cp.Call(0, msg, len3 - 1, resp, sizeof(resp)), 0u);
   EXPECT_EQ(ep.delivered, 1);
@@ -966,7 +966,7 @@ TEST(CtrlPlaneGuardTest, ReplayMalformedAndNonMemberAreRejected) {
   // Non-member destination.
   cp.Leave(0);
   const uint32_t len4 = cw::EncodeMessage(msg, sizeof(msg),
-                                          cw::MsgType::kRetireLaneRequest,
+                                          cw::MsgType::kDisconnectRequest,
                                           cp.NextNonce(), &req, sizeof(req));
   EXPECT_EQ(cp.Call(0, msg, len4, resp, sizeof(resp)), 0u);
   EXPECT_EQ(ep.delivered, 1);
@@ -975,7 +975,7 @@ TEST(CtrlPlaneGuardTest, ReplayMalformedAndNonMemberAreRejected) {
 
   // No endpoint registered on node 1.
   const uint32_t len5 = cw::EncodeMessage(msg, sizeof(msg),
-                                          cw::MsgType::kRetireLaneRequest,
+                                          cw::MsgType::kDisconnectRequest,
                                           cp.NextNonce(), &req, sizeof(req));
   EXPECT_EQ(cp.Call(1, msg, len5, resp, sizeof(resp)), 0u);
   EXPECT_GE(cp.stats().rejected_no_endpoint, 1u);

@@ -70,7 +70,7 @@ TEST(TenantRegistryTest, LaneCeilingRejectsWhenExhausted) {
   // which is a reject (a handle with no lanes is useless).
   EXPECT_EQ(reg.AdmitConnect(3, 1).verdict, Admission::Verdict::kOverLanes);
   EXPECT_FALSE(reg.AdmitLane(3));
-  reg.ReleaseLanes(3, 1);
+  reg.ReleaseConnection(3, 2);
   EXPECT_TRUE(reg.AdmitLane(3));
 }
 
@@ -85,7 +85,6 @@ TEST(TenantRegistryTest, DefaultAndUnregisteredTenantsAreUnlimited) {
   EXPECT_EQ(reg.SendBudgetRemaining(tenant::kDefaultTenant), UINT64_MAX);
   // Releases for ids the registry never charged are no-ops, not underflows.
   reg.ReleaseConnection(99, 4);
-  reg.ReleaseLanes(99, 4);
 }
 
 TEST(TenantRegistryTest, ClipGrantChargesWindowBudget) {
@@ -490,9 +489,7 @@ TEST(TenantTeardownTest, CloseReclaimsConnectionsAndLanes) {
 }
 
 TEST(TenantRecyclingTest, PooledLaneShellsCarryNoQuotaDebt) {
-  FlockConfig cfg = TenancyConfig();
-  cfg.qp_recycling = true;
-  TenantWorld world(2, cfg);
+  TenantWorld world(2, TenancyConfig());
 
   // Tenant 1: tiny quotas, flooded until throttled. Tenant 2: clean slate.
   TenantPolicy abusive;
