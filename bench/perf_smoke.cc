@@ -12,16 +12,16 @@
 // whose event counts, RPC counts and trace hashes must match exactly (the
 // sharded kernel replays the sequential trace, DESIGN.md §12) while the
 // wall-clock improves with the host cores available. scripts/check_perf.py
-// gates both the identity and the speedup. Results are written to
-// BENCH_perf_smoke.json (override with --json=<path>) so successive PRs have
-// a perf trajectory to compare against.
+// gates both the identity and the speedup. --json=<path> writes the rows;
+// the committed baseline BENCH_perf_smoke.json is refreshed only by naming it
+// explicitly, so a run from the repo root cannot overwrite it by accident.
 //
 // Usage:
 //   perf_smoke [--clients=4] [--threads=8] [--payload=64] [--sim-ms=20]
 //              [--repeats=3] [--shards=1] [--workers=0] [--servers=1]
 //              [--scale=1] [--scale-shards=8] [--scale-servers=4]
 //              [--scale-clients=12] [--scale-sim-ms=4]
-//              [--json=BENCH_perf_smoke.json]
+//              [--json=<path>]
 #include <sys/resource.h>
 
 #include <cstdint>
@@ -174,7 +174,7 @@ int Main(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.Int("repeats", 3));
   const bool scale = flags.Bool("scale", true);
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
-  JsonDump json(flags.Str("json", "BENCH_perf_smoke.json"), "perf_smoke");
+  JsonDump json(flags, "perf_smoke");
 
   PrintBanner("perf_smoke: wall-clock kernel throughput");
   std::printf("%-10s %12s %12s %12s %10s %10s\n", "run", "events/s", "rpcs/s",

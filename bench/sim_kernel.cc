@@ -14,7 +14,8 @@
 //     heap merge costs.
 //
 // Usage:
-//   sim_kernel [--iters=2000000] [--repeats=3] [--json=BENCH_sim_kernel.json]
+//   sim_kernel [--iters=2000000] [--repeats=3] [--shards=8] [--workers=0]
+//              [--hop-nodes=16] [--json=<path>]
 #include <cstdint>
 #include <vector>
 
@@ -195,7 +196,7 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t iters = static_cast<uint64_t>(flags.Int("iters", 2000000));
   const int repeats = static_cast<int>(flags.Int("repeats", 3));
-  JsonDump json(flags.Str("json", "BENCH_sim_kernel.json"), "sim_kernel");
+  JsonDump json(flags, "sim_kernel");
 
   PrintBanner("sim_kernel: event-kernel primitive throughput");
   const auto kRate = [](const KernelResult& r) { return r.events_per_s; };

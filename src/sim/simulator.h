@@ -11,20 +11,22 @@
 //
 // Every event belongs to a simulated *node*, and ConfigureSharding() groups
 // nodes into shards. Each shard owns a complete private queue (now-FIFO,
-// calendar, overflow heap), its own sequence counter, its own live-process
-// list and its own kernel counters, so a shard executes a time window without
-// touching any other shard's state. Windows are `lookahead` wide — the
-// fabric's minimum cross-node delay — and between windows the coordinator
-// drains per-(src,dst) shard mailboxes that carry cross-node hops
-// (ScheduleOnNode). A hop scheduled inside window [T, T+W) carries delay
-// >= W, so it can only land in a later window: intra-window execution is
-// embarrassingly parallel, no null messages needed. Mailbox merge order is
-// the deterministic key (arrival time, source node, per-source hop sequence),
-// which does not depend on the shard count — the same seed produces
-// bit-identical traces on 1, 2, 4 or 8 shards, and shards==1 *is* the
-// sequential kernel. Shards are distributed over a fixed pool of
-// min(shards, hardware threads) workers; the pool size affects wall-clock
-// only, never the trace.
+// calendar, overflow heap), its own sequence counter, live-process list,
+// per-source-node hop counters and kernel counters, so a shard executes a
+// time window without touching any other shard's state. Windows are
+// `lookahead` wide — the fabric's minimum cross-node delay — so a cross-node
+// hop (ScheduleOnNode) sent inside window [T, T+W) can only land in a later
+// window: intra-window execution is embarrassingly parallel, no null
+// messages needed. There is no coordinator: each pool worker (the calling
+// thread is worker 0) runs the same window loop over its own shards, meets
+// the others at one spin barrier per window to agree on the next window
+// start, and merges its own shards' per-(src,dst) mailboxes, which alternate
+// by window parity. Merge order is the deterministic key (arrival time,
+// source node, per-source hop sequence), which does not depend on the shard
+// count — the same seed produces bit-identical traces on 1, 2, 4 or 8
+// shards, and shards==1 *is* the sequential kernel. The pool has
+// min(shards, hardware threads) workers; its size affects wall-clock only,
+// never the trace.
 //
 // A Simulator without ConfigureSharding() (kernel unit tests, microbenches)
 // runs exactly one shard with no window loop and no threads.
@@ -109,17 +111,18 @@ class Simulator {
       FLOCK_CHECK(s >= 0 && s < num_shards) << "bad shard id " << s;
     }
     node_shard_.assign(node_shard.begin(), node_shard.end());
-    node_hop_seq_.assign(node_shard.size(), 0);
     lookahead_ = lookahead;
     windowed_ = true;
     shards_.clear();
     for (int i = 0; i < num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(this, i, num_shards));
+      shards_.back()->hop_seq_.assign(node_shard.size(), 0);
     }
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
     num_workers_ = num_workers > 0 ? num_workers
                                    : std::min(num_shards, std::max(1, hw));
     num_workers_ = std::min(num_workers_, num_shards);
+    slots_ = std::make_unique<BarrierSlot[]>(static_cast<size_t>(num_workers_));
   }
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -185,9 +188,10 @@ class Simulator {
   // event crosses nodes (and therefore shards). Under sharding the delay must
   // be at least the configured lookahead (the fabric guarantees this: every
   // cross-node interaction pays at least the minimum wire delay), and the
-  // handle travels through the per-(src,dst) mailbox drained at the next
-  // window barrier. Merge key (arrival, src node, per-src hop seq) makes the
-  // destination ordering independent of the shard count.
+  // handle travels through the per-(src,dst) mailbox of this window's parity,
+  // which the destination shard's worker merges after the window barrier.
+  // Merge key (arrival, src node, per-src hop seq) makes the destination
+  // ordering independent of the shard count.
   void ScheduleOnNode(int node, Nanos delay, std::coroutine_handle<> handle) {
     FLOCK_CHECK_GE(delay, 0);
     Shard* cur = RunningShard();
@@ -202,10 +206,12 @@ class Simulator {
     FLOCK_CHECK_GE(delay, lookahead_)
         << "cross-node hop below the conservative lookahead";
     const int32_t src = cur->current_node_;
-    cur->hop_out_[static_cast<size_t>(node_shard_[static_cast<size_t>(node)])]
-        .push_back(HopEntry{cur->now_ + delay,
-                            node_hop_seq_[static_cast<size_t>(src)]++, src,
-                            static_cast<int32_t>(node), handle.address()});
+    const Nanos at = cur->now_ + delay;
+    const auto dst = static_cast<size_t>(node_shard_[static_cast<size_t>(node)]);
+    uint64_t& hop_seq = cur->hop_seq_[static_cast<size_t>(src)];
+    cur->hop_out_[cur->parity_][dst].push_back(
+        HopEntry{at, hop_seq++, src, static_cast<int32_t>(node), handle.address()});
+    cur->earliest_hop_ = EarlierOf(cur->earliest_hop_, at);
   }
 
   // Runs events until all queues drain. Returns the number of events run.
@@ -252,7 +258,7 @@ class Simulator {
 
   // ---- kernel counters (see bench/perf_smoke and bench/sim_kernel) ----
   // Each shard counts privately mid-window; accessors sum at read time (reads
-  // happen on the coordinator between windows, never mid-window).
+  // happen on the calling thread between runs, never mid-run).
   // Total coroutine resumptions, however delivered.
   uint64_t resumes() const { return Sum(&Shard::resumes_); }
   // Resumptions performed inline by a resource model (FifoServer completion)
@@ -333,11 +339,13 @@ class Simulator {
       // Frames parked in finish mailboxes are still on their home live list;
       // the walk below destroys them. Hops in flight hold handles of frames
       // the walk destroys too, so the mailboxes just empty.
-      for (auto& q : s.finish_out_) {
-        q.clear();
-      }
-      for (auto& q : s.hop_out_) {
-        q.clear();
+      for (int parity = 0; parity < 2; ++parity) {
+        for (auto& q : s.finish_out_[parity]) {
+          q.clear();
+        }
+        for (auto& q : s.hop_out_[parity]) {
+          q.clear();
+        }
       }
       // Destroying one frame can destroy child frames but never spawns procs.
       while (s.live_head_ != nullptr) {
@@ -443,15 +451,17 @@ class Simulator {
   };
 
   // One shard: a complete, self-contained event queue plus the live-process
-  // list and counters of the nodes it owns. Mid-window a shard is touched
-  // only by the worker thread running it; between windows only by the
-  // coordinator (ordering enforced by the epoch barrier's acquire/release
-  // pairs).
+  // list and counters of the nodes it owns. Only the worker that owns a shard
+  // touches it; other workers read (and empty) only its outboxes of the
+  // parity they are merging, which the owner does not write again until the
+  // next barrier (ordering enforced by the barrier's acquire/release pairs).
   struct Shard {
     Shard(Simulator* owner, int index, int num_shards)
         : owner_(owner), index_(static_cast<uint32_t>(index)) {
-      hop_out_.resize(static_cast<size_t>(num_shards));
-      finish_out_.resize(static_cast<size_t>(num_shards));
+      for (int parity = 0; parity < 2; ++parity) {
+        hop_out_[parity].resize(static_cast<size_t>(num_shards));
+        finish_out_[parity].resize(static_cast<size_t>(num_shards));
+      }
     }
 
     // ---- now-FIFO drain vector (single timestamp at a time) ----
@@ -600,7 +610,7 @@ class Simulator {
     }
 
     // Earliest pending event time, or -1 if the shard is empty. Called by the
-    // coordinator between windows to pick the next window start.
+    // owning worker between windows to pick the next window start.
     Nanos NextEventAt() const {
       if (!FifoEmpty()) {
         return fifo_[fifo_pos_].at;  // e.g. a Spawn between runs
@@ -715,11 +725,17 @@ class Simulator {
     internal::ProcPromise* live_head_ = nullptr;
     size_t live_count_ = 0;
 
-    // Outboxes, indexed by destination shard; SPSC by construction (the shard
-    // appends mid-window, the coordinator drains at the barrier). Capacity is
-    // kept across windows, so steady state never allocates.
-    std::vector<std::vector<HopEntry>> hop_out_;
-    std::vector<std::vector<internal::ProcPromise*>> finish_out_;
+    // Outboxes, indexed by [window parity][destination shard]; SPSC by
+    // construction (the shard appends mid-window, the destination's worker
+    // empties them after the barrier, while the shard already fills the other
+    // parity). Capacity is kept across windows, so steady state never
+    // allocates.
+    std::vector<std::vector<HopEntry>> hop_out_[2];
+    std::vector<std::vector<internal::ProcPromise*>> finish_out_[2];
+    uint32_t parity_ = 0;      // outbox parity of the window being run
+    Nanos earliest_hop_ = -1;  // earliest arrival sent this window, or -1
+    std::vector<uint64_t> hop_seq_;  // per-source-node hop counters (own nodes)
+    std::vector<HopEntry> merge_scratch_;  // inbox merge buffer
   };
 
   static void WakeDrainTrampoline(void* shard) {
@@ -777,9 +793,9 @@ class Simulator {
     Shard& home = *shards_[promise.home_shard];
     if (cur != nullptr && cur != &home) {
       // Finished on a foreign shard (e.g. an unreliable delivery that ends at
-      // the receiver): park the frame; the coordinator unlinks and destroys
-      // it at the window barrier, when the home shard's list is quiescent.
-      cur->finish_out_[promise.home_shard].push_back(&promise);
+      // the receiver): park the frame; the home shard's worker unlinks and
+      // destroys it after the window barrier, between its own windows.
+      cur->finish_out_[cur->parity_][promise.home_shard].push_back(&promise);
       return;
     }
     UnlinkAndDestroy(home, promise);
@@ -801,6 +817,10 @@ class Simulator {
 
   // ---- window loop ----
 
+  static Nanos EarlierOf(Nanos a, Nanos b) {
+    return b >= 0 && (a < 0 || b < a) ? b : a;
+  }
+
   uint64_t RunLoop(Nanos deadline) {
     if (!windowed_) {
       Shard& s = *shards_[0];
@@ -810,106 +830,96 @@ class Simulator {
       return ran;
     }
     const uint64_t before = events_processed();
-    for (;;) {
-      Nanos next = -1;
-      for (const auto& s : shards_) {
-        const Nanos t = s->NextEventAt();
-        if (t >= 0 && (next < 0 || t < next)) {
-          next = t;
-        }
+    if (num_workers_ > 1) {
+      if (workers_.empty()) {
+        StartWorkers();
+      }
+      run_deadline_ = deadline;
+      run_gen_.fetch_add(1, std::memory_order_release);
+    }
+    WindowLoop(0, deadline);
+    return events_processed() - before;
+  }
+
+  // Worker w's share of one run: windows over shards w, w+P, w+2P, ... until
+  // the global next event passes `deadline`. Every worker takes the same
+  // window sequence, because each window start is the minimum the barrier
+  // hands to all of them.
+  void WindowLoop(size_t w, Nanos deadline) {
+    const size_t stride = static_cast<size_t>(num_workers_);
+    for (uint32_t parity = 0;; parity ^= 1) {
+      // Before the merge, the earliest event a shard will hold is its own
+      // next event or the earliest hop any shard sent it; the global minimum
+      // over both equals the post-merge minimum, so window boundaries depend
+      // only on the trace.
+      Nanos earliest = -1;
+      for (size_t i = w; i < shards_.size(); i += stride) {
+        Shard& s = *shards_[i];
+        earliest = EarlierOf(EarlierOf(earliest, s.NextEventAt()), s.earliest_hop_);
+        s.earliest_hop_ = -1;
+      }
+      const Nanos next = Barrier(w, earliest);
+      // Merge the inboxes of the window just run (the other parity). Senders
+      // now fill `parity`, and refill this one only after the next barrier,
+      // which this worker reaches only once its merge is done.
+      for (size_t i = w; i < shards_.size(); i += stride) {
+        MergeInbox(i, parity ^ 1);
       }
       if (next < 0 || (deadline >= 0 && next > deadline)) {
         break;
       }
       // Window [next, wend]: a hop from t >= next has arrival
-      // t + lookahead > wend, so it cannot land inside this window. The
-      // boundary depends only on the global earliest event time — identical
-      // at every shard count, which keeps barrier (and therefore mailbox
-      // drain) positions aligned across configurations.
+      // t + lookahead > wend, so it cannot land inside this window.
       Nanos wend = next + lookahead_ - 1;
       if (deadline >= 0 && wend > deadline) {
         wend = deadline;
       }
-      RunWindowAll(wend);
-      DrainBarrier();
+      for (size_t i = w; i < shards_.size(); i += stride) {
+        Shard& s = *shards_[i];
+        s.parity_ = parity;
+        RunningShardSlot() = &s;
+        s.RunWindow(wend);
+        RunningShardSlot() = nullptr;
+      }
     }
-    return events_processed() - before;
+    // The run ends only when every worker has merged its last inboxes.
+    Barrier(w, -1);
   }
 
-  void RunShardWindow(Shard& s, Nanos wend) {
-    RunningShardSlot() = &s;
-    s.RunWindow(wend);
-    RunningShardSlot() = nullptr;
-  }
-
-  void RunWindowAll(Nanos wend) {
-    if (num_workers_ > 1 && workers_.empty()) {
-      StartWorkers();
+  // Delivers to shard `dst` the hops and foreign finishes that every shard
+  // posted to it in the window of `parity`.
+  void MergeInbox(size_t dst, uint32_t parity) {
+    Shard& d = *shards_[dst];
+    std::vector<HopEntry>& merge = d.merge_scratch_;
+    merge.clear();
+    for (const auto& src : shards_) {
+      auto& box = src->hop_out_[parity][dst];
+      merge.insert(merge.end(), box.begin(), box.end());
+      box.clear();
     }
-    if (num_workers_ <= 1) {
-      for (auto& s : shards_) {
-        RunShardWindow(*s, wend);
-      }
-      return;
+    std::sort(merge.begin(), merge.end(),
+              [](const HopEntry& a, const HopEntry& b) {
+                if (a.at != b.at) {
+                  return a.at < b.at;
+                }
+                if (a.src_node != b.src_node) {
+                  return a.src_node < b.src_node;
+                }
+                return a.hop_seq < b.hop_seq;
+              });
+    for (const HopEntry& h : merge) {
+      d.Push(Event{h.at, d.next_seq_++, h.ctx, nullptr, h.dst_node});
     }
-    // Publish the window, run our own shards, then wait for the pool. The
-    // release/acquire pairs on window_epoch_ and worker_done_ order all shard
-    // and mailbox memory between the coordinator and the workers.
-    window_deadline_ = wend;
-    const uint64_t epoch =
-        window_epoch_.load(std::memory_order_relaxed) + 1;
-    window_epoch_.store(epoch, std::memory_order_release);
-    for (size_t i = 0; i < shards_.size();
-         i += static_cast<size_t>(num_workers_)) {
-      RunShardWindow(*shards_[i], wend);
-    }
-    for (int w = 1; w < num_workers_; ++w) {
-      SpinUntil([&] {
-        return worker_done_[static_cast<size_t>(w)].value.load(
-                   std::memory_order_acquire) == epoch;
-      });
-    }
-  }
-
-  void DrainBarrier() {
-    const size_t n = shards_.size();
-    for (size_t dst = 0; dst < n; ++dst) {
-      merge_scratch_.clear();
-      for (size_t src = 0; src < n; ++src) {
-        auto& box = shards_[src]->hop_out_[dst];
-        merge_scratch_.insert(merge_scratch_.end(), box.begin(), box.end());
-        box.clear();
+    for (const auto& src : shards_) {
+      auto& fin = src->finish_out_[parity][dst];
+      for (internal::ProcPromise* promise : fin) {
+        UnlinkAndDestroy(d, *promise);
       }
-      if (merge_scratch_.empty()) {
-        continue;
-      }
-      std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-                [](const HopEntry& a, const HopEntry& b) {
-                  if (a.at != b.at) {
-                    return a.at < b.at;
-                  }
-                  if (a.src_node != b.src_node) {
-                    return a.src_node < b.src_node;
-                  }
-                  return a.hop_seq < b.hop_seq;
-                });
-      Shard& d = *shards_[dst];
-      for (const HopEntry& h : merge_scratch_) {
-        d.Push(Event{h.at, d.next_seq_++, h.ctx, nullptr, h.dst_node});
-      }
-    }
-    for (size_t src = 0; src < n; ++src) {
-      for (size_t home = 0; home < n; ++home) {
-        auto& fin = shards_[src]->finish_out_[home];
-        for (internal::ProcPromise* promise : fin) {
-          UnlinkAndDestroy(*shards_[home], *promise);
-        }
-        fin.clear();
-      }
+      fin.clear();
     }
   }
 
-  // ---- worker pool ----
+  // ---- barrier and worker pool ----
 
   template <typename Pred>
   static void SpinUntil(Pred pred) {
@@ -920,40 +930,38 @@ class Simulator {
     }
   }
 
-  void StartWorkers() {
-    worker_done_ = std::make_unique<PaddedEpoch[]>(
-        static_cast<size_t>(num_workers_));
-    const uint64_t epoch = window_epoch_.load(std::memory_order_relaxed);
-    for (int w = 0; w < num_workers_; ++w) {
-      worker_done_[static_cast<size_t>(w)].value.store(
-          epoch, std::memory_order_relaxed);
+  // Publishes worker w's earliest known time, waits until every worker has
+  // published, and returns the minimum. The value slot alternates by
+  // generation parity: a worker that leaves barrier g can publish g+1 before
+  // a slower one has read g, but not g+2, which needs the slow one's g+1.
+  Nanos Barrier(size_t w, Nanos earliest) {
+    BarrierSlot& mine = slots_[w];
+    const uint64_t gen = mine.gen.load(std::memory_order_relaxed) + 1;
+    mine.earliest[gen & 1].store(earliest, std::memory_order_relaxed);
+    mine.gen.store(gen, std::memory_order_release);
+    Nanos next = -1;
+    for (size_t v = 0; v < static_cast<size_t>(num_workers_); ++v) {
+      const BarrierSlot& slot = slots_[v];
+      SpinUntil([&] { return slot.gen.load(std::memory_order_acquire) >= gen; });
+      next = EarlierOf(next, slot.earliest[gen & 1].load(std::memory_order_relaxed));
     }
-    stop_workers_.store(false, std::memory_order_relaxed);
-    for (int w = 1; w < num_workers_; ++w) {
-      // Pass the pre-window epoch: re-reading window_epoch_ from the worker
-      // would race with the coordinator's first increment (the worker could
-      // treat the first window as already seen and sleep forever).
-      workers_.emplace_back([this, w, epoch] { WorkerLoop(w, epoch); });
-    }
+    return next;
   }
 
-  void WorkerLoop(int w, uint64_t seen) {
-    for (;;) {
-      uint64_t epoch = seen;
-      SpinUntil([&] {
-        epoch = window_epoch_.load(std::memory_order_acquire);
-        return epoch != seen;
+  // Pool threads 1..P-1 park between runs; the calling thread is worker 0.
+  void StartWorkers() {
+    stop_workers_.store(false, std::memory_order_relaxed);
+    const uint64_t seen = run_gen_.load(std::memory_order_relaxed);
+    for (int w = 1; w < num_workers_; ++w) {
+      workers_.emplace_back([this, w, seen] {
+        for (uint64_t run = seen + 1;; ++run) {
+          SpinUntil([&] { return run_gen_.load(std::memory_order_acquire) == run; });
+          if (stop_workers_.load(std::memory_order_acquire)) {
+            return;
+          }
+          WindowLoop(static_cast<size_t>(w), run_deadline_);
+        }
       });
-      seen = epoch;
-      if (stop_workers_.load(std::memory_order_acquire)) {
-        return;
-      }
-      for (size_t i = static_cast<size_t>(w); i < shards_.size();
-           i += static_cast<size_t>(num_workers_)) {
-        RunShardWindow(*shards_[i], window_deadline_);
-      }
-      worker_done_[static_cast<size_t>(w)].value.store(
-          epoch, std::memory_order_release);
     }
   }
 
@@ -962,32 +970,32 @@ class Simulator {
       return;
     }
     stop_workers_.store(true, std::memory_order_release);
-    window_epoch_.fetch_add(1, std::memory_order_release);
+    run_gen_.fetch_add(1, std::memory_order_release);
     for (std::thread& t : workers_) {
       t.join();
     }
     workers_.clear();
-    worker_done_.reset();
   }
 
-  struct alignas(64) PaddedEpoch {
-    std::atomic<uint64_t> value{0};
+  // One cache line per worker: its barrier generation and, per generation
+  // parity, the earliest time it published.
+  struct alignas(64) BarrierSlot {
+    std::atomic<uint64_t> gen{0};
+    std::atomic<Nanos> earliest[2] = {};
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<int32_t> node_shard_;    // empty → every node on shard 0
-  std::vector<uint64_t> node_hop_seq_; // per-source-node hop counters
+  std::vector<int32_t> node_shard_;  // empty → every node on shard 0
   Nanos lookahead_ = 0;
   bool windowed_ = false;
   bool shutting_down_ = false;
   int num_workers_ = 1;
-  std::vector<HopEntry> merge_scratch_;
+  std::unique_ptr<BarrierSlot[]> slots_;
 
   std::vector<std::thread> workers_;
-  std::atomic<uint64_t> window_epoch_{0};
+  std::atomic<uint64_t> run_gen_{0};
   std::atomic<bool> stop_workers_{false};
-  Nanos window_deadline_ = 0;  // written before the epoch release-store
-  std::unique_ptr<PaddedEpoch[]> worker_done_;
+  Nanos run_deadline_ = 0;  // written before the run_gen_ release
 };
 
 namespace internal {

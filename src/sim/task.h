@@ -174,8 +174,10 @@ struct ProcPromise : FramePooled {
   Simulator* sim = nullptr;
   // Shard the process was spawned on (the shard owning its node). A process
   // that runs its last event on a foreign shard — possible only via a
-  // cross-node hop — is parked until the window barrier so its home shard's
-  // live list is only ever unlinked while that shard is quiescent.
+  // cross-node hop — is parked in that shard's finish mailbox of the current
+  // window parity; after the window barrier the home shard's own worker
+  // unlinks and destroys it, so a live list is only ever touched by the
+  // worker that owns it.
   uint32_t home_shard = 0;
   // Intrusive doubly-linked list of live (spawned, not yet finished)
   // processes, threaded through the promise so the Simulator tracks

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,9 +31,11 @@ struct KernelWorld {
 // Each worker lives on `home`, does some same-node work, then ping-pongs to a
 // peer node and back. The log hash folds (now, node, step) at every resume,
 // so any reordering — across nodes, across shards, across equal timestamps —
-// changes the fingerprint.
+// changes the fingerprint. With `end_on_peer` the worker hops to its peer
+// once more and finishes there, on a foreign shard whenever the peer lives
+// on another one.
 sim::Proc KernelWorker(KernelWorld* w, int home, int peer, Nanos hop,
-                       int rounds) {
+                       int rounds, bool end_on_peer) {
   bench::TraceHash h;
   for (int r = 0; r < rounds; ++r) {
     co_await sim::Delay(w->sim, (r % 3) * 7);
@@ -43,7 +46,12 @@ sim::Proc KernelWorker(KernelWorld* w, int home, int peer, Nanos hop,
     w->node_events[static_cast<size_t>(peer)] += 1;
     co_await sim::HopToNode(w->sim, home, hop + (r % 2));
   }
-  w->node_log_hash[static_cast<size_t>(home)] ^= h.value();
+  int last = home;
+  if (end_on_peer) {
+    co_await sim::HopToNode(w->sim, peer, hop);
+    last = peer;
+  }
+  w->node_log_hash[static_cast<size_t>(last)] ^= h.value();
 }
 
 struct KernelResult {
@@ -51,9 +59,14 @@ struct KernelResult {
   uint64_t resumes = 0;
   Nanos end = 0;
   uint64_t hash = 0;
+  size_t live = 0;  // procs left once the queues drain: every one must finish
 };
 
-KernelResult RunKernelWorld(int num_nodes, int num_shards, int num_workers) {
+// `slice` > 0 runs the world as RunFor(slice) calls until it drains, so the
+// worker pool parks and restarts on every call; `end_on_peer` selects the
+// worker variant that finishes on a foreign shard.
+KernelResult RunKernelWorld(int num_nodes, int num_shards, int num_workers,
+                            Nanos slice = 0, bool end_on_peer = false) {
   constexpr Nanos kHop = 100;
   KernelWorld w;
   w.node_log_hash.assign(static_cast<size_t>(num_nodes), 0);
@@ -65,13 +78,24 @@ KernelResult RunKernelWorld(int num_nodes, int num_shards, int num_workers) {
   w.sim.ConfigureSharding(num_shards, node_shard, kHop, num_workers);
   // Several workers per node, crossing shard boundaries in both directions,
   // with colliding timestamps (same hop delay from the same start time).
+  // Round counts differ per worker, so finishes spread over many windows of
+  // both mailbox parities.
   for (int n = 0; n < num_nodes; ++n) {
     for (int k = 0; k < 3; ++k) {
-      w.sim.Spawn(KernelWorker(&w, n, (n + 1 + k) % num_nodes, kHop, 40), n);
+      const int rounds = 40 + (n + k) % 5;
+      w.sim.Spawn(
+          KernelWorker(&w, n, (n + 1 + k) % num_nodes, kHop, rounds, end_on_peer), n);
     }
   }
   KernelResult r;
-  r.events = w.sim.Run();
+  if (slice > 0) {
+    while (!w.sim.Idle()) {
+      r.events += w.sim.RunFor(slice);
+    }
+  } else {
+    r.events = w.sim.Run();
+  }
+  r.live = w.sim.live_proc_count();
   r.resumes = w.sim.resumes();
   r.end = w.sim.Now();
   bench::TraceHash h;
@@ -102,6 +126,31 @@ TEST(DeterministicParallelTest, KernelTraceIndependentOfWorkerPoolSize) {
     const KernelResult r = RunKernelWorld(8, 4, workers);
     EXPECT_EQ(base.events, r.events) << "workers=" << workers;
     EXPECT_EQ(base.hash, r.hash) << "workers=" << workers;
+  }
+}
+
+// Every combination of short RunFor slices (the pool parks and restarts on
+// each call), an uneven shard->worker map (8 shards on 3 workers) and procs
+// that finish on a foreign shard must replay the 1-shard sequential trace of
+// the same world.
+TEST(DeterministicParallelTest, KernelTraceIdenticalUnderSlicingAndForeignFinish) {
+  constexpr Nanos kSlice = 250;  // 2.5 lookaheads: most calls cut a window
+  for (const Nanos slice : {Nanos{0}, kSlice}) {
+    for (const bool end_on_peer : {false, true}) {
+      const KernelResult base = RunKernelWorld(8, 1, 0, slice, end_on_peer);
+      EXPECT_GT(base.events, 0u);
+      for (const auto& [shards, workers] :
+           {std::pair{4, 2}, std::pair{8, 3}, std::pair{8, 4}}) {
+        const KernelResult r = RunKernelWorld(8, shards, workers, slice, end_on_peer);
+        SCOPED_TRACE(testing::Message() << "slice=" << slice << " end_on_peer=" << end_on_peer
+                                        << " shards=" << shards << " workers=" << workers);
+        EXPECT_EQ(base.events, r.events);
+        EXPECT_EQ(base.resumes, r.resumes);
+        EXPECT_EQ(base.end, r.end);
+        EXPECT_EQ(base.hash, r.hash);
+        EXPECT_EQ(r.live, 0u);
+      }
+    }
   }
 }
 
