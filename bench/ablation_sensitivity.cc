@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "ablation_sensitivity");
   const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 2) * flock::kMillisecond;
+  flags.Finish();
 
   PrintBanner("Sensitivity: Flock vs eRPC at 23x32 threads under model perturbation");
   std::printf("%12s %12s | %10s %10s %8s\n", "cache(QPs)", "pcie(ns)", "FLock Mops",

@@ -22,7 +22,9 @@
 
 namespace flock::bench {
 
-// --key=value flags; unknown flags abort so typos are loud.
+// --key=value flags. Each bench reads its flags, then calls Finish() once:
+// a key no read asked for exits 2 (typos are loud), and --help lists every
+// key read with its default and exits 0 without running the bench.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -43,17 +45,12 @@ class Flags {
   }
 
   int64_t Int(const std::string& name, int64_t fallback) const {
-    const std::string* v = Find(name);
+    const std::string* v = Find(name, std::to_string(fallback));
     return v == nullptr ? fallback : std::strtoll(v->c_str(), nullptr, 10);
   }
 
-  double Double(const std::string& name, double fallback) const {
-    const std::string* v = Find(name);
-    return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
-  }
-
   bool Bool(const std::string& name, bool fallback) const {
-    const std::string* v = Find(name);
+    const std::string* v = Find(name, fallback ? "1" : "0");
     if (v == nullptr) {
       return fallback;
     }
@@ -61,12 +58,48 @@ class Flags {
   }
 
   std::string Str(const std::string& name, const std::string& fallback) const {
-    const std::string* v = Find(name);
+    const std::string* v = Find(name, fallback);
     return v == nullptr ? fallback : *v;
   }
 
+  bool help() const {
+    for (const auto& [k, v] : pairs_) {
+      if (k == "help") {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Finish() {
+    if (help()) {
+      for (const auto& [k, fallback] : read_) {
+        std::printf("--%s=%s\n", k.c_str(), fallback.c_str());
+      }
+      std::exit(0);
+    }
+    for (const auto& [k, v] : pairs_) {
+      if (!Read(k)) {
+        std::fprintf(stderr, "unknown flag: --%s\n", k.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
  private:
-  const std::string* Find(const std::string& name) const {
+  bool Read(const std::string& name) const {
+    for (const auto& [k, fallback] : read_) {
+      if (k == name) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const std::string* Find(const std::string& name, std::string fallback) const {
+    if (!Read(name)) {
+      read_.emplace_back(name, std::move(fallback));
+    }
     for (const auto& [k, v] : pairs_) {
       if (k == name) {
         return &v;
@@ -76,6 +109,8 @@ class Flags {
   }
 
   std::vector<std::pair<std::string, std::string>> pairs_;
+  // Keys read so far with their defaults, in read order (for --help).
+  mutable std::vector<std::pair<std::string, std::string>> read_;
 };
 
 inline void PrintBanner(const char* title) {
@@ -289,13 +324,22 @@ auto BestOf(int repeats, Fn&& fn, Key&& key) {
 //   {"bench": "<name>", "rows": [{...}, ...]}
 // Construct from Flags to honor the shared --json=<path> flag (no path → all
 // calls are no-ops, so benches can call Row() unconditionally next to their
-// CSV prints). Write() runs in the destructor if not called explicitly.
+// CSV prints). The path is opened at construction, so an unwritable one exits
+// 2 before the bench runs. Write() runs in the destructor if not called
+// explicitly.
 class JsonDump {
  public:
   JsonDump(const Flags& flags, const char* bench_name)
-      : path_(flags.Str("json", "")), bench_(bench_name) {}
-  JsonDump(std::string path, const char* bench_name)
-      : path_(std::move(path)), bench_(bench_name) {}
+      : path_(flags.Str("json", "")), bench_(bench_name) {
+    if (!enabled() || flags.help()) {
+      return;
+    }
+    file_ = std::fopen(path_.c_str(), "w");
+    if (file_ == nullptr) {
+      std::fprintf(stderr, "cannot open --json=%s for writing\n", path_.c_str());
+      std::exit(2);
+    }
+  }
 
   ~JsonDump() { Write(); }
 
@@ -309,12 +353,11 @@ class JsonDump {
   }
   void Row(const JsonRow& fields) { RowImpl(fields.fields()); }
 
-  // Writes the document; returns false (and warns) on I/O failure.
+  // Writes the document once; returns false (and reports) on I/O failure.
   bool Write() {
-    if (!enabled() || written_) {
+    if (file_ == nullptr) {
       return true;
     }
-    written_ = true;
     std::string doc = "{\"bench\":\"";
     doc.append(bench_);
     doc.append("\",\"rows\":[");
@@ -325,13 +368,13 @@ class JsonDump {
       doc.append(rows_[i]);
     }
     doc.append("]}\n");
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
+    const bool wrote = std::fwrite(doc.data(), 1, doc.size(), file_) == doc.size();
+    const bool closed = std::fclose(file_) == 0;
+    file_ = nullptr;
+    if (!wrote || !closed) {
+      std::fprintf(stderr, "error: writing %s failed\n", path_.c_str());
       return false;
     }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
     std::printf("JSON written to %s\n", path_.c_str());
     return true;
   }
@@ -361,7 +404,7 @@ class JsonDump {
   std::string path_;
   std::string bench_;
   std::vector<std::string> rows_;
-  bool written_ = false;
+  std::FILE* file_ = nullptr;
 };
 
 // End-of-run per-tenant census (DESIGN.md §15): one JSON row per registered

@@ -16,21 +16,21 @@
 //                 until a second thread shows up, and the ConnectRequest
 //                 rides with the first RPC.
 //
-// Each configuration runs twice; the two runs must produce identical
-// fingerprints (determinism gate). The optimized run must beat the eager
-// run's p99 TTFR by at least --min-improvement (default 2x), neither run may
-// see any control-plane reject or lane failure, and both runs' end-of-storm
-// census (live server lanes, sender slots, shell pools) must stay bounded no
-// matter how many sessions ran.
+// Each configuration runs twice, and each JSON row carries both runs'
+// fingerprints. The row also carries everything scripts/check_perf.py gates:
+// p99 TTFR, control-plane rejects, lane failures, the replay window and its
+// bound, and the end-of-storm census (live server lanes, sender slots, shell
+// pools).
 //
 // Usage:
 //   conn_storm [--sessions=400] [--clients=8] [--gap-us=1000] [--lanes=4]
 //              [--rpcs=4] [--payload=64] [--batch-window-us=1000]
-//              [--min-improvement=2.0] [--json=BENCH_conn_storm.json]
+//              [--json=<path>]
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -190,7 +190,7 @@ StormResult RunStorm(const StormParams& p) {
 
   // Run until every session completed (the server's schedulers tick forever,
   // so the simulation never goes idle on its own). The cap only trips if the
-  // storm wedges — sessions not done by then fail the gates below.
+  // storm wedges; the row then reports done < sessions.
   const Nanos cap = static_cast<Nanos>(p.sessions) * p.gap + 200 * kMillisecond;
   while (r.done < static_cast<uint64_t>(p.sessions) &&
          cluster.sim().Now() < cap) {
@@ -275,7 +275,7 @@ void PrintRow(const char* name, const StormResult& r) {
 }
 
 void AddRow(JsonDump* json, const char* name, const StormParams& p,
-            const StormResult& r) {
+            const StormResult& r, const StormResult& rerun) {
   JsonRow row;
   row.Add("config", name)
       .Add("sessions", p.sessions)
@@ -300,6 +300,7 @@ void AddRow(JsonDump* json, const char* name, const StormParams& p,
       .Add("epoch", r.epoch)
       .Add("epoch_batches", r.cp.epoch_batches)
       .Add("replay_window_entries", static_cast<uint64_t>(r.replay_window))
+      .Add("nonce_window", static_cast<uint64_t>(ctrl::ControlPlane::kNonceWindow))
       .Add("qps_created", r.qps_created)
       .Add("qps_recycled", r.qps_recycled)
       .Add("client_lane_failures", r.client_lane_failures)
@@ -310,72 +311,9 @@ void AddRow(JsonDump* json, const char* name, const StormParams& p,
       .Add("server_lane_pool", static_cast<uint64_t>(r.server_pool))
       .Add("client_lane_pool", static_cast<uint64_t>(r.client_pool))
       .Add("sender_slots", static_cast<uint64_t>(r.sender_slots))
-      .Add("fingerprint", r.fingerprint);
+      .Add("fingerprint", std::to_string(r.fingerprint))
+      .Add("fingerprint_rerun", std::to_string(rerun.fingerprint));
   json->Row(row);
-}
-
-// Gates shared by both configurations: every session must complete with every
-// RPC answered, and a storm of well-formed traffic must produce zero
-// control-plane rejects and zero lane failures on either side.
-bool CheckCommon(const char* name, const StormParams& p, const StormResult& r) {
-  bool pass = true;
-  if (r.done != static_cast<uint64_t>(p.sessions)) {
-    std::printf("FAIL: %s completed %lu of %d sessions\n", name,
-                static_cast<unsigned long>(r.done), p.sessions);
-    pass = false;
-  }
-  if (r.calls_fail != 0) {
-    std::printf("FAIL: %s saw %lu failed RPCs\n", name,
-                static_cast<unsigned long>(r.calls_fail));
-    pass = false;
-  }
-  if (TotalRejects(r) != 0) {
-    std::printf("FAIL: %s control-plane rejects: malformed=%lu replay=%lu "
-                "no_endpoint=%lu not_member=%lu\n",
-                name, static_cast<unsigned long>(r.cp.rejected_malformed),
-                static_cast<unsigned long>(r.cp.rejected_replay),
-                static_cast<unsigned long>(r.cp.rejected_no_endpoint),
-                static_cast<unsigned long>(r.cp.rejected_not_member));
-    pass = false;
-  }
-  if (r.client_lane_failures != 0 || r.unexpected_server_failures != 0) {
-    std::printf("FAIL: %s lane failures: client=%lu server(unexpected)=%lu\n",
-                name, static_cast<unsigned long>(r.client_lane_failures),
-                static_cast<unsigned long>(r.unexpected_server_failures));
-    pass = false;
-  }
-  if (r.replay_window > ctrl::ControlPlane::kNonceWindow) {
-    std::printf("FAIL: %s replay window grew to %lu entries\n", name,
-                static_cast<unsigned long>(r.replay_window));
-    pass = false;
-  }
-  // Census bounds: after the last Leave's teardown no live server lanes
-  // remain, the shell pools hold at most the storm's concurrent footprint,
-  // and sender slots were reused rather than grown per session.
-  const size_t slot_bound = static_cast<size_t>(p.clients) * 2;
-  const size_t pool_bound = static_cast<size_t>(p.clients) * p.lanes;
-  if (r.server_live_lanes != 0) {
-    std::printf("FAIL: %s left %lu live server lanes after the storm\n", name,
-                static_cast<unsigned long>(r.server_live_lanes));
-    pass = false;
-  }
-  if (r.sender_slots > slot_bound) {
-    std::printf("FAIL: %s sender slots grew to %lu (bound %lu)\n", name,
-                static_cast<unsigned long>(r.sender_slots),
-                static_cast<unsigned long>(slot_bound));
-    pass = false;
-  }
-  if (r.server_pool > pool_bound || r.client_pool > pool_bound) {
-    std::printf("FAIL: %s shell pools grew: server=%lu client=%lu\n", name,
-                static_cast<unsigned long>(r.server_pool),
-                static_cast<unsigned long>(r.client_pool));
-    pass = false;
-  }
-  if (r.qps_recycled == 0) {
-    std::printf("FAIL: %s never recycled a QP\n", name);
-    pass = false;
-  }
-  return pass;
 }
 
 int Main(int argc, char** argv) {
@@ -388,8 +326,8 @@ int Main(int argc, char** argv) {
   p.rpcs = static_cast<int>(flags.Int("rpcs", 4));
   p.payload = static_cast<uint32_t>(flags.Int("payload", 64));
   const Nanos batch_window = flags.Int("batch-window-us", 1000) * kMicrosecond;
-  const double min_improvement = flags.Double("min-improvement", 2.0);
-  JsonDump json(flags.Str("json", "BENCH_conn_storm.json"), "conn_storm");
+  JsonDump json(flags, "conn_storm");
+  flags.Finish();
 
   StormParams eager = p;  // storm flags off, per-event epochs
   eager.batch_window = 0;
@@ -404,7 +342,7 @@ int Main(int argc, char** argv) {
               p.sessions, p.clients, static_cast<long>(p.gap / kMicrosecond),
               1e9 / static_cast<double>(p.gap));
 
-  // Each configuration runs twice; run 2 must reproduce run 1 bit-for-bit.
+  // Each configuration runs twice; check_perf.py compares the fingerprints.
   const StormResult e1 = RunStorm(eager);
   const StormResult e2 = RunStorm(eager);
   const StormResult o1 = RunStorm(optimized);
@@ -419,19 +357,9 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long>(e1.epoch),
               static_cast<unsigned long>(o1.epoch),
               static_cast<unsigned long>(o1.cp.epoch_batches));
-  AddRow(&json, "eager", eager, e1);
-  AddRow(&json, "optimized", optimized, o1);
+  AddRow(&json, "eager", eager, e1, e2);
+  AddRow(&json, "optimized", optimized, o1, o2);
 
-  bool pass = CheckCommon("eager", eager, e1);
-  pass = CheckCommon("optimized", optimized, o1) && pass;
-  if (e1.fingerprint != e2.fingerprint || o1.fingerprint != o2.fingerprint) {
-    std::printf("FAIL: determinism: eager %016lx/%016lx optimized %016lx/%016lx\n",
-                static_cast<unsigned long>(e1.fingerprint),
-                static_cast<unsigned long>(e2.fingerprint),
-                static_cast<unsigned long>(o1.fingerprint),
-                static_cast<unsigned long>(o2.fingerprint));
-    pass = false;
-  }
   const double improvement =
       o1.ttfr_p99 <= 0 ? 0
                        : static_cast<double>(e1.ttfr_p99) /
@@ -439,13 +367,7 @@ int Main(int argc, char** argv) {
   std::printf("p99 TTFR: eager %.1f us, optimized %.1f us -> %.1fx\n",
               static_cast<double>(e1.ttfr_p99) / 1e3,
               static_cast<double>(o1.ttfr_p99) / 1e3, improvement);
-  if (improvement < min_improvement) {
-    std::printf("FAIL: p99 TTFR improvement %.2fx below %.2fx\n", improvement,
-                min_improvement);
-    pass = false;
-  }
-  std::printf("%s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -14,13 +14,14 @@
 //                       same bucket (-1 if throughput never recovers).
 // With --reconnect=1 the lane is re-established through the control plane
 // (fresh QP pair, ring resync, replay), so steady state runs at full lane
-// count and the bench gates recovery at >= 99%. With --reconnect=0 the
-// legacy quarantine-only behaviour applies (one lane short, gate 90%).
+// count and scripts/check_perf.py gates recovery at >= 99%. With
+// --reconnect=0 the legacy quarantine-only behaviour applies (one lane short,
+// gated at 90%).
 //
 // Usage:
 //   fault_recovery [--threads=16] [--lanes=8] [--payload=64] [--sim-ms=20]
 //                  [--timeout-us=200] [--retries=5] [--reconnect=1]
-//                  [--min-recovery=0.99] [--json=BENCH_fault_recovery.json]
+//                  [--buckets=0] [--json=<path>]
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -146,10 +147,9 @@ int Main(int argc, char** argv) {
   const Nanos timeout = flags.Int("timeout-us", 200) * kMicrosecond;
   const uint32_t retries = static_cast<uint32_t>(flags.Int("retries", 5));
   const bool reconnect = flags.Int("reconnect", 1) != 0;
-  // Reconnect restores the full lane count, so steady state must be within
-  // 1% of fault-free; quarantine-only mode runs one lane short (gate 90%).
-  const double min_recovery = flags.Double("min-recovery", reconnect ? 0.99 : 0.9);
-  JsonDump json(flags.Str("json", "BENCH_fault_recovery.json"), "fault_recovery");
+  const bool print_buckets = flags.Int("buckets", 0) != 0;
+  JsonDump json(flags, "fault_recovery");
+  flags.Finish();
 
   PrintBanner(reconnect
                   ? "fault_recovery: kill 1 lane mid-run, reconnect via control plane"
@@ -164,7 +164,7 @@ int Main(int argc, char** argv) {
                               : static_cast<double>(faulted.window_rpcs) /
                                     static_cast<double>(base.window_rpcs);
   const int64_t recovery_ns = RecoveryTimeNs(base, faulted, sim_span);
-  if (flags.Int("buckets", 0) != 0) {
+  if (print_buckets) {
     for (int b = 0; b < kBuckets; ++b) {
       std::printf("bucket %2d: base %6lu faulted %6lu (%.3f)\n", b,
                   static_cast<unsigned long>(base.buckets[b]),
@@ -224,6 +224,9 @@ int Main(int argc, char** argv) {
       .Add("sim_ms", static_cast<int64_t>(sim_span / kMillisecond))
       .Add("timeout_us", static_cast<int64_t>(timeout / kMicrosecond))
       .Add("reconnect", reconnect ? int64_t{1} : int64_t{0})
+      .Add("baseline_fail", base.fail)
+      .Add("baseline_retries", base.retries)
+      .Add("baseline_client_lane_failures", base.client_lane_failures)
       .Add("baseline_window_rpcs", base.window_rpcs)
       .Add("faulted_window_rpcs", faulted.window_rpcs)
       .Add("recovery", recovery)
@@ -238,42 +241,7 @@ int Main(int argc, char** argv) {
   faulted.lanes.AppendTo(&row, /*include_retired=*/true);
   json.Row(row);
 
-  // Contract checks: the baseline run must be failure-free, the faulted run
-  // must detect exactly one client lane failure and recover; with reconnect
-  // the lane must additionally come back (no quarantined lanes at the end).
-  bool pass = true;
-  if (base.fail != 0 || base.retries != 0 || base.client_lane_failures != 0) {
-    std::printf("FAIL: baseline run saw failure-path activity\n");
-    pass = false;
-  }
-  if (faulted.client_lane_failures != 1) {
-    std::printf("FAIL: expected exactly 1 client lane failure, saw %lu\n",
-                static_cast<unsigned long>(faulted.client_lane_failures));
-    pass = false;
-  }
-  if (recovery < min_recovery) {
-    std::printf("FAIL: recovery %.3f below threshold %.3f\n", recovery,
-                min_recovery);
-    pass = false;
-  }
-  if (reconnect) {
-    if (faulted.lanes.reconnects < 1) {
-      std::printf("FAIL: reconnect mode saw no lane reconnects\n");
-      pass = false;
-    }
-    if (faulted.lanes.quarantined != 0 || faulted.lanes.reconnecting != 0) {
-      std::printf("FAIL: %lu quarantined / %lu reconnecting lanes at end\n",
-                  static_cast<unsigned long>(faulted.lanes.quarantined),
-                  static_cast<unsigned long>(faulted.lanes.reconnecting));
-      pass = false;
-    }
-    if (recovery_ns < 0) {
-      std::printf("FAIL: throughput never returned to within 1%% of baseline\n");
-      pass = false;
-    }
-  }
-  std::printf("%s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -19,6 +19,8 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "fig10_coalescing");
   const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+  const bool bound_sweep = flags.Bool("bound_sweep", true);
+  flags.Finish();
 
   PrintBanner("Figure 10: coalescing impact, 23 clients x 32 threads, 64B");
   std::printf("%12s %14s %14s %10s %10s\n", "outstanding", "no-coal Mops",
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  if (flags.Bool("bound_sweep", true)) {
+  if (bound_sweep) {
     PrintBanner("Ablation: leader combining bound (outstanding=8)");
     std::printf("%8s %10s %10s\n", "bound", "Mops", "reqs/msg");
     for (uint32_t bound : {1u, 2u, 4u, 8u, 16u, 32u}) {

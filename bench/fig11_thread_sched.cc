@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "fig11_thread_sched");
   const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+  flags.Finish();
 
   PrintBanner("Figure 11: sender-side thread scheduling, 10% large-payload threads");
   std::printf("%12s %16s %16s %10s\n", "large(B)", "without (Mops)", "with (Mops)",

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
   const int shards = static_cast<int>(flags.Int("shards", 1));
   const int workers = static_cast<int>(flags.Int("workers", 0));
+  flags.Finish();
 
   PrintBanner("Figure 12: node scalability, 64B RPC, 8 outstanding");
   std::printf("%9s | %17s | %17s | %17s\n", "#clients", "1thr/1QP  p50/p99",

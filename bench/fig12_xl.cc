@@ -59,6 +59,7 @@ int Main(int argc, char** argv) {
   const int shards = static_cast<int>(flags.Int("shards", 8));
   const int workers = static_cast<int>(flags.Int("workers", 0));
   JsonDump json(flags, "fig12_xl");
+  flags.Finish();
 
   const int num_nodes = servers + clients;
   PrintBanner("Figure 12 XL: cluster scale beyond the paper's testbed");

@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "fig14_tatp");
   const uint64_t subscribers =
       static_cast<uint64_t>(flags.Int("subscribers", 1000000));
+  const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
+  const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+  flags.Finish();
   flock::workloads::Tatp tatp(subscribers);
 
   PrintBanner("Figure 14: TATP, 20 clients + 3 servers, 3-way replication");
@@ -32,8 +35,8 @@ int main(int argc, char** argv) {
     TxnBenchConfig config;
     config.threads_per_client = threads;
     config.keys_per_partition = subscribers * 4;
-    config.warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
-    config.measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+    config.warmup = warmup;
+    config.measure = measure;
     config.populate = [&](const std::function<void(uint64_t)>& insert) {
       tatp.Populate(insert);
     };

@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "fig15_smallbank");
   const uint64_t accounts_per_thread =
       static_cast<uint64_t>(flags.Int("accounts_per_thread", 50000));
+  const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
+  const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+  flags.Finish();
 
   PrintBanner("Figure 15: Smallbank, 20 clients + 3 servers, 3-way replication");
   std::printf("%8s | %11s %9s %9s %7s | %11s %9s %9s %7s\n", "thr/cli",
@@ -35,8 +38,8 @@ int main(int argc, char** argv) {
     config.threads_per_client = threads;
     config.keys_per_partition = accounts * 2;
     config.value_size = 16;
-    config.warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
-    config.measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+    config.warmup = warmup;
+    config.measure = measure;
     config.populate = [&](const std::function<void(uint64_t)>& insert) {
       bank.Populate(insert);
     };

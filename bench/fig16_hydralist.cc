@@ -350,6 +350,7 @@ int main(int argc, char** argv) {
   const uint64_t keys = static_cast<uint64_t>(flags.Int("keys", 4000000));
   const flock::Nanos warmup = flags.Int("warmup_ms", 1) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 2) * flock::kMillisecond;
+  flags.Finish();
 
   // One shared read-only index (the paper populates once, then runs get/scan).
   std::printf("populating HydraList with %lu keys...\n",

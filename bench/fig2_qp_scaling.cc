@@ -114,6 +114,7 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "fig2_qp_scaling");
   const flock::Nanos warmup = flags.Int("warmup_ms", 1) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+  flags.Finish();
 
   PrintBanner("Figure 2(a): RDMA READ (RC) throughput vs #QPs, 22 clients, 16B");
   std::printf("%8s %12s %12s\n", "#QPs", "Mops/s", "cache-miss%");

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
   const uint32_t max_aqp = static_cast<uint32_t>(flags.Int("max_aqp", 256));
+  flags.Finish();
 
   const std::vector<int> thread_counts = {1, 2, 4, 8, 16, 32, 48};
   const std::vector<int> outstanding_levels = {1, 4, 8};

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   JsonDump json(flags, "fig9_sharing_modes");
   const flock::Nanos warmup = flags.Int("warmup_ms", 2) * flock::kMillisecond;
   const flock::Nanos measure = flags.Int("measure_ms", 3) * flock::kMillisecond;
+  flags.Finish();
 
   PrintBanner("Figure 9: RPC throughput under QP sharing approaches (Mops/s)");
   std::printf("%8s %10s %12s %12s %12s | %12s %12s\n", "thr/cli", "FLock",

@@ -268,6 +268,7 @@ int main(int argc, char** argv) {
   rc.server_cores = static_cast<int>(flags.Int("server_cores", 2));
   rc.warmup = flags.Int("warmup_ms", 1) * flock::kMillisecond;
   rc.measure = flags.Int("measure_ms", 2) * flock::kMillisecond;
+  flags.Finish();
 
   const std::vector<uint32_t> payloads = {8, 64, 256, 1024, 4096};
   const std::vector<int> read_ratios = {50, 90, 100};

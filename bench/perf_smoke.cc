@@ -11,8 +11,9 @@
 // same larger multi-server world on 1 shard and on --scale-shards shards —
 // whose event counts, RPC counts and trace hashes must match exactly (the
 // sharded kernel replays the sequential trace, DESIGN.md §12) while the
-// wall-clock improves with the host cores available. scripts/check_perf.py
-// gates both the identity and the speedup. --json=<path> writes the rows;
+// wall-clock improves with the host cores available. The gate table in
+// scripts/check_perf.py checks both, and the default and scale_seq traces
+// against the committed baseline. --json=<path> writes the rows;
 // the committed baseline BENCH_perf_smoke.json is refreshed only by naming it
 // explicitly, so a run from the repo root cannot overwrite it by accident.
 //
@@ -173,8 +174,19 @@ int Main(int argc, char** argv) {
   cfg.servers = static_cast<int>(flags.Int("servers", 1));
   const int repeats = static_cast<int>(flags.Int("repeats", 3));
   const bool scale = flags.Bool("scale", true);
+  // Shard-scaling pair: a larger multi-server world (several servers break
+  // the single-dispatcher serial bottleneck, so shards have parallel work),
+  // once sequential and once sharded. Identical traces, different clocks.
+  SmokeConfig big;
+  big.servers = static_cast<int>(flags.Int("scale-servers", 4));
+  big.clients = static_cast<int>(flags.Int("scale-clients", 12));
+  big.threads_per_client = cfg.threads_per_client;
+  big.payload_bytes = cfg.payload_bytes;
+  big.sim_span = flags.Int("scale-sim-ms", 4) * kMillisecond;
+  const int scale_shards = static_cast<int>(flags.Int("scale-shards", 8));
   const int host_cpus = static_cast<int>(std::thread::hardware_concurrency());
   JsonDump json(flags, "perf_smoke");
+  flags.Finish();
 
   PrintBanner("perf_smoke: wall-clock kernel throughput");
   std::printf("%-10s %12s %12s %12s %10s %10s\n", "run", "events/s", "rpcs/s",
@@ -232,17 +244,6 @@ int Main(int argc, char** argv) {
   json.Row(row);
 
   if (scale) {
-    // Shard-scaling pair: a larger multi-server world (several servers break
-    // the single-dispatcher serial bottleneck, so shards have parallel work),
-    // once sequential and once sharded. Identical traces, different clocks.
-    SmokeConfig big;
-    big.servers = static_cast<int>(flags.Int("scale-servers", 4));
-    big.clients = static_cast<int>(flags.Int("scale-clients", 12));
-    big.threads_per_client = cfg.threads_per_client;
-    big.payload_bytes = cfg.payload_bytes;
-    big.sim_span = flags.Int("scale-sim-ms", 4) * kMillisecond;
-    const int scale_shards = static_cast<int>(flags.Int("scale-shards", 8));
-
     PrintBanner("perf_smoke: shard scaling (identical trace, parallel clock)");
     std::printf("%-10s %12s %12s %12s %10s %10s\n", "shards", "events/s",
                 "rpcs/s", "events", "sim Mops", "wall ms");

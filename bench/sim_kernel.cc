@@ -196,7 +196,11 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const uint64_t iters = static_cast<uint64_t>(flags.Int("iters", 2000000));
   const int repeats = static_cast<int>(flags.Int("repeats", 3));
+  const int max_shards = static_cast<int>(flags.Int("shards", 8));
+  const int workers = static_cast<int>(flags.Int("workers", 0));
+  const int grid_nodes = static_cast<int>(flags.Int("hop-nodes", 16));
   JsonDump json(flags, "sim_kernel");
+  flags.Finish();
 
   PrintBanner("sim_kernel: event-kernel primitive throughput");
   const auto kRate = [](const KernelResult& r) { return r.events_per_s; };
@@ -217,9 +221,6 @@ int Main(int argc, char** argv) {
   // count is asserted shard-invariant; the per-shard rates land in the JSON
   // so the scaling curve rides the shared --json pipeline. --workers forces
   // the pool size (CI's TSan job uses it to guarantee real threads).
-  const int max_shards = static_cast<int>(flags.Int("shards", 8));
-  const int workers = static_cast<int>(flags.Int("workers", 0));
-  const int grid_nodes = static_cast<int>(flags.Int("hop-nodes", 16));
   const uint64_t hop_rounds = iters / 200;
   uint64_t base_events = 0;
   for (int shards = 1; shards <= max_shards; shards *= 2) {

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace flock::verbs;
   bench::Flags flags(argc, argv);
   bench::JsonDump json(flags, "table1_transport_matrix");
+  flags.Finish();
   bench::PrintBanner("Table 1: verbs / MTU capability matrix per transport");
 
   Cluster cluster(Cluster::Config{.num_nodes = 2});

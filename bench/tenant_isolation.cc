@@ -6,7 +6,7 @@
 //
 // Profiles, all over identical victim schedules:
 //   * solo       — the victim runs alone; its p50/p99 and throughput are the
-//                  baseline every gate below compares against.
+//                  baseline the attacked profiles are compared against.
 //   * hotloop    — 8 attacker threads in a closed loop of small RPCs, no
 //                  think time: a classic credit/CPU flood.
 //   * oversized  — 4 attacker threads hammering near-max payloads: a byte
@@ -17,24 +17,22 @@
 //   * open       — hotloop again with tenancy OFF: the unprotected reference,
 //                  reported (and written to JSON) but not gated.
 //
-// Every gated profile runs twice and must produce identical fingerprints
-// (determinism gate). Gates: victim p99 under each attack stays within
-// --max-p99-ratio of solo (default 2x), victim throughput stays above
-// --min-tput-frac of solo (default 0.8), no victim RPC ever fails, the
-// attacker still makes progress (isolation must not mean starvation), the
-// flood profiles actually engage the throttle, and after teardown the
-// registry holds zero live connections/lanes for both tenants with zero
-// unknown-tenant rejects.
+// Every gated profile runs twice, and its JSON row carries both runs'
+// fingerprints. scripts/check_perf.py gates the rows: victim p99 and
+// throughput against solo, no victim RPC ever fails, the attacker still makes
+// progress (isolation must not mean starvation), the flood profiles engage
+// the throttle, and after teardown the registry holds zero live
+// connections/lanes for both tenants with zero unknown-tenant rejects.
 //
 // Usage:
 //   tenant_isolation [--rpcs=1500] [--victim-threads=2] [--think-us=15]
-//                    [--payload=64] [--max-p99-ratio=2.0]
-//                    [--min-tput-frac=0.8] [--json=BENCH_tenant_isolation.json]
+//                    [--payload=64] [--json=<path>]
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -325,8 +323,9 @@ void PrintRow(const char* name, const IsoResult& r) {
               static_cast<unsigned long>(r.attacker_ok));
 }
 
+// rerun is the profile's second run; the ungated open profile runs once.
 void AddRow(JsonDump* json, const char* name, const IsoParams& p,
-            const IsoResult& r, const IsoResult& solo) {
+            const IsoResult& r, const IsoResult* rerun, const IsoResult& solo) {
   JsonRow row;
   row.Add("config", name)
       .Add("tenancy", p.tenancy ? 1 : 0)
@@ -352,67 +351,15 @@ void AddRow(JsonDump* json, const char* name, const IsoParams& p,
       .Add("attacker_quota_stalls", r.attacker_quota_stalls)
       .Add("attacker_credit_stalls", r.attacker_credit_stalls)
       .Add("unknown_rejects", r.unknown_rejects)
-      .Add("fingerprint", r.fingerprint);
+      .Add("victim_live_conns", r.victim_live_conns)
+      .Add("victim_live_lanes", r.victim_live_lanes)
+      .Add("attacker_live_conns", r.attacker_live_conns)
+      .Add("attacker_live_lanes", r.attacker_live_lanes)
+      .Add("fingerprint", std::to_string(r.fingerprint));
+  if (rerun != nullptr) {
+    row.Add("fingerprint_rerun", std::to_string(rerun->fingerprint));
+  }
   json->Row(row);
-}
-
-// Gates shared by every tenancy-on profile.
-bool CheckCommon(const char* name, const IsoParams& p, const IsoResult& r) {
-  bool pass = true;
-  const uint64_t expected =
-      static_cast<uint64_t>(p.victim_threads) * static_cast<uint64_t>(p.rpcs);
-  if (r.victim_ok != expected || r.victim_fail != 0) {
-    std::printf("FAIL: %s victim completed %lu/%lu with %lu failures\n", name,
-                static_cast<unsigned long>(r.victim_ok),
-                static_cast<unsigned long>(expected),
-                static_cast<unsigned long>(r.victim_fail));
-    pass = false;
-  }
-  if (r.unknown_rejects != 0) {
-    std::printf("FAIL: %s saw %lu unknown-tenant rejects\n", name,
-                static_cast<unsigned long>(r.unknown_rejects));
-    pass = false;
-  }
-  if (r.victim_live_conns != 0 || r.victim_live_lanes != 0 ||
-      r.attacker_live_conns != 0 || r.attacker_live_lanes != 0) {
-    std::printf("FAIL: %s leaked accounting: victim %u conns/%u lanes, "
-                "attacker %u conns/%u lanes\n",
-                name, r.victim_live_conns, r.victim_live_lanes,
-                r.attacker_live_conns, r.attacker_live_lanes);
-    pass = false;
-  }
-  return pass;
-}
-
-bool CheckIsolation(const char* name, const IsoResult& r, const IsoResult& solo,
-                    double max_p99_ratio, double min_tput_frac,
-                    bool expect_throttle) {
-  bool pass = true;
-  const double ratio = solo.p99 > 0 ? static_cast<double>(r.p99) /
-                                          static_cast<double>(solo.p99)
-                                    : 0.0;
-  const double frac =
-      solo.victim_rps > 0 ? r.victim_rps / solo.victim_rps : 0.0;
-  if (ratio > max_p99_ratio) {
-    std::printf("FAIL: %s victim p99 %.1f us is %.2fx solo (bound %.2fx)\n",
-                name, static_cast<double>(r.p99) / 1e3, ratio, max_p99_ratio);
-    pass = false;
-  }
-  if (frac < min_tput_frac) {
-    std::printf("FAIL: %s victim throughput %.0f rps is %.2fx solo "
-                "(bound %.2fx)\n",
-                name, r.victim_rps, frac, min_tput_frac);
-    pass = false;
-  }
-  if (r.attacker_ok == 0) {
-    std::printf("FAIL: %s starved the attacker outright\n", name);
-    pass = false;
-  }
-  if (expect_throttle && r.attacker_throttle_events == 0) {
-    std::printf("FAIL: %s never engaged the throttle\n", name);
-    pass = false;
-  }
-  return pass;
 }
 
 int Main(int argc, char** argv) {
@@ -422,28 +369,21 @@ int Main(int argc, char** argv) {
   base.victim_threads = static_cast<int>(flags.Int("victim-threads", 2));
   base.think = flags.Int("think-us", 15) * kMicrosecond;
   base.payload = static_cast<uint32_t>(flags.Int("payload", 64));
-  const double max_p99_ratio = flags.Double("max-p99-ratio", 2.0);
-  const double min_tput_frac = flags.Double("min-tput-frac", 0.8);
-  JsonDump json(flags.Str("json", "BENCH_tenant_isolation.json"),
-                "tenant_isolation");
+  JsonDump json(flags, "tenant_isolation");
+  flags.Finish();
 
   PrintBanner("tenant_isolation: victim vs misbehaving tenants");
   std::printf("victim: %d threads x %d RPCs, %ld us think, %u B payload\n",
               base.victim_threads, base.rpcs,
               static_cast<long>(base.think / kMicrosecond), base.payload);
 
-  struct Profile {
-    const char* name;
-    Attack attack;
-    bool expect_throttle;
-  };
-  const Profile kProfiles[] = {
-      {"hotloop", Attack::kHotLoop, true},
-      {"oversized", Attack::kOversized, true},
-      {"churn", Attack::kChurn, false},
+  const std::pair<const char*, Attack> kProfiles[] = {
+      {"hotloop", Attack::kHotLoop},
+      {"oversized", Attack::kOversized},
+      {"churn", Attack::kChurn},
   };
 
-  // Solo baseline (run twice: determinism gate applies to it too).
+  // Solo baseline; like every gated profile it runs twice.
   IsoParams solo_p = base;
   const IsoResult solo = RunProfile(solo_p, nullptr);
   const IsoResult solo2 = RunProfile(solo_p, nullptr);
@@ -452,55 +392,33 @@ int Main(int argc, char** argv) {
               "v_fail", "p50_us", "p99_us", "victim_rps", "atk_ok", "throttl",
               "stalls");
   PrintRow("solo", solo);
-  AddRow(&json, "solo", solo_p, solo, solo);
+  AddRow(&json, "solo", solo_p, solo, &solo2, solo);
 
-  bool pass = CheckCommon("solo", solo_p, solo);
-  if (solo.fingerprint != solo2.fingerprint) {
-    std::printf("FAIL: solo runs diverged: %016lx vs %016lx\n",
-                static_cast<unsigned long>(solo.fingerprint),
-                static_cast<unsigned long>(solo2.fingerprint));
-    pass = false;
-  }
-
-  for (const Profile& prof : kProfiles) {
+  for (const auto& [name, attack] : kProfiles) {
     IsoParams p = base;
-    p.attack = prof.attack;
+    p.attack = attack;
     // The hotloop run's end-of-run tenant census goes into the JSON as the
     // representative per-tenant rows.
-    const bool dump_tenants = prof.attack == Attack::kHotLoop;
+    const bool dump_tenants = attack == Attack::kHotLoop;
     const IsoResult r1 = RunProfile(p, dump_tenants ? &json : nullptr);
     const IsoResult r2 = RunProfile(p, nullptr);
-    PrintRow(prof.name, r1);
-    AddRow(&json, prof.name, p, r1, solo);
-    pass = CheckCommon(prof.name, p, r1) && pass;
-    pass = CheckIsolation(prof.name, r1, solo, max_p99_ratio, min_tput_frac,
-                          prof.expect_throttle) &&
-           pass;
-    if (r1.fingerprint != r2.fingerprint) {
-      std::printf("FAIL: %s runs diverged: %016lx vs %016lx\n", prof.name,
-                  static_cast<unsigned long>(r1.fingerprint),
-                  static_cast<unsigned long>(r2.fingerprint));
-      pass = false;
-    }
+    PrintRow(name, r1);
+    AddRow(&json, name, p, r1, &r2, solo);
   }
 
   // Unprotected reference: same hotloop with tenancy off. Reported only — it
-  // documents what the gates are protecting against.
+  // documents what the tenancy layer protects against.
   IsoParams open_p = base;
   open_p.attack = Attack::kHotLoop;
   open_p.tenancy = false;
   const IsoResult open = RunProfile(open_p, nullptr);
   PrintRow("open", open);
-  AddRow(&json, "open", open_p, open, solo);
-  std::printf("p99 vs solo: protected hotloop within %.2fx budget, "
-              "unprotected %.2fx\n",
-              max_p99_ratio,
+  AddRow(&json, "open", open_p, open, nullptr, solo);
+  std::printf("unprotected hotloop victim p99: %.2fx solo\n",
               solo.p99 > 0 ? static_cast<double>(open.p99) /
                                  static_cast<double>(solo.p99)
                            : 0.0);
-
-  std::printf("%s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Unit tests for the discrete-event kernel: clock, ordering, coroutine tasks,
-// conditions, FIFO servers, semaphores, cores.
+// conditions, FIFO servers, semaphores, cores; and the bench CLI tooling built
+// on it (bench/bench_util.h).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/sim/cpu.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -371,6 +375,62 @@ TEST(SimulatorTest, DeterministicReplay) {
   run(e2, t2);
   EXPECT_EQ(e1, e2);
   EXPECT_EQ(t1, t2);
+}
+
+// ---------------------------------------------------------------------------
+// Bench CLIs fail loudly: unread keys, --help, unwritable --json paths.
+// ---------------------------------------------------------------------------
+
+bench::Flags MakeFlags(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) {
+    argv.push_back(a.data());
+  }
+  return bench::Flags(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchFlagsTest, ReadKeysPassFinish) {
+  bench::Flags flags = MakeFlags({"--sim-ms=5", "--scale"});
+  EXPECT_EQ(flags.Int("sim-ms", 20), 5);
+  EXPECT_TRUE(flags.Bool("scale", false));
+  EXPECT_EQ(flags.Str("json", ""), "");
+  flags.Finish();
+}
+
+// What a bench does with its flags: read two keys, open --json, Finish(),
+// then run (here: exit 1, so a run that should not happen is visible).
+void ReadFlagsAndRun(std::vector<std::string> args) {
+  bench::Flags flags = MakeFlags(std::move(args));
+  flags.Int("sim-ms", 20);
+  flags.Bool("scale", true);
+  bench::JsonDump json(flags, "test");
+  dup2(STDERR_FILENO, STDOUT_FILENO);  // death-test matchers read stderr
+  flags.Finish();
+  std::fprintf(stderr, "bench ran\n");
+  std::exit(1);
+}
+
+TEST(BenchFlagsTest, MisspelledKeyExits2) {
+  EXPECT_EXIT(ReadFlagsAndRun({"--sim_ms=5"}), testing::ExitedWithCode(2),
+              "unknown flag: --sim_ms");
+}
+
+TEST(BenchFlagsTest, HelpListsKeysWithDefaultsAndExits0) {
+  EXPECT_EXIT(ReadFlagsAndRun({"--help", "--json=/nonexistent-dir/out.json"}),
+              testing::ExitedWithCode(0), "--sim-ms=20\n--scale=1\n--json=\n$");
+}
+
+TEST(BenchFlagsTest, UnwritableJsonPathExits2BeforeRunning) {
+  EXPECT_EXIT(ReadFlagsAndRun({"--json=/nonexistent-dir/out.json"}),
+              testing::ExitedWithCode(2), "cannot open --json=/nonexistent-dir/out.json");
+}
+
+TEST(BenchFlagsTest, NoJsonFlagWritesNothing) {
+  bench::Flags flags = MakeFlags({});
+  bench::JsonDump json(flags, "test");
+  flags.Finish();
+  EXPECT_FALSE(json.enabled());
 }
 
 }  // namespace
