@@ -408,8 +408,8 @@ class JsonDump {
 };
 
 // End-of-run per-tenant census (DESIGN.md §15): one JSON row per registered
-// tenant with a canonical key set, so every tenancy-enabled bench reports the
-// same schema. Templated on the registry type (flock::tenant::TenantRegistry)
+// tenant with a canonical key set, so every bench that registers tenants
+// reports the same schema. Templated on the registry type (flock::tenant::TenantRegistry)
 // to keep this header free of flock includes, mirroring LaneCensus.
 template <typename RegistryT>
 inline void AppendTenantRows(const RegistryT& registry, double sim_seconds,

@@ -20,7 +20,7 @@
 //
 // Usage:
 //   fault_recovery [--threads=16] [--lanes=8] [--payload=64] [--sim-ms=20]
-//                  [--timeout-us=200] [--retries=5] [--reconnect=1]
+//                  [--timeout-us=200] [--reconnect=1]
 //                  [--buckets=0] [--json=<path>]
 #include <cstdint>
 #include <cstring>
@@ -65,8 +65,7 @@ sim::Proc EchoWorker(Connection* conn, FlockThread* thread, uint32_t payload_byt
 }
 
 RecoveryResult RunOnce(bool inject, bool reconnect, int threads, uint32_t lanes,
-                       uint32_t payload_bytes, Nanos sim_span, Nanos rpc_timeout,
-                       uint32_t max_retries) {
+                       uint32_t payload_bytes, Nanos sim_span, Nanos rpc_timeout) {
   verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 2,
                                                 .cores_per_node = 34});
   FlockConfig server_cfg;
@@ -81,7 +80,6 @@ RecoveryResult RunOnce(bool inject, bool reconnect, int threads, uint32_t lanes,
 
   FlockConfig client_cfg;
   client_cfg.rpc_timeout = rpc_timeout;
-  client_cfg.max_retries = static_cast<uint16_t>(max_retries);
   client_cfg.lane_reconnect = reconnect;
   // Two response dispatchers so the client is not the saturated resource:
   // with a single dispatcher at this thread count, the measurement is of the
@@ -145,7 +143,6 @@ int Main(int argc, char** argv) {
   const uint32_t payload = static_cast<uint32_t>(flags.Int("payload", 64));
   const Nanos sim_span = flags.Int("sim-ms", 20) * kMillisecond;
   const Nanos timeout = flags.Int("timeout-us", 200) * kMicrosecond;
-  const uint32_t retries = static_cast<uint32_t>(flags.Int("retries", 5));
   const bool reconnect = flags.Int("reconnect", 1) != 0;
   const bool print_buckets = flags.Int("buckets", 0) != 0;
   JsonDump json(flags, "fault_recovery");
@@ -155,9 +152,9 @@ int Main(int argc, char** argv) {
                   ? "fault_recovery: kill 1 lane mid-run, reconnect via control plane"
                   : "fault_recovery: throughput after killing 1 lane mid-run");
   const RecoveryResult base =
-      RunOnce(false, reconnect, threads, lanes, payload, sim_span, timeout, retries);
+      RunOnce(false, reconnect, threads, lanes, payload, sim_span, timeout);
   const RecoveryResult faulted =
-      RunOnce(true, reconnect, threads, lanes, payload, sim_span, timeout, retries);
+      RunOnce(true, reconnect, threads, lanes, payload, sim_span, timeout);
 
   const double recovery = base.window_rpcs == 0
                               ? 0.0

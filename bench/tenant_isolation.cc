@@ -1,5 +1,5 @@
 // Tenant-isolation bench (DESIGN.md §15): a well-behaved victim tenant shares
-// one server with a misbehaving attacker tenant, and the tenancy layer —
+// one server with a misbehaving attacker tenant, and the tenant layer —
 // admission control, weighted-fair credit clipping, byte quotas and the
 // misbehaving-tenant throttle — must keep the victim's latency and throughput
 // within a bounded distance of its solo (attacker-free) run.
@@ -14,8 +14,9 @@
 //   * churn      — the attacker connects, bursts, disconnects in a loop:
 //                  admission + teardown pressure on the handshake path and
 //                  the recycling pools.
-//   * open       — hotloop again with tenancy OFF: the unprotected reference,
-//                  reported (and written to JSON) but not gated.
+//   * open       — hotloop again with no tenants registered, both sides
+//                  connecting as the default tenant: the unprotected
+//                  reference, reported (and written to JSON) but not gated.
 //
 // Every gated profile runs twice, and its JSON row carries both runs'
 // fingerprints. scripts/check_perf.py gates the rows: victim p99 and
@@ -54,7 +55,8 @@ struct IsoParams {
   Nanos think = 15 * kMicrosecond;
   uint32_t payload = 64;
   Attack attack = Attack::kNone;
-  bool tenancy = true;
+  // false = register no policies; victim and attacker are the default tenant.
+  bool register_tenants = true;
 };
 
 struct IsoResult {
@@ -67,7 +69,7 @@ struct IsoResult {
   int64_t p99 = -1;
   double victim_rps = 0;
   Nanos span = 0;  // start of victim traffic to its last completion
-  // Tenancy census at end of run (before the world is torn down).
+  // Tenant census at end of run (before the world is torn down).
   uint64_t attacker_throttle_events = 0;
   uint64_t attacker_quota_stalls = 0;
   uint64_t attacker_credit_stalls = 0;
@@ -161,7 +163,7 @@ IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
   // the victim's weighted share of the window pool is the same everywhere and
   // solo-vs-attacked comparisons isolate the attacker's traffic, not a
   // registry delta.
-  if (p.tenancy) {
+  if (p.register_tenants) {
     tenant::TenantPolicy victim;
     victim.weight = 4;
     victim.max_lanes = 8;
@@ -177,7 +179,6 @@ IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
   }
 
   FlockConfig cfg;
-  cfg.tenancy = p.tenancy;
   FlockRuntime server(cluster, 0, cfg);
   server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len,
                                uint8_t* resp, uint32_t, Nanos* cpu) -> uint32_t {
@@ -202,7 +203,8 @@ IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
   sh.latencies = &latencies;
 
   Connection* victim_conn =
-      victim_rt.Connect(server, 4, p.tenancy ? kVictim : tenant::kDefaultTenant);
+      victim_rt.Connect(server, 4,
+                        p.register_tenants ? kVictim : tenant::kDefaultTenant);
   for (int t = 0; t < p.victim_threads; ++t) {
     cluster.sim().Spawn(VictimLoop(sh, victim_conn, victim_rt.CreateThread(t),
                                    static_cast<size_t>(t)),
@@ -211,7 +213,7 @@ IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
 
   Connection* attacker_conn = nullptr;
   const tenant::TenantId atk_id =
-      p.tenancy ? kAttacker : tenant::kDefaultTenant;
+      p.register_tenants ? kAttacker : tenant::kDefaultTenant;
   switch (p.attack) {
     case Attack::kNone:
       break;
@@ -273,23 +275,21 @@ IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
   r.victim_rps = r.span == 0 ? 0
                              : static_cast<double>(r.victim_ok) * 1e9 /
                                    static_cast<double>(r.span);
-  if (p.tenancy) {
-    const tenant::TenantRegistry& reg = cp.tenants();
-    if (const tenant::TenantCounters* c = reg.CountersFor(kAttacker)) {
-      r.attacker_throttle_events = c->throttle_events;
-      r.attacker_quota_stalls = c->quota_stalls;
-      r.attacker_credit_stalls = c->credit_stalls;
-    }
-    r.unknown_rejects = reg.unknown_rejects();
-    r.victim_live_conns = reg.LiveConnections(kVictim);
-    r.victim_live_lanes = reg.LiveLanes(kVictim);
-    r.attacker_live_conns = reg.LiveConnections(kAttacker);
-    r.attacker_live_lanes = reg.LiveLanes(kAttacker);
-    if (tenant_rows_json != nullptr) {
-      AppendTenantRows(reg,
-                       static_cast<double>(cluster.sim().Now()) / 1e9,
-                       tenant_rows_json);
-    }
+  // Without registered tenants every census read below is zero.
+  const tenant::TenantRegistry& reg = cp.tenants();
+  if (const tenant::TenantCounters* c = reg.CountersFor(kAttacker)) {
+    r.attacker_throttle_events = c->throttle_events;
+    r.attacker_quota_stalls = c->quota_stalls;
+    r.attacker_credit_stalls = c->credit_stalls;
+  }
+  r.unknown_rejects = reg.unknown_rejects();
+  r.victim_live_conns = reg.LiveConnections(kVictim);
+  r.victim_live_lanes = reg.LiveLanes(kVictim);
+  r.attacker_live_conns = reg.LiveConnections(kAttacker);
+  r.attacker_live_lanes = reg.LiveLanes(kAttacker);
+  if (tenant_rows_json != nullptr) {
+    AppendTenantRows(reg, static_cast<double>(cluster.sim().Now()) / 1e9,
+                     tenant_rows_json);
   }
 
   TraceHash hash;
@@ -328,7 +328,7 @@ void AddRow(JsonDump* json, const char* name, const IsoParams& p,
             const IsoResult& r, const IsoResult* rerun, const IsoResult& solo) {
   JsonRow row;
   row.Add("config", name)
-      .Add("tenancy", p.tenancy ? 1 : 0)
+      .Add("tenants_registered", p.register_tenants ? 1 : 0)
       .Add("victim_threads", p.victim_threads)
       .Add("rpcs_per_thread", p.rpcs)
       .Add("think_us", static_cast<int64_t>(p.think / kMicrosecond))
@@ -406,11 +406,11 @@ int Main(int argc, char** argv) {
     AddRow(&json, name, p, r1, &r2, solo);
   }
 
-  // Unprotected reference: same hotloop with tenancy off. Reported only — it
-  // documents what the tenancy layer protects against.
+  // Unprotected reference: same hotloop with no tenants registered. Reported
+  // only — it documents what the tenant layer protects against.
   IsoParams open_p = base;
   open_p.attack = Attack::kHotLoop;
-  open_p.tenancy = false;
+  open_p.register_tenants = false;
   const IsoResult open = RunProfile(open_p, nullptr);
   PrintRow("open", open);
   AddRow(&json, "open", open_p, open, nullptr, solo);

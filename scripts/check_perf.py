@@ -6,9 +6,10 @@ Usage:
 
 Each dump is what a bench writes with --json=<path>: {"bench": NAME, "rows":
 [...]}. The "bench" field says which gates apply. Rows are keyed by their
-identifying fields (KEY_FIELDS, joined with "/"): "default", "hotloop",
-"rpc/64/100", "2a/704", "coalescing/8"; a row with none of them is "run". The
-baseline's rows join its bench's rows under a "baseline/" prefix.
+identifying fields (KEY_FIELDS, or the bench's own in BENCH_KEY_FIELDS,
+joined with "/"): "default", "hotloop", "rpc/64/100", "2a/704",
+"coalescing/8", "2t1q/368"; a row with none of them is "run". The baseline's
+rows join its bench's rows under a "baseline/" prefix.
 
 GATES has one line per gate: bench, gate name, a value computed from that
 bench's rows, a comparison and a constant bound. A value of None means the
@@ -31,6 +32,9 @@ import sys
 
 KEY_FIELDS = ("config", "row", "tenant", "figure", "sweep", "path", "payload",
               "read_pct", "qps", "senders", "outstanding", "bound")
+# Benches whose rows are named by fields other benches use differently.
+BENCH_KEY_FIELDS = {"fig11_thread_sched": ("large_threads",),
+                    "fig12_node_scaling": ("mode", "clients")}
 OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge,
        ">": operator.gt}
 
@@ -44,7 +48,10 @@ THROTTLED = ("hotloop", "oversized")  # the flood profiles must trip the throttl
 LIVE = ("victim_live_conns", "victim_live_lanes", "attacker_live_conns",
         "attacker_live_lanes")
 FIG2A_FLAT = ("2a/22", "2a/44", "2a/88", "2a/176", "2a/352", "2a/704")
+FIG2B = tuple(f"2b/{s}" for s in (22, 44, 88, 176, 352, 704, 1408, 2816))
 FIG10 = ("coalescing/1", "coalescing/4", "coalescing/8")
+FIG11 = ("512", "768", "1024")
+FIG12_CLIENTS = (23, 46, 92, 184, 368)
 
 
 def ratio(a, b):
@@ -138,13 +145,20 @@ GATES = [
     # Fig. 2(a): flat through 704 QPs, then the RNIC cache knee.
     ("fig2_qp_scaling", "2a.min_over_max_mops_to_704_qps", lambda r: ratio(min(r[k]["mops"] for k in FIG2A_FLAT), max(r[k]["mops"] for k in FIG2A_FLAT)), ">=", 0.98),
     ("fig2_qp_scaling", "2a.mops_1408_over_704_qps", lambda r: ratio(r["2a/1408"]["mops"], r["2a/704"]["mops"]), "<=", 0.5),
+    # Fig. 2(b): busy time is counted only up to the window end, so no CPU reading exceeds 100%.
+    ("fig2_qp_scaling", "2b.max_server_cpu", lambda r: max(r[k]["server_cpu"] for k in FIG2B), "<=", 1.0),
     # Fig. 10: coalescing wins at every outstanding depth.
     *each("fig10_coalescing", FIG10, "on_over_off_mops", lambda x: ratio(x["on_mops"], x["off_mops"]), ">=", 2.0),
+    # Fig. 11: sender-side thread scheduling wins at every large-payload size.
+    *each("fig11_thread_sched", FIG11, "sched_on_over_off_mops", lambda x: ratio(x["sched_on_mops"], x["sched_off_mops"]), ">", 1.0),
+    # Fig. 12: two threads on one QP beat two threads on two QPs at every client count.
+    *[("fig12_node_scaling", f"{c}.2t1q_over_2t2q_mops", lambda r, c=c: ratio(r[f"2t1q/{c}"]["mops"], r[f"2t2q/{c}"]["mops"]), ">", 1.0) for c in FIG12_CLIENTS],
 ]
 
 
-def row_key(row):
-    return "/".join(str(row[f]) for f in KEY_FIELDS if f in row) or "run"
+def row_key(row, bench):
+    fields = BENCH_KEY_FIELDS.get(bench, KEY_FIELDS)
+    return "/".join(str(row[f]) for f in fields if f in row) or "run"
 
 
 def load(path, prefix, dumps):
@@ -159,7 +173,7 @@ def load(path, prefix, dumps):
         return f"{path}: no gates for bench {bench!r}"
     keyed = dumps.setdefault(bench, {})
     for row in rows:
-        key = prefix + row_key(row)
+        key = prefix + row_key(row, bench)
         if key in keyed:
             return f"{path}: duplicate {bench} row {key!r}"
         keyed[key] = row

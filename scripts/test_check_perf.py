@@ -69,11 +69,19 @@ def passing_dumps():
         "fig2_qp_scaling": [
             *[{"figure": "2a", "qps": q, "mops": 35.7} for q in (22, 44, 88, 176, 352, 704)],
             {"figure": "2a", "qps": 1408, "mops": 11.6},
-            {"figure": "2b", "senders": 22, "mops": 9.5}],
+            *[{"figure": "2b", "senders": s, "mops": 9.5, "server_cpu": 1.0}
+              for s in (22, 44, 88, 176, 352, 704, 1408, 2816)]],
         "fig10_coalescing": [
             *[{"sweep": "coalescing", "outstanding": o, "off_mops": 10.0, "on_mops": 25.0}
               for o in (1, 4, 8)],
             {"sweep": "bound", "bound": 1, "mops": 20.0}],
+        "fig11_thread_sched": [
+            {"large_threads": b, "sched_off_mops": 50.0, "sched_on_mops": 60.0}
+            for b in (512, 768, 1024)],
+        "fig12_node_scaling": [
+            {"clients": c, "mode": m, "mops": v}
+            for c in check_perf.FIG12_CLIENTS
+            for m, v in (("1t1q", 30.0), ("2t1q", 55.0), ("2t2q", 50.0))],
     }
 
 
@@ -135,7 +143,11 @@ MUTATIONS = {
     "fault_recovery.recovery_time_ns": [("fault_recovery", "run", "recovery_time_ns", -1)],
     "fig2_qp_scaling.2a.min_over_max_mops_to_704_qps": [("fig2_qp_scaling", "2a/22", "mops", 34.9)],
     "fig2_qp_scaling.2a.mops_1408_over_704_qps": [("fig2_qp_scaling", "2a/1408", "mops", 17.86)],
+    "fig2_qp_scaling.2b.max_server_cpu": [("fig2_qp_scaling", "2b/1408", "server_cpu", 1.0001)],
     **per_row("fig10_coalescing", check_perf.FIG10, "on_over_off_mops", "on_mops", 19.99),
+    **per_row("fig11_thread_sched", check_perf.FIG11, "sched_on_over_off_mops", "sched_on_mops", 50.0),
+    **{f"fig12_node_scaling.{c}.2t1q_over_2t2q_mops": [("fig12_node_scaling", f"2t1q/{c}", "mops", 50.0)]
+       for c in check_perf.FIG12_CLIENTS},
 }
 
 

@@ -132,12 +132,12 @@ class ControlPlane {
 
   const Stats& stats() const { return stats_; }
 
-  // ---- tenancy (DESIGN.md §15) ----
+  // ---- tenants (DESIGN.md §15) ----
   // The cluster-wide tenant registry: policies, admission accounting,
   // weighted-fair credit budgets and the misbehaving-tenant throttle. Owned
   // here because admission happens at handshake time, on control-plane
   // traffic; the flock schedulers reach the same registry through the
-  // cluster. Single-tenant runs never touch it.
+  // cluster. Single-tenant runs only read it.
   void RegisterTenant(tenant::TenantId id, const tenant::TenantPolicy& policy) {
     tenants_.Register(id, policy);
   }

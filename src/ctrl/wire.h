@@ -83,7 +83,7 @@ struct ConnectRequest {
   uint32_t ring_bytes = 0;
   // Tenant identity registered by the handshake (DESIGN.md §15). Occupies
   // the former pad word, so the default (tenant 0) encodes byte-identically
-  // to pre-tenancy requests.
+  // to requests without a tenant field.
   uint32_t tenant_id = 0;
   ClientLaneInfo lanes[kMaxLanesPerMsg];
 };
@@ -131,7 +131,7 @@ struct AddLaneAccept {
 // Orderly whole-handle close (DESIGN.md §15): the client tells the server it
 // is done, so sender-slot and tenant admission accounting are reclaimed
 // immediately instead of waiting for dead-sender detection to notice the
-// departed QPs. Sent by CloseConnection when tenancy is on.
+// departed QPs. Sent by CloseConnection.
 struct DisconnectRequest {
   int32_t client_node = -1;
   uint32_t conn_id = 0;
@@ -150,11 +150,19 @@ enum class RejectReason : uint32_t {
   kLaneBusy = 4,      // the lane is mid-dispatch; retry after backoff
   kLaneHealthy = 5,   // reconnect asked for a lane that is not quarantined
   // 6 is reserved: a removed reason's number is never reused.
-  // Tenancy admission control (DESIGN.md §15):
+  // Tenant admission control (DESIGN.md §15):
   kUnknownTenant = 7,         // tenant id never registered (or forged)
   kTenantOverConnections = 8, // tenant at its max_connections ceiling
   kTenantOverLanes = 9,       // tenant at its max_lanes ceiling
 };
+
+// A tenant admission verdict: a legitimate refusal connect callers surface
+// as nullptr. Every other reject on a connect is a caller bug.
+inline bool IsAdmissionReject(RejectReason reason) {
+  return reason == RejectReason::kUnknownTenant ||
+         reason == RejectReason::kTenantOverConnections ||
+         reason == RejectReason::kTenantOverLanes;
+}
 
 struct Reject {
   uint32_t reason = 0;

@@ -86,7 +86,7 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   if (conn.setup_cond != nullptr) {
     co_await EnsureLaneSetup(conn, thread);
     if (conn.closed) {
-      // The deferred handshake was refused (tenancy admission control) or the
+      // The deferred handshake was refused (tenant admission control) or the
       // handle was closed while we waited: fail the RPC immediately instead
       // of parking it on a lane that will never be granted credits.
       PendingRpc* failed = conn.client->rpc_pool.New();
@@ -200,13 +200,10 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
   const FlockConfig& config = *conn.env->config;
   const sim::CostModel& cost = conn.env->cost();
   sim::Simulator& sim = conn.env->sim();
-  // Tenancy byte quota (DESIGN.md §15): resolved once — nullptr for the
-  // default tenant or with tenancy off, so those pumps never touch the
-  // registry and their traces stay bit-identical.
-  tenant::TenantRegistry* tenants = nullptr;
-  if (config.tenancy && conn.tenant_id != tenant::kDefaultTenant) {
-    tenants = &ctrl::ControlPlane::For(*conn.env->cluster).tenants();
-  }
+  // Tenant byte quota (DESIGN.md §15): resolved once. The default tenant
+  // has no quota, so it is always allowed and never charged.
+  tenant::TenantRegistry& tenants =
+      ctrl::ControlPlane::For(*conn.env->cluster).tenants();
 
   for (;;) {
     if (lane.combine_head == nullptr) {
@@ -372,13 +369,13 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
         co_await lane.send_ready.Wait();
         continue;
       }
-      if (tenants != nullptr && !tenants->SendAllowed(conn.tenant_id)) {
+      if (!tenants.SendAllowed(conn.tenant_id)) {
         // Over the window byte quota: poll-wait for the next scheduler window
         // (no credit event marks a quota refresh, so send_ready cannot wake
         // us). Checked before Reserve so no ring reservation is held while
         // stalled; the batch that eventually goes out may exceed the quota by
         // one message (soft bound).
-        tenants->NoteQuotaStall(conn.tenant_id);
+        tenants.NoteQuotaStall(conn.tenant_id);
         co_await sim::Delay(sim, kMicrosecond);
         continue;
       }
@@ -407,7 +404,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
     const uint64_t canary = SplitMix64(*conn.env->rng_state);
     wire::MessageEncoder encoder(lane.staging + resv.offset, msg_len, canary);
     // The tenant stamp rides in the header flags; tenant 0 stamps zero bits,
-    // so single-tenant messages stay byte-identical to pre-tenancy ones.
+    // so single-tenant messages carry no tenant bits at all.
     // A batch containing any segment chunk additionally raises kFlagSegment.
     uint16_t flags = wire::PackTenantFlags(conn.tenant_id);
     for (const PendingSend* ps = batch_head; ps != nullptr; ps = ps->next) {
@@ -457,7 +454,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
     msg.remote_addr = lane.remote_ring_addr + resv.offset;
     msg.rkey = lane.remote_ring_rkey;
     lane.posts += 1;
-    msg.signaled = (lane.posts % config.signal_interval) == 0;  // §7
+    msg.signaled = (lane.posts % kSignalInterval) == 0;  // §7
     wrs[nwrs++] = msg;
     MaybeRenewCredits(config, lane, wrs, &nwrs);
 
@@ -480,9 +477,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
 
     lane.messages_sent += 1;
     lane.requests_sent += n;
-    if (tenants != nullptr) {
-      tenants->ChargeSent(conn.tenant_id, msg_len);
-    }
+    tenants.ChargeSent(conn.tenant_id, msg_len);
     lane.coalesce_degree.Record(n);
     lane.batch_histogram[n < 33 ? n : 32] += 1;
     for (PendingSend* ps = batch_head; ps != nullptr;) {
@@ -508,7 +503,7 @@ sim::Co<verbs::WcStatus> SubmitMemOp(ClientConnState& conn, FlockThread& thread,
   if (conn.setup_cond != nullptr) {
     co_await EnsureLaneSetup(conn, thread);
     if (conn.closed) {
-      // Handshake refused (tenancy admission) or handle closed: fail fast.
+      // Handshake refused (tenant admission) or handle closed: fail fast.
       co_return verbs::WcStatus::kQpError;
     }
   }

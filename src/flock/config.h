@@ -14,14 +14,10 @@ struct FlockConfig {
   // (chosen from Fig. 2(a), §8.1).
   uint32_t max_active_qps = 256;
   // Credits granted per QP at bootstrap and per renewal (§5.1, default 32).
+  // A leader requests renewal once half of them are consumed.
   uint32_t credits = 32;
-  // A leader requests renewal once half the credits are consumed.
-  uint32_t credit_renew_threshold = 16;
-  // How often the server's QP scheduler redistributes active QPs.
-  Nanos qp_sched_interval = 200 * kMicrosecond;
 
   // ---- sender-side thread scheduling (§5.2) ----
-  Nanos thread_sched_interval = 500 * kMicrosecond;
   bool sender_thread_scheduling = true;
 
   // ---- Flock synchronization (§4.2) ----
@@ -30,17 +26,11 @@ struct FlockConfig {
   // Set false to ablate coalescing (Fig. 10): every request is its own
   // message even when the QP is shared.
   bool coalescing = true;
-  // Selective signaling: 1 CQE per this many posted writes (§7).
-  uint32_t signal_interval = 16;
 
   // ---- rings and payload bounds (§4.1) ----
   uint32_t ring_bytes = 256 * 1024;
   // Largest single RPC payload (request or response).
   uint32_t max_payload = 8 * 1024;
-
-  // Number of QPs (lanes) created per connection handle; by convention one
-  // per application thread, capped here.
-  uint32_t max_lanes_per_connection = 64;
 
   // Response-dispatcher threads per client node (§4.3: one dispatcher can
   // serve many QPs).
@@ -54,12 +44,11 @@ struct FlockConfig {
 
   // ---- failure handling (§7) ----
   // Per-RPC timeout before a retry is attempted; exponential backoff doubles
-  // it per attempt. 0 disables timeouts/retries entirely: no watchdog proc is
-  // spawned, so with fault injection unarmed the simulation trace stays
-  // bit-identical to a build without failure handling.
+  // it per attempt, and an RPC fails after internal::kMaxRetries retries. 0
+  // disables timeouts/retries entirely: no watchdog proc is spawned, so with
+  // fault injection unarmed the simulation trace stays bit-identical to a
+  // build without failure handling.
   Nanos rpc_timeout = 0;
-  // Retries before an RPC gives up and surfaces ok=false to the caller.
-  uint32_t max_retries = 3;
 
   // ---- connection control plane (DESIGN.md §10) ----
   // Reconnect quarantined lanes through the control plane: a per-connection
@@ -67,9 +56,6 @@ struct FlockConfig {
   // Requires rpc_timeout > 0 (in-flight RPCs on the dead QP recover via the
   // retry watchdog). Off by default so fault-free traces stay bit-identical.
   bool lane_reconnect = false;
-  // Delay between reconnect attempts for a quarantined lane; doubles per
-  // consecutive failure (capped) while the server keeps rejecting.
-  Nanos reconnect_backoff = 50 * kMicrosecond;
   // Simulated round-trip of one out-of-band control-plane exchange (the
   // RDMA-CM/TCP side channel, far slower than the data path).
   Nanos ctrl_rtt = 5 * kMicrosecond;
@@ -88,16 +74,6 @@ struct FlockConfig {
   // (no ctrl_rtt on the time-to-first-RPC path).
   bool connect_piggyback = false;
 
-  // ---- multi-tenant service layer (DESIGN.md §15) ----
-  // Master switch for tenancy enforcement: admission control at handshake,
-  // the weighted-fair credit layer in the receiver scheduler, byte quotas at
-  // batch-packing time, and the misbehaving-tenant throttle. Off by default:
-  // no registry lookups, no new events, traces bit-identical. Tenant
-  // policies are registered on the cluster's ControlPlane (RegisterTenant);
-  // the identity a client presents is per-connection (fl_connect's tenant
-  // argument), not per-config.
-  bool tenancy = false;
-
   // ---- scatter-gather payload path & segmentation (DESIGN.md §16) ----
   // Master switch: payloads above this many bytes travel as a train of
   // segment chunks (wire::SegMark) instead of one inline request, letting
@@ -105,19 +81,11 @@ struct FlockConfig {
   // 0 = segmentation off — no chunking, no reassembly state, no ctrl-slot
   // head reports; traces stay bit-identical to the pre-segmentation build.
   // When non-zero it must be set identically on both ends of a connection.
+  // Chunks are segment_threshold bytes on the wire (floored at 64 B). Small
+  // RPCs from other threads coalesce between chunks (Alg. 1 packs by size),
+  // so the threshold bounds head-of-line blocking the same way the MTU does
+  // for a NIC.
   uint32_t segment_threshold = 0;
-  // On-wire bytes per chunk. Small RPCs from other threads coalesce between
-  // chunks (Alg. 1 packs by size), so this bounds head-of-line blocking the
-  // same way the MTU does for a NIC.
-  uint32_t segment_chunk_bytes = 8 * 1024;
-  // Bounded server-side reassembly pool: concurrent partially-received
-  // extents per server beyond this are dropped (the sender's watchdog
-  // retransmits). Buffers are lazily grown to max_payload and then reused.
-  uint32_t reassembly_entries = 16;
-  // Orphaned partials (their lane died mid-extent) are reclaimed after this
-  // long without progress; 0 derives 2 * rpc_timeout, or 1 ms without a
-  // watchdog.
-  Nanos reassembly_timeout = 0;
 };
 
 }  // namespace flock

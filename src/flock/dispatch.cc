@@ -152,7 +152,7 @@ sim::Co<bool> StreamSegmentedResponse(NodeEnv& env, ServerState& server,
     msg.remote_addr = lane.remote_ring_addr + resv.offset;
     msg.rkey = lane.remote_ring_rkey;
     lane.posts += 1;
-    msg.signaled = (lane.posts % config.signal_interval) == 0;
+    msg.signaled = (lane.posts % kSignalInterval) == 0;
     wrs[nwrs++] = msg;
     co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +
                        cost.cpu_mmio_doorbell);
@@ -176,11 +176,10 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
                                    DispatchScratch& scratch) {
   const sim::CostModel& cost = env.cost();
   const FlockConfig& config = *env.config;
-  // Tenancy attribution (DESIGN.md §15): resolved once per gather; nullptr
-  // with tenancy off, so default runs never touch the registry.
-  tenant::TenantRegistry* tenants =
-      config.tenancy ? &ctrl::ControlPlane::For(*env.cluster).tenants()
-                     : nullptr;
+  // Tenant attribution (DESIGN.md §15): resolved once per gather. Charging
+  // the default tenant is a no-op, so single-tenant runs write nothing.
+  tenant::TenantRegistry& tenants =
+      ctrl::ControlPlane::For(*env.cluster).tenants();
   uint64_t tenant_bytes = 0;
 
   // Freshen the response-ring view from the client's out-of-band head slot.
@@ -266,16 +265,14 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
     server.stats.messages += 1;
     server.stats.requests += n;
     total_reqs += n;
-    if (tenants != nullptr) {
-      tenant_bytes += header.total_len;
-      // Cross-check the data-plane stamp against the identity the handshake
-      // registered for this lane. The handshake is authoritative — a
-      // mismatch is counted (forged or corrupted stamp) but the message is
-      // still served under the lane's registered tenant.
-      if (wire::TenantFromFlags(header.flags) !=
-          (lane.tenant_id & wire::kMaxTenantStamp)) {
-        tenants->NoteStampMismatch(lane.tenant_id);
-      }
+    tenant_bytes += header.total_len;
+    // Cross-check the data-plane stamp against the identity the handshake
+    // registered for this lane. The handshake is authoritative — a mismatch
+    // is counted (forged or corrupted stamp) but the message is still served
+    // under the lane's registered tenant.
+    if (wire::TenantFromFlags(header.flags) !=
+        (lane.tenant_id & wire::kMaxTenantStamp)) {
+      tenants.NoteStampMismatch(lane.tenant_id);
     }
     if (!config.coalescing || total_reqs >= config.max_coalesce) {
       break;  // coalescing disabled: one response message per request message
@@ -294,9 +291,7 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
       break;
     }
   }
-  if (tenants != nullptr) {
-    tenants->OnRequests(lane.tenant_id, total_reqs, tenant_bytes);
-  }
+  tenants.OnRequests(lane.tenant_id, total_reqs, tenant_bytes);
   co_await core.Work(work);
 
   const uint32_t num_resps = static_cast<uint32_t>(scratch.resp.size());
@@ -389,7 +384,7 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
   msg.remote_addr = lane.remote_ring_addr + resv.offset;
   msg.rkey = lane.remote_ring_rkey;
   lane.posts += 1;
-  msg.signaled = (lane.posts % config.signal_interval) == 0;
+  msg.signaled = (lane.posts % kSignalInterval) == 0;
   wrs[nwrs++] = msg;
 
   co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +

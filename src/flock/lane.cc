@@ -269,7 +269,7 @@ std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
   // fresh RingConsumer) and the head slot cleared to match the new client's
   // zero-based response consumer; the QP was reset at harvest, so anything
   // still in flight from its previous incarnation epoch-drops in the fabric.
-  // Tenancy (§15): the ServerLane object itself is always freshly
+  // Tenants (§15): the ServerLane object itself is always freshly
   // constructed — shells carry no tenant state, so tenant_id and
   // deferred_grant start zeroed and no quota debt crosses a recycle (see
   // tests/tenant_test.cc RecyclingNoDebt).
@@ -363,32 +363,29 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
                             cw::RejectReason::kServerNotStarted);
   }
 
-  // Tenancy admission (DESIGN.md §15), before any server state is touched:
+  // Tenant admission (DESIGN.md §15), before any server state is touched:
   // an unknown identity or a tenant at its connection ceiling rejects
   // outright; a tenant near its lane ceiling gets a degraded accept with
-  // fewer lanes than requested. The registry lives on the control plane.
-  uint32_t granted_lanes = req.num_lanes;
-  if (env.config->tenancy) {
-    tenant::TenantRegistry& reg =
-        ctrl::ControlPlane::For(*env.cluster).tenants();
-    if (req.tenant_id != tenant::kDefaultTenant &&
-        !reg.Registered(req.tenant_id)) {
-      reg.NoteUnknownTenant();
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kUnknownTenant);
-    }
-    const tenant::Admission verdict =
-        reg.AdmitConnect(req.tenant_id, req.num_lanes);
-    if (verdict.verdict == tenant::Admission::Verdict::kOverConnections) {
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kTenantOverConnections);
-    }
-    if (verdict.verdict == tenant::Admission::Verdict::kOverLanes) {
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kTenantOverLanes);
-    }
-    granted_lanes = verdict.lanes;
+  // fewer lanes than requested. The default tenant is always admitted in
+  // full. The registry lives on the control plane.
+  tenant::TenantRegistry& reg = ctrl::ControlPlane::For(*env.cluster).tenants();
+  if (req.tenant_id != tenant::kDefaultTenant &&
+      !reg.Registered(req.tenant_id)) {
+    reg.NoteUnknownTenant();
+    return cw::EncodeReject(resp, resp_cap, header.nonce,
+                            cw::RejectReason::kUnknownTenant);
   }
+  const tenant::Admission verdict =
+      reg.AdmitConnect(req.tenant_id, req.num_lanes);
+  if (verdict.verdict == tenant::Admission::Verdict::kOverConnections) {
+    return cw::EncodeReject(resp, resp_cap, header.nonce,
+                            cw::RejectReason::kTenantOverConnections);
+  }
+  if (verdict.verdict == tenant::Admission::Verdict::kOverLanes) {
+    return cw::EncodeReject(resp, resp_cap, header.nonce,
+                            cw::RejectReason::kTenantOverLanes);
+  }
+  const uint32_t granted_lanes = verdict.lanes;
 
   // Prefer a dead, fully-harvested sender slot over growing the array: under
   // churn every Leave strands one, and conn_ids (== slot indexes) would
@@ -409,12 +406,10 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
   SenderState& sender = server.senders[sender_key];
   sender.client_node = req.client_node;
   sender.tenant_id = req.tenant_id;
-  if (env.config->tenancy) {
-    // AdmitConnect charged one connection and `granted_lanes` lanes above;
-    // record exactly what teardown (or dead-sender reclamation) must release.
-    sender.tenant_lanes_charged = granted_lanes;
-    sender.tenant_charged = true;
-  }
+  // AdmitConnect charged one connection and `granted_lanes` lanes above;
+  // record exactly what teardown (or dead-sender reclamation) must release.
+  sender.tenant_lanes_charged = granted_lanes;
+  sender.tenant_charged = true;
 
   // Receiver-side initial allocation: a new client gets the average active-QP
   // share per *live* sender (§5.1), refined at the next redistribution.
@@ -582,17 +577,14 @@ uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
                             cw::RejectReason::kBadLane);
   }
 
-  // Tenancy: lane growth is charged against the same ceiling as the connect
+  // Lane growth is charged against the same tenant ceiling as the connect
   // handshake, so a tenant cannot route around admission via AddLane.
-  if (env.config->tenancy) {
-    tenant::TenantRegistry& reg =
-        ctrl::ControlPlane::For(*env.cluster).tenants();
-    if (!reg.AdmitLane(sender.tenant_id)) {
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kTenantOverLanes);
-    }
-    sender.tenant_lanes_charged += 1;
+  if (!ctrl::ControlPlane::For(*env.cluster).tenants().AdmitLane(
+          sender.tenant_id)) {
+    return cw::EncodeReject(resp, resp_cap, header.nonce,
+                            cw::RejectReason::kTenantOverLanes);
   }
+  sender.tenant_lanes_charged += 1;
 
   cw::AddLaneAccept accept;
   accept.lane_index = req.lane_index;
@@ -628,10 +620,10 @@ void TearDownOneSender(NodeEnv& env, ServerState& server,
   sender.functioning = false;
   sender.revive_grace = 0;
   server.stats.dead_senders += 1;
-  // Tenancy: the departed client's admission accounting is released here
+  // The departed client's tenant admission accounting is released here
   // exactly once — tenant_charged also guards the Redistribute dead-sender
   // reclamation path, so a sender reclaimed both ways releases once.
-  if (env.config->tenancy && sender.tenant_charged) {
+  if (sender.tenant_charged) {
     ctrl::ControlPlane::For(*env.cluster)
         .tenants()
         .ReleaseConnection(sender.tenant_id, sender.tenant_lanes_charged);
@@ -736,8 +728,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
   const FlockConfig& config = *conn.env->config;
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*conn.env->cluster);
   sim::Simulator& sim = conn.env->sim();
-  const Nanos base_backoff = std::max<Nanos>(config.reconnect_backoff, 1);
-  Nanos backoff = base_backoff;
+  Nanos backoff = kReconnectBackoff;
   for (;;) {
     if (conn.closed || conn.departed()) {
       co_return;  // CloseConnection or Leave: the handle never comes back
@@ -750,7 +741,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
       }
     }
     if (victim == nullptr) {
-      backoff = base_backoff;
+      backoff = kReconnectBackoff;
       co_await conn.reconnect_cond->Wait();
       continue;
     }
@@ -770,7 +761,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
         victim->pump_running || victim->mem_pump_running ||
         victim->in_dispatch) {
       victim->reconnecting = false;
-      backoff = std::min<Nanos>(backoff * 2, base_backoff * 256);
+      backoff = std::min<Nanos>(backoff * 2, kReconnectBackoff * 256);
       continue;
     }
 
@@ -817,7 +808,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
       }
       // Otherwise (busy, membership, malformed) retry after backoff. The
       // orphaned QP is abandoned; QPs are simulation-cheap and never reused.
-      backoff = std::min<Nanos>(backoff * 2, base_backoff * 256);
+      backoff = std::min<Nanos>(backoff * 2, kReconnectBackoff * 256);
       continue;
     }
 
@@ -857,7 +848,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
       }
     }
     victim->evacuated_tids.clear();
-    backoff = base_backoff;
+    backoff = kReconnectBackoff;
   }
 }
 
@@ -922,7 +913,7 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
       !ctrl::wire::DecodeConnectAccept(resp_header, resp, &accept) ||
       accept.num_lanes == 0 || accept.num_lanes > num_lanes) {
     // Surface the server's reject reason (if the response decodes as one) so
-    // callers can tell a tenancy admission reject from a hard failure.
+    // callers can tell a tenant admission reject from a hard failure.
     if (reject_reason != nullptr) {
       *reject_reason = ctrl::wire::RejectReason::kUnknown;
       ctrl::wire::Reject rej;
@@ -1003,11 +994,11 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
     const bool ok = ConnectHandshake(conn, &fresh, &recycled, &reason);
     if (!ok) {
-      // With tenancy on, admission control may legitimately refuse the
-      // deferred handshake; fail the handle gracefully — close it so StageRpc
-      // fails queued RPCs instead of parking them on lanes that will never be
+      // Tenant admission control may legitimately refuse the deferred
+      // handshake; fail the handle gracefully — close it so StageRpc fails
+      // queued RPCs instead of parking them on lanes that will never be
       // granted credits. Any other rejection is still a caller bug.
-      FLOCK_CHECK(config.tenancy)
+      FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
           << "piggybacked connect: node " << conn.server_node
           << " rejected the deferred handshake (is StartServer running "
              "there?)";

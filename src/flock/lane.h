@@ -356,7 +356,7 @@ struct ServerLane {
   // produces no response messages) cannot deadlock the client's producer.
   uint64_t seg_bytes_since_report = 0;
 
-  // ---- tenancy (DESIGN.md §15) ----
+  // ---- tenants (DESIGN.md §15) ----
   // Identity registered at handshake time; authoritative over the data-plane
   // stamp. Always set fresh by the connect/reconnect/add-lane paths — lane
   // shells drawn from the recycling pool carry no tenant state.
@@ -382,7 +382,7 @@ struct SenderState {
   // "failed sibling + idle interval" test would re-condemn it immediately
   // (the double-reclaim bug) and a rejoining node could never come back.
   uint32_t revive_grace = 0;
-  // ---- tenancy (DESIGN.md §15) ----
+  // ---- tenants (DESIGN.md §15) ----
   // Identity this sender's connect handshake presented, and the admission
   // accounting charged for it (released exactly once at teardown or
   // dead-sender reclamation, whichever runs first — tenant_charged guards
@@ -516,11 +516,11 @@ struct ClientConnState {
   std::vector<uint32_t> desired_lane;
   // Outstanding RPCs, seq → rpc, one open-addressed map per thread id.
   std::vector<SeqSlotMap<PendingRpc>> pending;
-  // ---- tenancy (DESIGN.md §15) ----
+  // ---- tenants (DESIGN.md §15) ----
   // Identity this handle presents at handshake and stamps into every
   // client→server message header. Fixed at fl_connect time.
   tenant::TenantId tenant_id = tenant::kDefaultTenant;
-  // The handshake was rejected by tenancy admission control: the handle is
+  // The handshake was rejected by tenant admission control: the handle is
   // closed before it ever carried traffic, and StageRpc fails RPCs on it
   // instead of parking them on a lane that will never get credits.
   bool admission_rejected = false;
@@ -629,8 +629,7 @@ uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
                               uint32_t resp_cap);
 // Orderly whole-handle close (DESIGN.md §15): tears down the named sender
 // exactly like a membership leave would, so sender-slot and tenant admission
-// accounting are reclaimed immediately. Sent by CloseConnection under
-// tenancy.
+// accounting are reclaimed immediately. Sent by CloseConnection.
 uint32_t HandleDisconnectRequest(NodeEnv& env, ServerState& server,
                                  const ctrl::wire::MsgHeader& header,
                                  const uint8_t* msg, uint8_t* resp,
@@ -655,11 +654,11 @@ bool TearDownSenders(NodeEnv& env, ServerState& server, int node);
 // ConnectAsync and the piggybacked flush in EnsureLaneSetup. Returns false on
 // rejection; *server_fresh / *server_recycled report the server-side QP
 // provenance from the accept so the async callers can charge qp_create vs
-// qp_reset setup time. A degraded accept (tenancy admission granted fewer
+// qp_reset setup time. A degraded accept (tenant admission granted fewer
 // lanes than requested) succeeds with the surplus client halves dropped and
 // conn.target_lanes clamped. On rejection, *reject_reason (when non-null)
-// carries the server's RejectReason so callers can tell a tenancy admission
-// reject from a hard failure.
+// carries the server's RejectReason so callers can tell a tenant admission
+// reject (ctrl::wire::IsAdmissionReject) from a hard failure.
 bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
                       uint32_t* server_recycled,
                       ctrl::wire::RejectReason* reject_reason = nullptr);
@@ -678,6 +677,10 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread);
 // merely retired (their resources are abandoned, as a quarantine would).
 // Marks the connection closed; the caller detaches it from the client procs.
 void CloseClientConn(ClientConnState& conn);
+
+// Delay before the first reconnect attempt for a quarantined lane; doubles
+// per consecutive failure (capped at 256×) while the server keeps rejecting.
+inline constexpr Nanos kReconnectBackoff = 50 * kMicrosecond;
 
 // Control-plane client daemon (spawned by Connect only with lane_reconnect,
 // so default traces gain no procs or events).

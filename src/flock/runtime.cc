@@ -24,17 +24,14 @@ FlockRuntime::FlockRuntime(verbs::Cluster& cluster, int node, const FlockConfig&
   if (config_.segment_threshold > 0) {
     // Segmentation constraints (DESIGN.md §16): the 24-bit ctrl-slot head
     // report must disambiguate ring positions, and one full chunk message
-    // must satisfy the ring's len <= size/2 reservation bound.
+    // (hence any inline payload at or below the threshold) must satisfy the
+    // ring's len <= size/2 reservation bound.
     FLOCK_CHECK_LT(config_.ring_bytes, 1u << 24)
         << "segment_threshold requires ring_bytes < 2^24 (ctrl-slot head "
            "reports are 24-bit truncated cumulatives)";
     FLOCK_CHECK_LE(
         wire::MessageBytes64(1, internal::SegmentChunkBytes(config_)),
         uint64_t{config_.ring_bytes} / 2)
-        << "segment_chunk_bytes too large for ring_bytes";
-    // Payloads at or below the threshold still travel inline as one message.
-    FLOCK_CHECK_LE(wire::MessageBytes64(1, config_.segment_threshold),
-                   uint64_t{config_.ring_bytes} / 2)
         << "segment_threshold too large for ring_bytes";
   } else {
     // Without chunking, every payload must fit a single ring reservation.
@@ -98,7 +95,7 @@ void FlockRuntime::StartServer(int dispatcher_cores) {
   FLOCK_CHECK_GT(dispatcher_cores, 0);
   server_.started = true;
   if (config_.segment_threshold > 0) {
-    server_.reassembly.Init(config_.reassembly_entries, config_.max_payload);
+    server_.reassembly.Init(internal::kReassemblyEntries, config_.max_payload);
   }
   server_.dispatcher_count = dispatcher_cores;
   server_.dispatcher_lanes.resize(static_cast<size_t>(dispatcher_cores));
@@ -191,7 +188,6 @@ Connection* FlockRuntime::Connect(FlockRuntime& server, uint32_t lanes,
 
 Connection* FlockRuntime::Connect(int server_node, uint32_t lanes,
                                   tenant::TenantId tenant) {
-  lanes = std::min(lanes, config_.max_lanes_per_connection);
   // The handshake advertises every lane in one message.
   lanes = std::min(lanes, ctrl::wire::kMaxLanesPerMsg);
   FLOCK_CHECK_GT(lanes, 0u);
@@ -212,12 +208,13 @@ Connection* FlockRuntime::Connect(int server_node, uint32_t lanes,
     conn->state_.lanes.push_back(
         internal::BuildClientLane(env_, conn->state_, i, &scratch));
   }
-  if (!internal::ConnectHandshake(conn->state_, nullptr, nullptr)) {
-    // With tenancy on, admission control refusing a handle is a legitimate
-    // outcome surfaced as nullptr; otherwise a reject stays the legacy hard
-    // failure. The unwired lanes have posted nothing, so closing (which
-    // harvests their shells) and destroying them is safe.
-    FLOCK_CHECK(config_.tenancy)
+  ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
+  if (!internal::ConnectHandshake(conn->state_, nullptr, nullptr, &reason)) {
+    // Tenant admission control refusing a handle is a legitimate outcome
+    // surfaced as nullptr; any other reject is a hard failure. The unwired
+    // lanes have posted nothing, so closing (which harvests their shells) and
+    // destroying them is safe.
+    FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
         << "fl_connect: node " << server_node
         << " rejected the handshake (is StartServer running there?)";
     conn->state_.admission_rejected = true;
@@ -234,7 +231,6 @@ Connection* FlockRuntime::Connect(int server_node, uint32_t lanes,
 sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
                                                 uint32_t lanes,
                                                 tenant::TenantId tenant) {
-  lanes = std::min(lanes, config_.max_lanes_per_connection);
   lanes = std::min(lanes, ctrl::wire::kMaxLanesPerMsg);
   FLOCK_CHECK_GT(lanes, 0u);
   const sim::CostModel& cost = cluster_.cost();
@@ -275,8 +271,9 @@ sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
     co_await sim::Delay(cluster_.sim(), config_.ctrl_rtt);
     uint32_t fresh = 0;
     uint32_t recycled = 0;
-    if (!internal::ConnectHandshake(st, &fresh, &recycled)) {
-      FLOCK_CHECK(config_.tenancy)
+    ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
+    if (!internal::ConnectHandshake(st, &fresh, &recycled, &reason)) {
+      FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
           << "fl_connect_async: node " << server_node
           << " rejected the handshake (is StartServer running there?)";
       st.admission_rejected = true;
@@ -298,14 +295,13 @@ void FlockRuntime::CloseConnection(Connection* conn) {
   if (st.closed) {
     return;
   }
-  // Orderly disconnect (DESIGN.md §15): with tenancy on, tell the server so
-  // its sender slot and the tenant's admission accounting are reclaimed now,
-  // not whenever dead-sender detection happens to notice the departed QPs.
+  // Orderly disconnect (DESIGN.md §15): tell the server so its sender slot
+  // and the tenant's admission accounting are reclaimed now, not whenever
+  // dead-sender detection happens to notice the departed QPs.
   // Never-handshaken handles (pending piggyback, admission rejects) hold no
   // server-side state to release, and a departed handle's sender was torn
   // down at Leave — its conn_id may now name a newer handle's sender.
-  if (config_.tenancy && !st.handshake_pending && !st.admission_rejected &&
-      !st.departed()) {
+  if (!st.handshake_pending && !st.admission_rejected && !st.departed()) {
     ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster_);
     ctrl::wire::DisconnectRequest req;
     req.client_node = node_;

@@ -118,7 +118,7 @@ class Connection {
   int server_node() const { return state_.server_node; }
   // Tenant identity this handle presented at fl_connect (DESIGN.md §15).
   tenant::TenantId tenant_id() const { return state_.tenant_id; }
-  // The deferred (piggybacked) handshake was refused by tenancy admission
+  // The deferred (piggybacked) handshake was refused by tenant admission
   // control: the handle is closed and every RPC on it fails fast.
   bool admission_rejected() const { return state_.admission_rejected; }
   // True once CloseConnection ran; a closed handle must not be used again.
@@ -180,10 +180,10 @@ class FlockRuntime : public ctrl::Endpoint {
   // bootstrap). The overload taking a runtime is the common case; the
   // node-id form is what the handshake actually needs and exists for callers
   // that only know the server's node. `tenant` is the identity the handle
-  // presents (DESIGN.md §15): the default tenant is always admitted; with
-  // FlockConfig::tenancy on, admission control may refuse the handshake, in
-  // which case Connect returns nullptr (with tenancy off a reject stays the
-  // legacy hard failure).
+  // presents (DESIGN.md §15): the default tenant is always admitted; a
+  // registered tenant may be refused by admission control (unknown tenant,
+  // connection or lane ceiling), in which case Connect returns nullptr. Any
+  // other reject (e.g. no StartServer on that node) is a hard failure.
   Connection* Connect(FlockRuntime& server, uint32_t lanes,
                       tenant::TenantId tenant = tenant::kDefaultTenant);
   Connection* Connect(int server_node, uint32_t lanes,
@@ -193,8 +193,8 @@ class FlockRuntime : public ctrl::Endpoint {
   // qp_reset by provenance) and one ctrl_rtt for the handshake, and it honors
   // the connection-storm flags — lazy_lanes (build only lane 0 now, the rest
   // on first use) and connect_piggyback (defer the handshake to the first
-  // RPC, saving the RTT on the time-to-first-RPC path). With tenancy on, an
-  // admission reject co_returns nullptr — except under connect_piggyback,
+  // RPC, saving the RTT on the time-to-first-RPC path). A tenant admission
+  // reject co_returns nullptr, like Connect — except under connect_piggyback,
   // where the handle is returned immediately and a later reject closes it
   // (admission_rejected), failing its RPCs instead.
   sim::Co<Connection*> ConnectAsync(

@@ -37,7 +37,7 @@ void WriteCtrlSlot(NodeEnv& env, ServerLane& lane, ServerStats& stats,
 void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
                        verbs::SendWr* wrs, size_t* nwrs) {
   if (!lane.active || lane.renew_in_flight ||
-      lane.credits > config.credit_renew_threshold) {
+      lane.credits > config.credits / 2) {
     return;
   }
   // write-with-imm carrying {lane, median coalescing degree since last renew}
@@ -130,12 +130,11 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
   sim::Core& core = env.cpu().core(0);
   const sim::CostModel& cost = env.cost();
   const FlockConfig& config = *env.config;
-  // Tenancy (DESIGN.md §15): resolved once; nullptr with tenancy off, so the
-  // default scheduler never touches the registry.
-  tenant::TenantRegistry* tenants =
-      config.tenancy ? &ctrl::ControlPlane::For(*env.cluster).tenants()
-                     : nullptr;
-  Nanos next_redistribution = env.sim().Now() + config.qp_sched_interval;
+  // Tenant registry (DESIGN.md §15): resolved once. The default tenant is
+  // never budgeted, so single-tenant grants always go out in full.
+  tenant::TenantRegistry& tenants =
+      ctrl::ControlPlane::For(*env.cluster).tenants();
+  Nanos next_redistribution = env.sim().Now() + kQpSchedInterval;
 
   verbs::Completion wcs[kCqPollBatch];
   for (;;) {
@@ -177,16 +176,12 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
         lane->utilization += value;  // U_ij += reported median degree
         if (lane->active) {
           // Grant C more credits through the lane's control slot (§5.1).
-          // Under tenancy the grant is clipped against the tenant's window
-          // budget; the shortfall is remembered on the lane and paid out of
-          // the next window by Redistribute, so cumulative grants never leak.
-          uint32_t grant = config.credits;
-          if (tenants != nullptr) {
-            grant = tenants->ClipGrant(lane->tenant_id, grant);
-            if (grant < config.credits) {
-              lane->deferred_grant += config.credits - grant;
-            }
-          }
+          // The grant is clipped against the tenant's window budget; the
+          // shortfall is remembered on the lane and paid out of the next
+          // window by Redistribute, so cumulative grants never leak.
+          const uint32_t grant =
+              tenants.ClipGrant(lane->tenant_id, config.credits);
+          lane->deferred_grant += config.credits - grant;
           if (grant > 0) {
             lane->grant_cumulative += grant;
             WriteCtrlSlot(env, *lane, server.stats);
@@ -227,7 +222,7 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
         // entries. Host-side bookkeeping only: no events, no posts.
         server.reassembly.Reclaim(env.sim().Now(), ReassemblyTimeout(config));
       }
-      next_redistribution = env.sim().Now() + config.qp_sched_interval;
+      next_redistribution = env.sim().Now() + kQpSchedInterval;
       work += static_cast<Nanos>(server.lanes.size()) * 20;
     }
     co_await core.Work(work);
@@ -237,40 +232,35 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
 void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
   const FlockConfig& config = *env.config;
   server.stats.redistributions += 1;
-  tenant::TenantRegistry* tenants =
-      config.tenancy ? &ctrl::ControlPlane::For(*env.cluster).tenants()
-                     : nullptr;
-  if (tenants != nullptr) {
-    // Roll the scheduling window: refill per-tenant credit budgets (scaled by
-    // the throttle level) and step the throttle state machine. Idempotent per
-    // instant, so several server runtimes ticking together roll it once.
-    tenants->EndWindow(env.sim().Now());
-    // Pay deferred grants out of the fresh window, walking senders and lanes
-    // in index order so the payout is deterministic at any shard count.
-    for (SenderState& sender : server.senders) {
-      for (ServerLane* lane : sender.lanes) {
-        if (lane->deferred_grant == 0 || lane->failed || !lane->active) {
-          continue;
-        }
-        const uint32_t pay =
-            tenants->ClipGrant(lane->tenant_id, lane->deferred_grant);
-        if (pay > 0) {
-          lane->deferred_grant -= pay;
-          lane->grant_cumulative += pay;
-          lane->credits_outstanding += pay;
-          WriteCtrlSlot(env, *lane, server.stats);
-        }
+  tenant::TenantRegistry& tenants =
+      ctrl::ControlPlane::For(*env.cluster).tenants();
+  // Roll the scheduling window: refill per-tenant credit budgets (scaled by
+  // the throttle level) and step the throttle state machine. Idempotent per
+  // instant, so several server runtimes ticking together roll it once, and a
+  // no-op while no tenant is registered.
+  tenants.EndWindow(env.sim().Now());
+  // Pay deferred grants out of the fresh window, walking senders and lanes
+  // in index order so the payout is deterministic at any shard count.
+  for (SenderState& sender : server.senders) {
+    for (ServerLane* lane : sender.lanes) {
+      if (lane->deferred_grant == 0 || lane->failed || !lane->active) {
+        continue;
+      }
+      const uint32_t pay =
+          tenants.ClipGrant(lane->tenant_id, lane->deferred_grant);
+      if (pay > 0) {
+        lane->deferred_grant -= pay;
+        lane->grant_cumulative += pay;
+        lane->credits_outstanding += pay;
+        WriteCtrlSlot(env, *lane, server.stats);
       }
     }
   }
   // Weighted-fair AQP partition: a tenant's policy weight scales its senders'
   // utilization, so a weight-2 tenant gets twice the active-QP share of an
-  // equally-busy weight-1 tenant. Weight 1 everywhere with tenancy off.
-  auto sender_weight = [tenants](const SenderState& s) -> uint64_t {
-    if (tenants == nullptr) {
-      return 1;
-    }
-    const tenant::TenantPolicy* p = tenants->PolicyFor(s.tenant_id);
+  // equally-busy weight-1 tenant. Weight 1 for the default tenant.
+  auto sender_weight = [&tenants](const SenderState& s) -> uint64_t {
+    const tenant::TenantPolicy* p = tenants.PolicyFor(s.tenant_id);
     return p != nullptr ? std::max<uint32_t>(p->weight, 1) : 1;
   };
   // Effective per-lane utilization: the reported coalescing degrees (the
@@ -326,9 +316,9 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
         // Release the tenant's admission accounting exactly once; the
         // tenant_charged latch also guards the TearDownSenders path, so a
         // later explicit teardown of this conn_id cannot double-release.
-        if (tenants != nullptr && sender.tenant_charged) {
-          tenants->ReleaseConnection(sender.tenant_id,
-                                     sender.tenant_lanes_charged);
+        if (sender.tenant_charged) {
+          tenants.ReleaseConnection(sender.tenant_id,
+                                    sender.tenant_lanes_charged);
           sender.tenant_charged = false;
           sender.tenant_lanes_charged = 0;
         }

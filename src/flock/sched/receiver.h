@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/common/units.h"
 #include "src/flock/config.h"
 #include "src/flock/lane.h"
 #include "src/sim/task.h"
@@ -18,14 +19,17 @@
 namespace flock {
 namespace internal {
 
+// How often the server's QP scheduler redistributes active QPs (§5.1).
+inline constexpr Nanos kQpSchedInterval = 200 * kMicrosecond;
+
 // RDMA-writes the lane's control slot (cumulative grant + activation bit) to
 // the client. `signaled` is the liveness-probe variant: a dead peer QP
 // answers with an error completion, which quarantines the lane.
 void WriteCtrlSlot(NodeEnv& env, ServerLane& lane, ServerStats& stats,
                    bool signaled = false);
 
-// Appends a credit-renewal write-with-imm to `wrs` when the lane is below
-// the renewal threshold (§5.1 + §7); piggybacked on the pump's doorbell.
+// Appends a credit-renewal write-with-imm to `wrs` once the lane has consumed
+// half its credits (§5.1 + §7); piggybacked on the pump's doorbell.
 void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
                        verbs::SendWr* wrs, size_t* nwrs);
 
@@ -40,7 +44,7 @@ struct ReceiverSched {
 
   // Core-0 scheduler loop: drains renewal imms from the RCQ, grants credits,
   // polls the send CQ for this node's own completions, and redistributes the
-  // AQP budget every qp_sched_interval.
+  // AQP budget every kQpSchedInterval.
   sim::Proc Run(NodeEnv& env, ServerState& server);
 
   // One §5.1 sweep: recompute per-sender utilization, reclaim dead senders,

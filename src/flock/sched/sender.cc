@@ -191,18 +191,15 @@ void SenderSched::Reschedule(ClientConnState& conn,
 }
 
 sim::Proc SenderSched::Run(NodeEnv& env, ClientState& client) {
-  // Tenancy (DESIGN.md §15): resolved once; nullptr with tenancy off.
-  tenant::TenantRegistry* tenants =
-      env.config->tenancy ? &ctrl::ControlPlane::For(*env.cluster).tenants()
-                          : nullptr;
+  // Tenant registry (DESIGN.md §15): resolved once. The default tenant has
+  // no byte quota, so its cap stays unlimited.
+  const tenant::TenantRegistry& tenants =
+      ctrl::ControlPlane::For(*env.cluster).tenants();
   for (;;) {
-    co_await sim::Delay(env.sim(), env.config->thread_sched_interval);
+    co_await sim::Delay(env.sim(), kThreadSchedInterval);
     for (ClientConnState* conn : client.conns) {
-      uint64_t cap = UINT64_MAX;
-      if (tenants != nullptr && conn->tenant_id != tenant::kDefaultTenant) {
-        cap = tenants->SendBudgetRemaining(conn->tenant_id);
-      }
-      Reschedule(*conn, client.threads, *env.config, cap);
+      Reschedule(*conn, client.threads, *env.config,
+                 tenants.SendBudgetRemaining(conn->tenant_id));
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/units.h"
 #include "src/flock/config.h"
 #include "src/flock/lane.h"
 #include "src/flock/thread.h"
@@ -20,6 +21,9 @@
 
 namespace flock {
 namespace internal {
+
+// How often a client re-assigns its threads to lanes (§5.2).
+inline constexpr Nanos kThreadSchedInterval = 500 * kMicrosecond;
 
 // One thread's scheduling inputs for an interval (Algorithm 1 line 0: the
 // per-thread medians and interval deltas the sort and pack consume).
@@ -97,7 +101,7 @@ struct SenderSched {
                   const FlockConfig& config,
                   uint64_t tenant_bytes_cap = UINT64_MAX);
 
-  // The client's interval loop: every thread_sched_interval, Reschedule each
+  // The client's interval loop: every kThreadSchedInterval, Reschedule each
   // connection in connect order.
   sim::Proc Run(NodeEnv& env, ClientState& client);
 };

@@ -8,7 +8,7 @@
 // another lane mid-extent become orphans on the old key and are reclaimed by
 // timeout.
 //
-// The pool is bounded (FlockConfig::reassembly_entries): a server never
+// The pool is bounded (kReassemblyEntries): a server never
 // holds more than entries × max_bytes of partial payloads, no matter how
 // many clients stream at it. Overflow drops the chunk — the sender's
 // watchdog retransmits the extent — and every buffer is reused once grown,
@@ -32,25 +32,23 @@
 namespace flock {
 namespace internal {
 
-// Reclamation deadline for partials that stopped making progress.
+// Concurrent partially-received extents a server keeps; chunks of further
+// extents are dropped (the sender's watchdog retransmits). Buffers are
+// lazily grown to max_payload and then reused.
+inline constexpr uint32_t kReassemblyEntries = 16;
+
+// Reclamation deadline for partials that stopped making progress (their
+// lane died mid-extent): give the watchdog one retry first, or 1 ms without
+// a watchdog.
 inline Nanos ReassemblyTimeout(const FlockConfig& config) {
-  if (config.reassembly_timeout > 0) {
-    return config.reassembly_timeout;
-  }
-  if (config.rpc_timeout > 0) {
-    return 2 * config.rpc_timeout;  // give the watchdog one retry first
-  }
-  return 1 * kMillisecond;
+  return config.rpc_timeout > 0 ? 2 * config.rpc_timeout : kMillisecond;
 }
 
-// Effective on-wire chunk size. Capped at segment_threshold so a segmented
-// payload (> threshold) always spans at least two chunks, and floored so a
-// corrupt config cannot degenerate into per-byte messages.
+// Effective on-wire chunk size: segment_threshold, so a segmented payload
+// (> threshold) always spans at least two chunks, floored so a tiny
+// threshold cannot degenerate into per-byte messages.
 inline uint32_t SegmentChunkBytes(const FlockConfig& config) {
-  const uint32_t cap = config.segment_chunk_bytes < config.segment_threshold
-                           ? config.segment_chunk_bytes
-                           : config.segment_threshold;
-  return cap < 64 ? 64 : cap;
+  return config.segment_threshold < 64 ? 64 : config.segment_threshold;
 }
 
 struct ReassemblyKey {

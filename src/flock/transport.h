@@ -11,6 +11,7 @@
 #define FLOCK_FLOCK_TRANSPORT_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "src/verbs/device.h"
 
@@ -20,6 +21,9 @@ namespace flock {
 // passes pull CQEs in batches of this size (stack array) instead of one Poll
 // per completion. Matches the num_entries real dataplanes pass to poll_cq.
 inline constexpr size_t kCqPollBatch = 32;
+
+// Selective signaling (§7): one CQE per this many posted data-path writes.
+inline constexpr uint64_t kSignalInterval = 16;
 
 class TransportOps {
  public:

@@ -35,7 +35,7 @@ sim::Proc Watchdog::Run(NodeEnv& env, ClientState& client) {
         });
       }
       for (PendingRpc* rpc : scratch) {
-        if (rpc->retries >= env.config->max_retries) {
+        if (rpc->retries >= kMaxRetries) {
           FailPendingRpc(*conn, rpc);
         } else {
           RetryPendingRpc(*conn, rpc);

@@ -17,13 +17,16 @@
 namespace flock {
 namespace internal {
 
+// Retries before an RPC gives up and surfaces ok=false to the caller.
+inline constexpr uint32_t kMaxRetries = 5;
+
 // Scan granularity bounds how late a deadline can fire; a quarter of the
 // timeout keeps the added latency small relative to the timeout itself.
 Nanos WatchdogTick(Nanos rpc_timeout);
 
 // Exponential backoff for attempt number `retries` (the post-increment retry
 // count: the first retransmit passes 1). Each attempt waits twice as long as
-// the last; the shift saturates so a large max_retries (or timeout) cannot
+// the last; the shift saturates so a large retry count (or timeout) cannot
 // overflow the signed Nanos into UB and a garbage deadline.
 Nanos RetryBackoff(Nanos rpc_timeout, uint32_t retries);
 
@@ -33,7 +36,7 @@ Nanos RetryBackoff(Nanos rpc_timeout, uint32_t retries);
 // on a different lane still completes this RPC.
 void RetryPendingRpc(ClientConnState& conn, PendingRpc* rpc);
 
-// Terminal failure after max_retries: removes the RPC from the pending map
+// Terminal failure after kMaxRetries: removes the RPC from the pending map
 // and completes it with ok == false.
 void FailPendingRpc(ClientConnState& conn, PendingRpc* rpc);
 

@@ -40,7 +40,7 @@ enum HeaderFlags : uint16_t {
 // Tenant identity stamp (DESIGN.md §15): the upper 12 bits of the header
 // flags carry the sender's tenant id, so the receiver can cross-check the
 // data plane against the identity registered at handshake time. Tenant 0
-// (the default) stamps as zero bits — byte-identical to pre-tenancy headers.
+// (the default) stamps as zero bits, so its headers carry no tenant bits.
 inline constexpr int kFlagTenantShift = 4;
 inline constexpr uint16_t kMaxTenantStamp = 0x0FFF;
 

@@ -196,12 +196,12 @@ class MirrorReader {
   // fl_reads the whole directory under its seqlock and caches it host-side
   // for binary search. Call after connect and then at whatever staleness
   // budget the application tolerates.
-  sim::Co<bool> RefreshDirectory(FlockThread& thread, int max_retries = 3) {
+  sim::Co<bool> RefreshDirectory(FlockThread& thread, int retry_limit = 3) {
     if (dir_scratch_ == 0) {
       // Lazily allocated: adopted-directory readers never need this buffer.
       dir_scratch_ = local_mem_->Alloc(MirrorLayout::DirBytes(max_blocks_), 8);
     }
-    for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= retry_limit; ++attempt) {
       if (co_await conn_->Read(thread, dir_scratch_, dir_addr_,
                                static_cast<uint32_t>(
                                    MirrorLayout::DirBytes(max_blocks_)),
@@ -249,7 +249,7 @@ class MirrorReader {
 
   // One-sided point lookup against the mirror snapshot.
   sim::Co<Outcome> Get(FlockThread& thread, uint64_t key, uint64_t* value_out,
-                       int max_retries = 3) {
+                       int retry_limit = 3) {
     if (directory_.empty()) {
       stats_.stale += 1;
       co_return Outcome::kStale;
@@ -268,7 +268,7 @@ class MirrorReader {
       }
     }
     const uint64_t block_addr = directory_[lo].second;
-    for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= retry_limit; ++attempt) {
       if (co_await conn_->Read(thread, block_scratch_, block_addr,
                                MirrorLayout::kBlockBytes, blocks_mr_) !=
           verbs::WcStatus::kSuccess) {

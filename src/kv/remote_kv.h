@@ -66,14 +66,14 @@ class OneSidedReader {
   // fl_read point lookup. On kOk, `value_out` (if non-null) holds the value
   // and `version_out` (if non-null) the even version it was read under.
   sim::Co<Outcome> Get(FlockThread& thread, uint64_t key, void* value_out,
-                       uint64_t* version_out, int max_retries = 3) {
+                       uint64_t* version_out, int retry_limit = 3) {
     auto it = cache_.find(key);
     if (it == cache_.end()) {
       stats_.no_addr += 1;
       co_return Outcome::kNoAddr;
     }
     const Entry entry = it->second;
-    for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= retry_limit; ++attempt) {
       // One read covers the version word and the value.
       if (co_await conn_->Read(thread, scratch_, entry.record_addr,
                                8 + value_size_, entry.mr) !=

@@ -169,7 +169,12 @@ class FifoServer {
     return static_cast<size_t>(tail_ - head_) +
            static_cast<size_t>(exp_tail_ - exp_head_);
   }
-  Nanos busy_time() const { return busy_time_; }
+  // Busy time elapsed up to Now(). StartNext books an item's whole duration
+  // when its service begins, so a reading taken mid-item subtracts the part
+  // not yet served.
+  Nanos busy_time() const {
+    return busy_ ? busy_time_ - (current_end_ - sim_.Now()) : busy_time_;
+  }
   uint64_t served() const { return served_; }
 
  private:
@@ -216,6 +221,7 @@ class FifoServer {
       ++head_;
     }
     busy_time_ += current_.duration;
+    current_end_ = sim_.Now() + current_.duration;
     sim_.Schedule(current_.duration, &FifoServer::DoneTrampoline, this);
   }
 
@@ -261,6 +267,7 @@ class FifoServer {
   uint64_t exp_head_ = 0;
   uint64_t exp_tail_ = 0;
   Nanos busy_time_ = 0;
+  Nanos current_end_ = 0;  // completion time of the item in service
   uint64_t served_ = 0;
 };
 

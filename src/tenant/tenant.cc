@@ -185,6 +185,12 @@ void TenantRegistry::RefillBudget(Entry& e, uint64_t total_weight) {
 }
 
 void TenantRegistry::EndWindow(uint64_t now) {
+  if (entries_.empty()) {
+    // Nothing to roll. Returning before the idempotence stamp keeps a run
+    // without tenants from writing registry state at all, so servers on
+    // different shard workers never share a write.
+    return;
+  }
   if (window_started_ && now == last_window_) {
     return;  // several runtimes ticked at the same instant
   }

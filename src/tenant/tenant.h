@@ -25,7 +25,8 @@ namespace flock::tenant {
 using TenantId = uint32_t;
 
 // Tenant 0 is the default (untenanted) identity: always admitted, never
-// budgeted. Single-tenant runs stay on it and see no tenancy behavior at all.
+// budgeted, never counted. Single-tenant runs stay on it, so every registry
+// call they make is a read that changes nothing.
 inline constexpr TenantId kDefaultTenant = 0;
 
 // Tenant ids must fit the 12-bit data-plane stamp (flock::wire header flags);
@@ -139,7 +140,7 @@ class TenantRegistry {
   // throttle — `decay_after` consecutive over-quota windows halve the budget
   // (down to >> max_level), `recover_after` clean windows restore one step.
   // Idempotent per `now`, so several runtimes ticking at the same instant
-  // roll the window once.
+  // roll the window once. With no tenant registered it writes nothing.
   void EndWindow(uint64_t now);
 
   uint32_t ThrottleLevel(TenantId id) const;

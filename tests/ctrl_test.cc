@@ -46,9 +46,7 @@ struct CtrlWorld {
   static FlockConfig DefaultClientConfig() {
     FlockConfig cfg;
     cfg.rpc_timeout = 100 * kMicrosecond;
-    cfg.max_retries = 5;
     cfg.lane_reconnect = true;
-    cfg.reconnect_backoff = 50 * kMicrosecond;
     return cfg;
   }
 
@@ -310,13 +308,9 @@ TEST(CtrlTest, StaleReconnectCannotHijackReusedSenderSlot) {
   EXPECT_EQ(world.server->server_stats().lane_reconnects, 0u);
 }
 
-TEST(CtrlTest, StaleCloseUnderTenancyLeavesNewHandleIntact) {
+TEST(CtrlTest, StaleCloseOfTenantHandleLeavesNewHandleIntact) {
   constexpr tenant::TenantId kTenant = 1;
-  FlockConfig server_cfg;
-  server_cfg.tenancy = true;
-  FlockConfig client_cfg = CtrlWorld::DefaultClientConfig();
-  client_cfg.tenancy = true;
-  CtrlWorld world(/*nodes=*/2, server_cfg, client_cfg);
+  CtrlWorld world;
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
   cp.RegisterTenant(kTenant, tenant::TenantPolicy{});
   Connection* old_conn = world.clients[0]->Connect(*world.server, 2, kTenant);
@@ -327,8 +321,8 @@ TEST(CtrlTest, StaleCloseUnderTenancyLeavesNewHandleIntact) {
   ASSERT_NE(fresh, nullptr);
   ASSERT_EQ(fresh->conn_id(), old_conn->conn_id());
 
-  // With tenancy on, CloseConnection normally sends a DisconnectRequest that
-  // names the handle by conn_id — here, the new handle's.
+  // CloseConnection normally sends a DisconnectRequest that names the handle
+  // by conn_id — here, the new handle's.
   const uint64_t dead_before = world.server->server_stats().dead_senders;
   world.clients[0]->CloseConnection(old_conn);
   EXPECT_EQ(world.server->server_stats().dead_senders, dead_before)
@@ -395,11 +389,7 @@ TEST(CtrlTest, LeaveDuringAsyncConnectEndsTheHandle) {
   // ConnectAsync returns (its simulated QP bring-up). The handle it returns
   // is already ended: closing it must not tear down the new handle that
   // took its slot.
-  FlockConfig server_cfg;
-  server_cfg.tenancy = true;
-  FlockConfig client_cfg = CtrlWorld::DefaultClientConfig();
-  client_cfg.tenancy = true;
-  CtrlWorld world(/*nodes=*/2, server_cfg, client_cfg);
+  CtrlWorld world;
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
   FlockRuntime* client = world.clients[0].get();
   Connection* old_conn = nullptr;

@@ -176,31 +176,44 @@ struct StackResult {
   uint64_t hash = 0;
 };
 
-StackResult RunStack(int clients, int threads, int shards, int workers) {
-  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 1 + clients,
+// Nodes 0..servers-1 serve; every client connects to every server with
+// `threads` threads each, all on the default config.
+StackResult RunStack(int servers, int clients, int threads, int shards,
+                     int workers) {
+  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = servers + clients,
                                                 .cores_per_node = 34,
                                                 .num_shards = shards,
                                                 .num_workers = workers});
   FlockConfig config;
-  FlockRuntime server(cluster, 0, config);
-  server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len,
-                               uint8_t* resp, uint32_t, Nanos* cpu) -> uint32_t {
-    *cpu = 50;
-    std::memcpy(resp, req, req_len);
-    return req_len;
-  });
-  server.StartServer(4);
+  std::vector<std::unique_ptr<FlockRuntime>> server_rts;
+  for (int s = 0; s < servers; ++s) {
+    auto server = std::make_unique<FlockRuntime>(cluster, s, config);
+    server->RegisterHandler(
+        1, [](const uint8_t* req, uint32_t req_len, uint8_t* resp, uint32_t,
+              Nanos* cpu) -> uint32_t {
+          *cpu = 50;
+          std::memcpy(resp, req, req_len);
+          return req_len;
+        });
+    server->StartServer(4);
+    server_rts.push_back(std::move(server));
+  }
 
   std::vector<std::unique_ptr<FlockRuntime>> client_rts;
   std::vector<uint64_t> done(static_cast<size_t>(clients), 0);
   for (int c = 0; c < clients; ++c) {
-    auto rt = std::make_unique<FlockRuntime>(cluster, 1 + c, config);
+    const int node = servers + c;
+    auto rt = std::make_unique<FlockRuntime>(cluster, node, config);
     rt->StartClient();
-    Connection* conn = rt->Connect(server, static_cast<uint32_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      cluster.sim().Spawn(
-          EchoWorker(conn, rt->CreateThread(t), &done[static_cast<size_t>(c)]),
-          /*node=*/1 + c);
+    for (int s = 0; s < servers; ++s) {
+      Connection* conn =
+          rt->Connect(*server_rts[static_cast<size_t>(s)],
+                      static_cast<uint32_t>(threads));
+      for (int t = 0; t < threads; ++t) {
+        cluster.sim().Spawn(EchoWorker(conn, rt->CreateThread(s * threads + t),
+                                       &done[static_cast<size_t>(c)]),
+                            node);
+      }
     }
     client_rts.push_back(std::move(rt));
   }
@@ -227,10 +240,10 @@ StackResult RunStack(int clients, int threads, int shards, int workers) {
 
 TEST(DeterministicParallelTest, FlockStackTraceIdenticalAcrossShardCounts) {
   // 8 nodes (server + 7 clients) so 8 shards still map one node per shard.
-  const StackResult base = RunStack(7, 2, 1, 0);
+  const StackResult base = RunStack(1, 7, 2, 1, 0);
   EXPECT_GT(base.rpcs, 1000u);
   for (const int shards : {2, 4, 8}) {
-    const StackResult r = RunStack(7, 2, shards, 0);
+    const StackResult r = RunStack(1, 7, 2, shards, 0);
     EXPECT_EQ(base.events, r.events) << "shards=" << shards;
     EXPECT_EQ(base.rpcs, r.rpcs) << "shards=" << shards;
     EXPECT_EQ(base.resumes, r.resumes) << "shards=" << shards;
@@ -241,12 +254,28 @@ TEST(DeterministicParallelTest, FlockStackTraceIdenticalAcrossShardCounts) {
 }
 
 TEST(DeterministicParallelTest, FlockStackTraceIdenticalWithWorkerThreads) {
-  const StackResult base = RunStack(3, 2, 4, 1);
-  const StackResult threaded = RunStack(3, 2, 4, 4);
+  const StackResult base = RunStack(1, 3, 2, 4, 1);
+  const StackResult threaded = RunStack(1, 3, 2, 4, 4);
   EXPECT_EQ(base.events, threaded.events);
   EXPECT_EQ(base.rpcs, threaded.rpcs);
   EXPECT_EQ(base.hash, threaded.hash);
   EXPECT_GT(base.rpcs, 0u);
+}
+
+TEST(DeterministicParallelTest, MultiServerStackTraceIdenticalOnWorkerThreads) {
+  // Four servers, one per shard, run their schedulers' window rolls at the
+  // same sim instants on different worker threads. Every runtime consults
+  // the cluster-global tenant registry; with no tenant registered those
+  // calls must write nothing (TSan runs this binary), and the trace must
+  // equal the single-shard run's.
+  const StackResult base = RunStack(4, 4, 2, 1, 0);
+  EXPECT_GT(base.rpcs, 1000u);
+  for (const int workers : {2, 4}) {
+    const StackResult r = RunStack(4, 4, 2, 4, workers);
+    EXPECT_EQ(base.events, r.events) << "workers=" << workers;
+    EXPECT_EQ(base.rpcs, r.rpcs) << "workers=" << workers;
+    EXPECT_EQ(base.hash, r.hash) << "workers=" << workers;
+  }
 }
 
 }  // namespace

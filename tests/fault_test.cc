@@ -262,7 +262,6 @@ struct FaultWorld {
     for (int n = 1; n < nodes; ++n) {
       FlockConfig client_cfg;
       client_cfg.rpc_timeout = 100 * kMicrosecond;
-      client_cfg.max_retries = 5;
       clients.push_back(std::make_unique<FlockRuntime>(cluster, n, client_cfg));
       clients.back()->StartClient();
     }
@@ -389,13 +388,14 @@ TEST(FlockFaultTest, QpKillMidExtentReclaimsPartialAndRetransmits) {
   FlockConfig server_cfg;
   server_cfg.max_payload = 2 * 1024 * 1024;
   server_cfg.segment_threshold = 8 * 1024;
-  server_cfg.reassembly_timeout = 200 * kMicrosecond;
+  // The server never starts a client role, so its rpc_timeout only sets the
+  // derived reassembly timeout: 2 × 100 us = 200 us.
+  server_cfg.rpc_timeout = 100 * kMicrosecond;
   auto server = std::make_unique<FlockRuntime>(cluster, 0, server_cfg);
   server->RegisterHandler(kEchoRpc, EchoHandler);
   server->StartServer(4);
   FlockConfig client_cfg = server_cfg;
   client_cfg.rpc_timeout = 300 * kMicrosecond;
-  client_cfg.max_retries = 5;
   auto client = std::make_unique<FlockRuntime>(cluster, 1, client_cfg);
   client->StartClient();
 

@@ -235,7 +235,7 @@ TEST(RemoteKvTest, LockedRecordIsRejectedUntilCommit) {
     // While the writer holds the lock, a bounded read attempt gives up
     // cleanly — and never exposes the torn bytes.
     EXPECT_EQ(co_await reader.Get(*world.thread, 7, out, &version,
-                                  /*max_retries=*/1),
+                                  /*retry_limit=*/1),
               OneSidedReader::Outcome::kContended);
     // Retrying with a generous budget rides out the writer and must observe
     // the committed value, never the garbage.

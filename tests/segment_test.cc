@@ -17,6 +17,7 @@ namespace {
 
 using internal::ReassemblyKey;
 using internal::ReassemblyPool;
+using internal::ReassemblyTimeout;
 using internal::SegmentChunkBytes;
 using wire::SegMark;
 
@@ -141,16 +142,24 @@ TEST(ReassemblyPoolTest, ReclaimDropsIdlePartials) {
   EXPECT_EQ(pool.reclaimed(), 1u);
 }
 
-TEST(SegmentChunkBytesTest, CappedAtThresholdAndFloored) {
+TEST(SegmentChunkBytesTest, ThresholdFlooredAt64) {
   FlockConfig config;
+  // A chunk is threshold-sized, so a segmented payload (> threshold) spans
+  // >= 2 chunks.
   config.segment_threshold = 4096;
-  config.segment_chunk_bytes = 8192;
-  // Capped: a segmented payload (> threshold) must span >= 2 chunks.
   EXPECT_EQ(SegmentChunkBytes(config), 4096u);
-  config.segment_chunk_bytes = 2048;
-  EXPECT_EQ(SegmentChunkBytes(config), 2048u);
-  config.segment_chunk_bytes = 1;
+  config.segment_threshold = 8 * 1024;
+  EXPECT_EQ(SegmentChunkBytes(config), 8u * 1024);
+  // Floored: a tiny threshold never degenerates into per-byte messages.
+  config.segment_threshold = 1;
   EXPECT_EQ(SegmentChunkBytes(config), 64u);
+}
+
+TEST(ReassemblyTimeoutTest, DerivedFromWatchdog) {
+  FlockConfig config;
+  EXPECT_EQ(ReassemblyTimeout(config), kMillisecond);  // no watchdog
+  config.rpc_timeout = 100 * kMicrosecond;
+  EXPECT_EQ(ReassemblyTimeout(config), 200 * kMicrosecond);
 }
 
 TEST(SeqSlotMapTest, FindDoesNotRemove) {
@@ -202,8 +211,6 @@ struct SegWorld {
     FlockConfig cfg;
     cfg.max_payload = max_payload;
     cfg.segment_threshold = 8 * 1024;
-    cfg.segment_chunk_bytes = 8 * 1024;
-    cfg.reassembly_entries = 16;
     server = std::make_unique<FlockRuntime>(cluster, 0, cfg);
     server->RegisterHandler(kEchoRpc, EchoHandler);
     server->RegisterHandler(kChecksumRpc, ChecksumHandler);

@@ -322,6 +322,22 @@ TEST(CpuTest, PinnedThreadsShareCoreFifo) {
   EXPECT_EQ(cpu.TotalBusyTime(), 80);
 }
 
+TEST(CpuTest, BusyTimeCountsOnlyElapsedWork) {
+  // A reading taken mid-item counts only the part already served, so a
+  // utilization window never exceeds 100%.
+  Simulator sim;
+  Cpu cpu(sim, 1);
+  auto thread = [&]() -> Proc { co_await cpu.core(0).Work(100); };
+  sim.Spawn(thread());
+  sim.Spawn(thread());
+  sim.RunUntil(50);
+  EXPECT_EQ(cpu.core(0).busy_time(), 50);  // halfway through the first item
+  sim.RunUntil(150);
+  EXPECT_EQ(cpu.TotalBusyTime(), 150);  // first item done, second half done
+  sim.Run();
+  EXPECT_EQ(cpu.TotalBusyTime(), 200);
+}
+
 TEST(CpuTest, SeparateCoresRunInParallel) {
   Simulator sim;
   Cpu cpu(sim, 2);

@@ -196,13 +196,7 @@ uint32_t EchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp,
   return len;
 }
 
-FlockConfig TenancyConfig() {
-  FlockConfig cfg;
-  cfg.tenancy = true;
-  return cfg;
-}
-
-// A server plus N-1 clients with tenancy enabled everywhere.
+// A server plus N-1 clients, all on one config (the default unless given).
 struct TenantWorld {
   static verbs::Cluster::Config MakeClusterConfig(int nodes, int num_shards,
                                                   int num_workers) {
@@ -214,7 +208,7 @@ struct TenantWorld {
     return c;
   }
 
-  explicit TenantWorld(int nodes = 3, FlockConfig cfg = TenancyConfig(),
+  explicit TenantWorld(int nodes = 3, FlockConfig cfg = FlockConfig{},
                        int num_shards = 1, int num_workers = 0)
       : cluster(MakeClusterConfig(nodes, num_shards, num_workers)) {
     server = std::make_unique<FlockRuntime>(cluster, 0, cfg);
@@ -298,7 +292,7 @@ TEST(TenantAdmissionTest, AcceptRejectAndDegrade) {
   EXPECT_EQ(world.tenants().CountersFor(1)->stamp_mismatches, 0u);
 }
 
-TEST(TenantAdmissionTest, DefaultTenantUnaffectedByTenancyFlag) {
+TEST(TenantAdmissionTest, DefaultTenantAdmittedInFull) {
   TenantWorld world;
   Connection* conn = world.clients[0]->Connect(0, 4);
   ASSERT_NE(conn, nullptr);
@@ -309,6 +303,45 @@ TEST(TenantAdmissionTest, DefaultTenantUnaffectedByTenancyFlag) {
   world.cluster.sim().RunFor(50 * kMillisecond);
   EXPECT_EQ(ok, 100);
   EXPECT_EQ(fail, 0);
+}
+
+sim::Proc ConnectAsyncInto(FlockRuntime* client, int server_node,
+                           uint32_t lanes, tenant::TenantId tenant,
+                           Connection** out, bool* done) {
+  *out = co_await client->ConnectAsync(server_node, lanes, tenant);
+  *done = true;
+}
+
+// Only a tenant admission verdict surfaces as nullptr; the handshake is
+// still refused loudly for anything else.
+TEST(TenantAdmissionTest, ConnectionCeilingReturnsNullFromBothConnects) {
+  TenantWorld world;
+  TenantPolicy one_conn;
+  one_conn.max_connections = 1;
+  world.tenants().Register(1, one_conn);
+  ASSERT_NE(world.clients[0]->Connect(0, 2, /*tenant=*/1), nullptr);
+
+  EXPECT_EQ(world.clients[1]->Connect(0, 2, /*tenant=*/1), nullptr);
+  Connection* async_conn = nullptr;
+  bool done = false;
+  world.cluster.sim().Spawn(ConnectAsyncInto(world.clients[1].get(), 0, 2,
+                                             /*tenant=*/1, &async_conn, &done));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(async_conn, nullptr);
+  EXPECT_EQ(world.tenants().CountersFor(1)->admission_rejects, 2u);
+  EXPECT_EQ(world.tenants().LiveConnections(1), 1u);
+}
+
+TEST(TenantAdmissionDeathTest, ConnectToNodeWithoutServerAborts) {
+  EXPECT_DEATH(
+      {
+        TenantWorld world(/*nodes=*/3);
+        // Node 2 runs only a client: its control plane answers the handshake
+        // with kServerNotStarted, which is no admission verdict.
+        world.clients[0]->Connect(/*server_node=*/2, 2);
+      },
+      "rejected the handshake");
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +362,7 @@ struct ContendResult {
 ContendResult RunWeightedContention(const std::vector<uint32_t>& weights,
                                     int num_shards) {
   const int tenants_n = static_cast<int>(weights.size());
-  TenantWorld world(1 + tenants_n, TenancyConfig(), num_shards,
+  TenantWorld world(1 + tenants_n, FlockConfig{}, num_shards,
                     /*num_workers=*/num_shards > 1 ? 1 : 0);
   for (int i = 0; i < tenants_n; ++i) {
     TenantPolicy p;
@@ -489,7 +522,7 @@ TEST(TenantTeardownTest, CloseReclaimsConnectionsAndLanes) {
 }
 
 TEST(TenantRecyclingTest, PooledLaneShellsCarryNoQuotaDebt) {
-  TenantWorld world(2, TenancyConfig());
+  TenantWorld world(2);
 
   // Tenant 1: tiny quotas, flooded until throttled. Tenant 2: clean slate.
   TenantPolicy abusive;

@@ -80,7 +80,7 @@ TEST(RetryBackoff, ScheduleIsMonotonic) {
 }
 
 TEST(RetryBackoff, TotalScheduleStaysFinite) {
-  // Summing the full schedule for a realistic max_retries stays well inside
+  // Summing the full schedule for a realistic retry count stays well inside
   // Nanos range: the watchdog can always compute `now + backoff` safely.
   const Nanos timeout = kMillisecond;
   Nanos total = 0;
