@@ -4,17 +4,16 @@
 // metric is time-to-first-RPC (TTFR): sim-ns from the session's start (before
 // Join) until its first RPC response lands.
 //
-// Both configurations recycle lane shells harvested from closed connections
-// and departed clients (qp_reset instead of qp_create). Two configurations
-// run in one binary over identical schedules:
-//   * eager     — lazy_lanes and connect_piggyback off: every lane is built
-//                 up front, the handshake spends its ctrl_rtt before
-//                 ConnectAsync returns, and every Join/Leave bumps the epoch
-//                 and repartitions the server individually.
-//   * optimized — lazy_lanes + connect_piggyback on, plus a driver batching
-//                 membership epochs in fixed windows: only lane 0 exists
-//                 until a second thread shows up, and the ConnectRequest
-//                 rides with the first RPC.
+// Every session connects through ConnectAsync, which builds only lane 0 (a
+// session's single thread never asks for a second) and recycles lane shells
+// harvested from closed connections and departed clients (qp_reset instead of
+// qp_create). Two configurations run in one binary over identical schedules
+// and differ only in membership-epoch batching, the caller's choice:
+//   * unbatched — every Join/Leave bumps the epoch and repartitions the
+//                 server individually.
+//   * batched   — a driver coalesces the Joins and Leaves of each
+//                 --batch-window-us window into one epoch bump and one
+//                 repartition.
 //
 // Each configuration runs twice, and each JSON row carries both runs'
 // fingerprints. The row also carries everything scripts/check_perf.py gates:
@@ -48,8 +47,6 @@ struct StormParams {
   int rpcs = 4;
   uint32_t payload = 64;
   Nanos batch_window = 1 * kMillisecond;  // 0 = no epoch batching
-  bool lazy = false;
-  bool piggyback = false;
 };
 
 struct StormResult {
@@ -154,14 +151,11 @@ StormResult RunStorm(const StormParams& p) {
   });
   server.StartServer(4);
 
-  FlockConfig client_cfg;
-  client_cfg.lazy_lanes = p.lazy;
-  client_cfg.connect_piggyback = p.piggyback;
   std::vector<std::unique_ptr<FlockRuntime>> clients;
   std::vector<FlockThread*> threads;
   for (int c = 0; c < p.clients; ++c) {
     clients.push_back(
-        std::make_unique<FlockRuntime>(cluster, c + 1, client_cfg));
+        std::make_unique<FlockRuntime>(cluster, c + 1, FlockConfig{}));
     clients.back()->StartClient();
     threads.push_back(clients.back()->CreateThread(2));
   }
@@ -329,12 +323,10 @@ int Main(int argc, char** argv) {
   JsonDump json(flags, "conn_storm");
   flags.Finish();
 
-  StormParams eager = p;  // storm flags off, per-event epochs
-  eager.batch_window = 0;
-  StormParams optimized = p;
-  optimized.lazy = true;
-  optimized.piggyback = true;
-  optimized.batch_window = batch_window;
+  StormParams unbatched = p;
+  unbatched.batch_window = 0;
+  StormParams batched = p;
+  batched.batch_window = batch_window;
 
   PrintBanner("conn_storm: Join -> connect -> RPC burst -> Leave under churn");
   std::printf("%d sessions across %d client nodes, one every %ld us "
@@ -343,30 +335,22 @@ int Main(int argc, char** argv) {
               1e9 / static_cast<double>(p.gap));
 
   // Each configuration runs twice; check_perf.py compares the fingerprints.
-  const StormResult e1 = RunStorm(eager);
-  const StormResult e2 = RunStorm(eager);
-  const StormResult o1 = RunStorm(optimized);
-  const StormResult o2 = RunStorm(optimized);
+  const StormResult u1 = RunStorm(unbatched);
+  const StormResult u2 = RunStorm(unbatched);
+  const StormResult b1 = RunStorm(batched);
+  const StormResult b2 = RunStorm(batched);
 
   std::printf("%-10s %9s %12s %10s %10s %8s %8s %7s %7s\n", "config", "done",
               "handshakes/s", "p50_us", "p99_us", "qp_new", "qp_rec", "rej",
               "lane_f");
-  PrintRow("eager", e1);
-  PrintRow("optimized", o1);
-  std::printf("epochs: eager %lu bumps, optimized %lu bumps in %lu batches\n",
-              static_cast<unsigned long>(e1.epoch),
-              static_cast<unsigned long>(o1.epoch),
-              static_cast<unsigned long>(o1.cp.epoch_batches));
-  AddRow(&json, "eager", eager, e1, e2);
-  AddRow(&json, "optimized", optimized, o1, o2);
-
-  const double improvement =
-      o1.ttfr_p99 <= 0 ? 0
-                       : static_cast<double>(e1.ttfr_p99) /
-                             static_cast<double>(o1.ttfr_p99);
-  std::printf("p99 TTFR: eager %.1f us, optimized %.1f us -> %.1fx\n",
-              static_cast<double>(e1.ttfr_p99) / 1e3,
-              static_cast<double>(o1.ttfr_p99) / 1e3, improvement);
+  PrintRow("unbatched", u1);
+  PrintRow("batched", b1);
+  std::printf("epochs: unbatched %lu bumps, batched %lu bumps in %lu batches\n",
+              static_cast<unsigned long>(u1.epoch),
+              static_cast<unsigned long>(b1.epoch),
+              static_cast<unsigned long>(b1.cp.epoch_batches));
+  AddRow(&json, "unbatched", unbatched, u1, u2);
+  AddRow(&json, "batched", batched, b1, b2);
   return 0;
 }
 

@@ -26,8 +26,8 @@ STORM_ROW = {"sessions": 10, "done": 10, "calls_fail": 0, "rejected_malformed": 
              "client_lane_failures": 0, "unexpected_server_failures": 0,
              "replay_window_entries": 5, "nonce_window": 8, "server_live_lanes": 0,
              "sender_slots": 2, "clients": 2, "lanes": 4, "server_lane_pool": 1,
-             "client_lane_pool": 1, "qps_recycled": 3, "fingerprint": "9",
-             "fingerprint_rerun": "9"}
+             "client_lane_pool": 1, "qps_created": 17, "qps_recycled": 3,
+             "fingerprint": "9", "fingerprint_rerun": "9"}
 TENANT_ROW = {"victim_threads": 2, "rpcs_per_thread": 5, "victim_ok": 10, "victim_fail": 0,
               "unknown_rejects": 0, "victim_live_conns": 0, "victim_live_lanes": 0,
               "attacker_live_conns": 0, "attacker_live_lanes": 0, "fingerprint": "7",
@@ -45,8 +45,8 @@ def passing_dumps():
         "baseline": [DEFAULT, SCALE_SEQ],
         "perf_smoke": [DEFAULT, SCALE_SEQ,
                        dict(SCALE_SEQ, config="scale_par", wall_s=0.4, shards=8)],
-        "conn_storm": [dict(STORM_ROW, config="eager", ttfr_p99_ns=60000),
-                       dict(STORM_ROW, config="optimized", ttfr_p99_ns=20000)],
+        "conn_storm": [dict(STORM_ROW, config="unbatched", ttfr_p99_ns=60000),
+                       dict(STORM_ROW, config="batched", ttfr_p99_ns=20000)],
         "onesided_crossover": [
             {"path": "rpc", "payload": 64, "read_pct": 100, "mops": 1.0},
             {"path": "onesided", "payload": 64, "read_pct": 100, "mops": 3.0},
@@ -113,9 +113,8 @@ MUTATIONS = {
     **per_row("conn_storm", check_perf.STORM, "lane_pools_over_clients_x_lanes", "client_lane_pool", 9),
     **per_row("conn_storm", check_perf.STORM, "qps_recycled", "qps_recycled", 0),
     **per_row("conn_storm", check_perf.STORM, "fingerprint_eq_rerun", "fingerprint_rerun", "10"),
-    "conn_storm.ttfr_p99_eager_over_optimized": [("conn_storm", "optimized", "ttfr_p99_ns", 30001)],
-    "conn_storm.optimized.ttfr_p99_us": [("conn_storm", "eager", "ttfr_p99_ns", 200000),
-                                         ("conn_storm", "optimized", "ttfr_p99_ns", 50001)],
+    **per_row("conn_storm", check_perf.STORM, "qps_built_minus_2x_sessions", "qps_created", 18),
+    "conn_storm.batched.ttfr_p99_us": [("conn_storm", "batched", "ttfr_p99_ns", 50001)],
     "onesided_crossover.cells": [("onesided_crossover", "rpc/64/100", None, None),
                                  ("onesided_crossover", "onesided/64/100", None, None)],
     "onesided_crossover.cells_missing_a_path": [("onesided_crossover", "onesided/64/100", None, None)],

@@ -8,9 +8,9 @@
 // node's registered Endpoint, with validation (framing, checksum, nonce
 // replay) in front. Crucially it schedules *no simulator events* of its own —
 // callers that want the handshake to cost simulated time insert their own
-// sim::Delay (FlockConfig::ctrl_rtt) around Call(). That keeps every
-// fault-free trace bit-identical: a run that never reconnects never sees the
-// control plane after setup.
+// sim::Delay (the Flock runtime's kCtrlRtt, flock/lane.h) around Call(). That
+// keeps every fault-free trace bit-identical: a run that never reconnects
+// never sees the control plane after setup.
 #ifndef FLOCK_CTRL_CONTROL_PLANE_H_
 #define FLOCK_CTRL_CONTROL_PLANE_H_
 

@@ -80,15 +80,14 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   const uint32_t len = payload.size();
   FLOCK_CHECK_LE(len, config.max_payload);
 
-  // Deferred connection setup (DESIGN.md §13): the condition object exists
-  // only when lazy_lanes or connect_piggyback is on, so default builds pay
-  // one null check here and nothing else.
+  // Lazy lane bring-up (DESIGN.md §13): the condition object exists only on
+  // ConnectAsync handles, so setup-phase handles pay one null check here and
+  // nothing else.
   if (conn.setup_cond != nullptr) {
     co_await EnsureLaneSetup(conn, thread);
     if (conn.closed) {
-      // The deferred handshake was refused (tenant admission control) or the
-      // handle was closed while we waited: fail the RPC immediately instead
-      // of parking it on a lane that will never be granted credits.
+      // The handle was closed while we waited: fail the RPC immediately
+      // instead of parking it on a lane that will never be granted credits.
       PendingRpc* failed = conn.client->rpc_pool.New();
       failed->rpc_id = rpc_id;
       failed->seq = thread.NextSeq();
@@ -503,7 +502,7 @@ sim::Co<verbs::WcStatus> SubmitMemOp(ClientConnState& conn, FlockThread& thread,
   if (conn.setup_cond != nullptr) {
     co_await EnsureLaneSetup(conn, thread);
     if (conn.closed) {
-      // Handshake refused (tenant admission) or handle closed: fail fast.
+      // Handle closed while we waited: fail fast.
       co_return verbs::WcStatus::kQpError;
     }
   }

@@ -56,23 +56,6 @@ struct FlockConfig {
   // Requires rpc_timeout > 0 (in-flight RPCs on the dead QP recover via the
   // retry watchdog). Off by default so fault-free traces stay bit-identical.
   bool lane_reconnect = false;
-  // Simulated round-trip of one out-of-band control-plane exchange (the
-  // RDMA-CM/TCP side channel, far slower than the data path).
-  Nanos ctrl_rtt = 5 * kMicrosecond;
-
-  // ---- connection-storm control plane (DESIGN.md §13) ----
-  // Both default off: fault-free traces stay bit-identical. They only take
-  // effect on the asynchronous connect path (ConnectAsync); the synchronous
-  // setup-phase Connect ignores them.
-  //
-  // Deferred lane bring-up: ConnectAsync materializes only lane 0 eagerly;
-  // further lanes appear on first use (when a second thread maps onto the
-  // handle), via the AddLane handshake.
-  bool lazy_lanes = false;
-  // Handshake piggybacking: ConnectAsync returns without the out-of-band
-  // exchange; the ConnectRequest rides with the first RPC's credit bootstrap
-  // (no ctrl_rtt on the time-to-first-RPC path).
-  bool connect_piggyback = false;
 
   // ---- scatter-gather payload path & segmentation (DESIGN.md §16) ----
   // Master switch: payloads above this many bytes travel as a train of

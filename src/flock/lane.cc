@@ -725,7 +725,6 @@ uint32_t HandleDisconnectRequest(NodeEnv& env, ServerState& server,
 // ---------------------------------------------------------------------------
 
 sim::Proc ReconnectDaemon(ClientConnState& conn) {
-  const FlockConfig& config = *conn.env->config;
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*conn.env->cluster);
   sim::Simulator& sim = conn.env->sim();
   Nanos backoff = kReconnectBackoff;
@@ -751,7 +750,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     // The out-of-band channel is slow (RDMA-CM over TCP): one RTT of latency
     // charged up front, so everything from the gate below through the resync
     // runs without suspension — no pump or dispatcher can interleave.
-    co_await sim::Delay(sim, config.ctrl_rtt);
+    co_await sim::Delay(sim, kCtrlRtt);
     // Quiesce and membership gates: never resync rings under a pump or
     // dispatcher mid-pass, never revive a handle closed or ended by Leave
     // during the delays, and never handshake while either end is outside the
@@ -877,8 +876,7 @@ void PoolClientShell(NodeEnv& env, ClientState& client, ClientLane& lane) {
 
 }  // namespace
 
-bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
-                      uint32_t* server_recycled,
+bool ConnectHandshake(ClientConnState& conn, Nanos* server_bringup,
                       ctrl::wire::RejectReason* reject_reason) {
   NodeEnv& env = *conn.env;
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*env.cluster);
@@ -914,14 +912,12 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
       accept.num_lanes == 0 || accept.num_lanes > num_lanes) {
     // Surface the server's reject reason (if the response decodes as one) so
     // callers can tell a tenant admission reject from a hard failure.
-    if (reject_reason != nullptr) {
-      *reject_reason = ctrl::wire::RejectReason::kUnknown;
-      ctrl::wire::Reject rej;
-      if (resp_len != 0 &&
-          ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) &&
-          ctrl::wire::DecodeReject(resp_header, resp, &rej)) {
-        *reject_reason = static_cast<ctrl::wire::RejectReason>(rej.reason);
-      }
+    *reject_reason = ctrl::wire::RejectReason::kUnknown;
+    ctrl::wire::Reject rej;
+    if (resp_len != 0 &&
+        ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) &&
+        ctrl::wire::DecodeReject(resp_header, resp, &rej)) {
+      *reject_reason = static_cast<ctrl::wire::RejectReason>(rej.reason);
     }
     return false;
   }
@@ -941,18 +937,13 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
     WireClientLane(env, *conn.lanes[i], conn.server_node, accept.lanes[i],
                    /*grant_cumulative=*/0);
   }
-  if (server_fresh != nullptr) {
-    *server_fresh = accept.fresh_qps;
-  }
-  if (server_recycled != nullptr) {
-    *server_recycled = accept.recycled_qps;
-  }
+  *server_bringup = accept.fresh_qps * env.cost().qp_create +
+                    accept.recycled_qps * env.cost().qp_reset;
   return true;
 }
 
 sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
   NodeEnv& env = *conn.env;
-  const FlockConfig& config = *env.config;
   const sim::CostModel& cost = env.cost();
   sim::Simulator& sim = env.sim();
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*env.cluster);
@@ -969,65 +960,31 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     conn.threads_seen += 1;
   }
 
+  const auto short_of_goal = [&conn] {
+    return conn.lanes.size() <
+           std::min(conn.target_lanes, std::max<uint32_t>(1, conn.threads_seen));
+  };
+
   // One setup exchange at a time per connection; later arrivals park here and
   // re-check (the active setup may already have covered their thread).
   while (conn.setup_in_progress) {
     co_await conn.setup_cond->Wait();
   }
-  if (conn.closed) {
-    co_return;
-  }
-  const uint32_t want =
-      std::min(conn.target_lanes, std::max<uint32_t>(1, conn.threads_seen));
-  if (!conn.handshake_pending && conn.lanes.size() >= want) {
+  if (conn.closed || !short_of_goal()) {
     co_return;
   }
   conn.setup_in_progress = true;
 
-  if (conn.handshake_pending) {
-    // The piggybacked ConnectRequest rides now, ahead of the first staged
-    // RPC: one out-of-band RTT plus the server-side QP bring-up, charged by
-    // provenance (a recycled lane costs qp_reset, not qp_create).
-    co_await sim::Delay(sim, config.ctrl_rtt);
-    uint32_t fresh = 0;
-    uint32_t recycled = 0;
-    ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
-    const bool ok = ConnectHandshake(conn, &fresh, &recycled, &reason);
-    if (!ok) {
-      // Tenant admission control may legitimately refuse the deferred
-      // handshake; fail the handle gracefully — close it so StageRpc fails
-      // queued RPCs instead of parking them on lanes that will never be
-      // granted credits. Any other rejection is still a caller bug.
-      FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
-          << "piggybacked connect: node " << conn.server_node
-          << " rejected the deferred handshake (is StartServer running "
-             "there?)";
-      conn.handshake_pending = false;
-      conn.admission_rejected = true;
-      conn.setup_in_progress = false;
-      CloseClientConn(conn);
-      co_return;
-    }
-    co_await sim::Delay(
-        sim, fresh * cost.qp_create + recycled * cost.qp_reset);
-    conn.handshake_pending = false;
-  }
-
   // Lazy growth: materialize one deferred lane per additional distinct
   // thread via the AddLane handshake, up to the connect-time target. A
   // departed handle never grows: its conn_id may name a newer handle.
-  while (!conn.closed && !conn.departed()) {
-    const uint32_t goal =
-        std::min(conn.target_lanes, std::max<uint32_t>(1, conn.threads_seen));
-    if (conn.lanes.size() >= goal) {
-      break;
-    }
+  while (!conn.closed && !conn.departed() && short_of_goal()) {
     const uint32_t index = static_cast<uint32_t>(conn.lanes.size());
     ctrl::wire::AddLaneRequest req;
     req.client_node = env.node;
     req.conn_id = conn.conn_id;
     req.lane_index = index;
-    req.ring_bytes = config.ring_bytes;
+    req.ring_bytes = env.config->ring_bytes;
     const uint64_t created_before = conn.client->stats.qps_created;
     auto lane = BuildClientLane(env, conn, index, &req.lane);
     co_await sim::Delay(sim, conn.client->stats.qps_created != created_before
@@ -1039,7 +996,7 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     const uint32_t msg_len = ctrl::wire::EncodeMessage(
         msg, sizeof(msg), ctrl::wire::MsgType::kAddLaneRequest, cp.NextNonce(),
         &req, sizeof(req));
-    co_await sim::Delay(sim, config.ctrl_rtt);
+    co_await sim::Delay(sim, kCtrlRtt);
     if (conn.closed || conn.departed()) {
       break;  // ended under the delays: the unwired client half is abandoned
     }
@@ -1050,7 +1007,12 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     if (resp_len == 0 ||
         !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
         !ctrl::wire::DecodeAddLaneAccept(resp_header, resp, &accept)) {
-      break;  // rejected: the orphaned client half is abandoned; stop growing
+      // Refused (e.g. the tenant's lane ceiling): the handle keeps serving on
+      // the lanes it has and stops asking. The unwired client half goes back
+      // to the pool, like a degraded accept's surplus.
+      PoolClientShell(env, *conn.client, *lane);
+      conn.target_lanes = static_cast<uint32_t>(conn.lanes.size());
+      break;
     }
     co_await sim::Delay(sim,
                         accept.recycled != 0 ? cost.qp_reset : cost.qp_create);

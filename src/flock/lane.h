@@ -479,17 +479,15 @@ struct ClientConnState {
   std::unique_ptr<sim::Condition> reconnect_cond;
   std::vector<std::unique_ptr<ClientLane>> lanes;
   // ---- connection-storm fields (DESIGN.md §13) ----
-  // Lane count the handle ultimately wants; with lazy_lanes only lane 0 is
-  // built at connect and EnsureLaneSetup grows toward this on first use.
+  // Lane count the handle ultimately wants. ConnectAsync builds only lane 0
+  // and EnsureLaneSetup grows toward this on first use; a refused AddLane
+  // clamps it to the lanes the handle has.
   uint32_t target_lanes = 0;
-  // The ConnectRequest has not been sent yet (connect_piggyback): the first
-  // RPC's EnsureLaneSetup flushes it before staging anything.
-  bool handshake_pending = false;
   // An EnsureLaneSetup handshake is in flight; later callers park on
   // setup_cond instead of racing a second handshake.
   bool setup_in_progress = false;
-  // Allocated only when lazy_lanes or connect_piggyback is on — its nullness
-  // is the hot-path gate, so default builds never touch any of this.
+  // Allocated only by ConnectAsync — its nullness is the hot-path gate, so
+  // handles from the setup-phase Connect never touch any of this.
   std::unique_ptr<sim::Condition> setup_cond;
   // Closed by CloseConnection: lanes harvested, detached from client procs.
   bool closed = false;
@@ -503,10 +501,8 @@ struct ClientConnState {
   // in-flight RPCs resolve through the failed lanes and the retry watchdog.
   // Comparing counts rather than flagging open handles at Leave also covers
   // a Leave that lands after the handshake but before the handle is
-  // published (ConnectAsync's bring-up delay, the piggyback's).
-  bool departed() const {
-    return !handshake_pending && client->leaves != leaves_at_handshake;
-  }
+  // published (ConnectAsync's bring-up delay).
+  bool departed() const { return client->leaves != leaves_at_handshake; }
   // Distinct thread ids that have sent on this handle (lazy growth signal).
   std::vector<uint8_t> thread_seen;
   uint32_t threads_seen = 0;
@@ -520,10 +516,6 @@ struct ClientConnState {
   // Identity this handle presents at handshake and stamps into every
   // client→server message header. Fixed at fl_connect time.
   tenant::TenantId tenant_id = tenant::kDefaultTenant;
-  // The handshake was rejected by tenant admission control: the handle is
-  // closed before it ever carried traffic, and StageRpc fails RPCs on it
-  // instead of parking them on a lane that will never get credits.
-  bool admission_rejected = false;
 };
 
 // Server-role state of one node. Handler lookup is a linear scan:
@@ -650,25 +642,22 @@ bool TearDownSenders(NodeEnv& env, ServerState& server, int node);
 
 // Client half of the connect handshake: encodes a ConnectRequest from the
 // already-built lanes in conn.lanes, Calls the server, decodes the accept and
-// wires every lane. Shared by the synchronous Connect, the asynchronous
-// ConnectAsync and the piggybacked flush in EnsureLaneSetup. Returns false on
-// rejection; *server_fresh / *server_recycled report the server-side QP
-// provenance from the accept so the async callers can charge qp_create vs
-// qp_reset setup time. A degraded accept (tenant admission granted fewer
-// lanes than requested) succeeds with the surplus client halves dropped and
-// conn.target_lanes clamped. On rejection, *reject_reason (when non-null)
-// carries the server's RejectReason so callers can tell a tenant admission
-// reject (ctrl::wire::IsAdmissionReject) from a hard failure.
-bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
-                      uint32_t* server_recycled,
-                      ctrl::wire::RejectReason* reject_reason = nullptr);
+// wires every lane. Returns false on rejection, with the server's
+// RejectReason in *reject_reason so the caller can tell a tenant admission
+// reject (ctrl::wire::IsAdmissionReject) from a hard failure. On success,
+// *server_bringup gets the server-side QP bring-up time by provenance
+// (qp_create per fresh QP, qp_reset per recycled shell), which ConnectAsync
+// charges. A degraded accept (tenant admission granted fewer lanes than
+// requested) succeeds with the surplus client halves dropped and
+// conn.target_lanes clamped.
+bool ConnectHandshake(ClientConnState& conn, Nanos* server_bringup,
+                      ctrl::wire::RejectReason* reject_reason);
 
 // First-use hook on the staging path (StageRpc / SubmitMemOp), invoked only
-// when conn.setup_cond is non-null (lazy_lanes or connect_piggyback): flushes
-// a pending piggybacked ConnectRequest, then materializes deferred lanes via
-// the AddLane handshake while more distinct threads use the handle than lanes
-// exist (up to conn.target_lanes). Serialized per connection through
-// setup_in_progress / setup_cond.
+// when conn.setup_cond is non-null (handles from ConnectAsync): materializes
+// deferred lanes via the AddLane handshake while more distinct threads use
+// the handle than lanes exist (up to conn.target_lanes). Serialized per
+// connection through setup_in_progress / setup_cond.
 sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread);
 
 // Client half of connection close: retires every lane and harvests the
@@ -677,6 +666,11 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread);
 // merely retired (their resources are abandoned, as a quarantine would).
 // Marks the connection closed; the caller detaches it from the client procs.
 void CloseClientConn(ClientConnState& conn);
+
+// Simulated round trip of one out-of-band control-plane exchange (the
+// RDMA-CM/TCP side channel, far slower than the data path). The runtime-phase
+// exchanges charge it: ConnectAsync, AddLane and reconnect.
+inline constexpr Nanos kCtrlRtt = 5 * kMicrosecond;
 
 // Delay before the first reconnect attempt for a quarantined lane; doubles
 // per consecutive failure (capped at 256×) while the server keeps rejecting.

@@ -188,53 +188,39 @@ Connection* FlockRuntime::Connect(FlockRuntime& server, uint32_t lanes,
 
 Connection* FlockRuntime::Connect(int server_node, uint32_t lanes,
                                   tenant::TenantId tenant) {
-  // The handshake advertises every lane in one message.
-  lanes = std::min(lanes, ctrl::wire::kMaxLanesPerMsg);
-  FLOCK_CHECK_GT(lanes, 0u);
-
-  auto conn = std::make_unique<Connection>();
-  conn->state_.env = &env_;
-  conn->state_.client = &client_;
-  conn->state_.server_node = server_node;
-  conn->state_.target_lanes = lanes;
-  conn->state_.tenant_id = tenant;
-
-  // Client halves first: QPs, rings, MRs — their coordinates travel in the
-  // connect request. ControlPlane::Call is the out-of-band side channel
-  // (RDMA-CM style): synchronous and event-free, so the data-path trace of a
-  // fault-free run is byte-identical to the old statically-wired setup.
-  ctrl::wire::ClientLaneInfo scratch;
-  for (uint32_t i = 0; i < lanes; ++i) {
-    conn->state_.lanes.push_back(
-        internal::BuildClientLane(env_, conn->state_, i, &scratch));
-  }
-  ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
-  if (!internal::ConnectHandshake(conn->state_, nullptr, nullptr, &reason)) {
-    // Tenant admission control refusing a handle is a legitimate outcome
-    // surfaced as nullptr; any other reject is a hard failure. The unwired
-    // lanes have posted nothing, so closing (which harvests their shells) and
-    // destroying them is safe.
-    FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
-        << "fl_connect: node " << server_node
-        << " rejected the handshake (is StartServer running there?)";
-    conn->state_.admission_rejected = true;
-    internal::CloseClientConn(conn->state_);
-    return nullptr;
-  }
-
-  FinishConnect(conn.get());
-  connections_.push_back(std::move(conn));
-  client_.conns.push_back(&connections_.back()->state_);
-  return connections_.back().get();
+  // Setup phase: every lane up front, and no simulated time. The control
+  // plane is synchronous and event-free, so the data-path trace of a
+  // fault-free run is byte-identical to a statically wired setup.
+  Nanos bringup = 0;
+  return AdmitHandle(OpenHandle(server_node, lanes, lanes, tenant, &bringup),
+                     &bringup);
 }
 
 sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
                                                 uint32_t lanes,
                                                 tenant::TenantId tenant) {
+  // Runtime phase: only lane 0 now; EnsureLaneSetup builds the rest on first
+  // use. The client's QP bring-up and one control-plane round trip come
+  // before the handshake, the server's bring-up after it.
+  Nanos bringup = 0;
+  auto conn = OpenHandle(server_node, lanes, /*eager=*/1, tenant, &bringup);
+  conn->state_.setup_cond = std::make_unique<sim::Condition>(cluster_.sim());
+  co_await sim::Delay(cluster_.sim(), bringup + internal::kCtrlRtt);
+  Connection* handle = AdmitHandle(std::move(conn), &bringup);
+  if (handle != nullptr) {
+    co_await sim::Delay(cluster_.sim(), bringup);
+  }
+  co_return handle;
+}
+
+std::unique_ptr<Connection> FlockRuntime::OpenHandle(int server_node,
+                                                     uint32_t lanes,
+                                                     uint32_t eager,
+                                                     tenant::TenantId tenant,
+                                                     Nanos* bringup) {
+  // The handshake advertises every lane in one message.
   lanes = std::min(lanes, ctrl::wire::kMaxLanesPerMsg);
   FLOCK_CHECK_GT(lanes, 0u);
-  const sim::CostModel& cost = cluster_.cost();
-
   auto conn = std::make_unique<Connection>();
   internal::ClientConnState& st = conn->state_;
   st.env = &env_;
@@ -242,52 +228,47 @@ sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
   st.server_node = server_node;
   st.target_lanes = lanes;
   st.tenant_id = tenant;
-  if (config_.lazy_lanes || config_.connect_piggyback) {
-    st.setup_cond = std::make_unique<sim::Condition>(cluster_.sim());
-  }
 
-  // Eager lane set: the full request (classic) or just lane 0 (lazy_lanes) —
-  // the rest materialize on first use via EnsureLaneSetup. Unlike the
-  // setup-phase Connect, the bring-up costs simulated time, charged by
-  // provenance: a pooled shell is a cheap ResetQp transition, a fresh QP is
-  // the full create.
-  const uint32_t eager = config_.lazy_lanes ? 1 : lanes;
-  ctrl::wire::ClientLaneInfo scratch;
+  // Client halves first: QPs, rings, MRs — their coordinates travel in the
+  // connect request. Bring-up is priced by provenance: a pooled shell is a
+  // cheap ResetQp transition, a fresh QP the full create.
   const uint64_t created_before = client_.stats.qps_created;
   const uint64_t recycled_before = client_.stats.qps_recycled;
-  for (uint32_t i = 0; i < eager; ++i) {
+  ctrl::wire::ClientLaneInfo scratch;
+  for (uint32_t i = 0; i < std::min(eager, lanes); ++i) {
     st.lanes.push_back(internal::BuildClientLane(env_, st, i, &scratch));
   }
-  co_await sim::Delay(
-      cluster_.sim(),
-      (client_.stats.qps_created - created_before) * cost.qp_create +
-          (client_.stats.qps_recycled - recycled_before) * cost.qp_reset);
+  *bringup =
+      (client_.stats.qps_created - created_before) * cluster_.cost().qp_create +
+      (client_.stats.qps_recycled - recycled_before) * cluster_.cost().qp_reset;
+  return conn;
+}
 
-  if (config_.connect_piggyback) {
-    // No out-of-band exchange now: the ConnectRequest rides with the first
-    // RPC (EnsureLaneSetup flushes it), so connect returns immediately.
-    st.handshake_pending = true;
-  } else {
-    co_await sim::Delay(cluster_.sim(), config_.ctrl_rtt);
-    uint32_t fresh = 0;
-    uint32_t recycled = 0;
-    ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
-    if (!internal::ConnectHandshake(st, &fresh, &recycled, &reason)) {
-      FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
-          << "fl_connect_async: node " << server_node
-          << " rejected the handshake (is StartServer running there?)";
-      st.admission_rejected = true;
-      internal::CloseClientConn(st);
-      co_return nullptr;
-    }
-    co_await sim::Delay(cluster_.sim(),
-                        fresh * cost.qp_create + recycled * cost.qp_reset);
+Connection* FlockRuntime::AdmitHandle(std::unique_ptr<Connection> conn,
+                                      Nanos* bringup) {
+  internal::ClientConnState& st = conn->state_;
+  ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
+  if (!internal::ConnectHandshake(st, bringup, &reason)) {
+    // Tenant admission control refusing a handle is a legitimate outcome
+    // surfaced as nullptr; any other reject is a hard failure. The unwired
+    // lanes have posted nothing, so closing (which harvests their shells) and
+    // destroying them is safe.
+    FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
+        << "fl_connect: node " << st.server_node
+        << " rejected the handshake (is StartServer running there?)";
+    internal::CloseClientConn(st);
+    return nullptr;
   }
-
-  FinishConnect(conn.get());
+  if (config_.lane_reconnect) {
+    FLOCK_CHECK(config_.rpc_timeout > 0)
+        << "lane_reconnect requires rpc_timeout: in-flight RPCs on a dead QP "
+           "recover only through the retry watchdog";
+    st.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
+    cluster_.sim().Spawn(internal::ReconnectDaemon(st), node_);
+  }
   connections_.push_back(std::move(conn));
   client_.conns.push_back(&connections_.back()->state_);
-  co_return connections_.back().get();
+  return connections_.back().get();
 }
 
 void FlockRuntime::CloseConnection(Connection* conn) {
@@ -297,11 +278,10 @@ void FlockRuntime::CloseConnection(Connection* conn) {
   }
   // Orderly disconnect (DESIGN.md §15): tell the server so its sender slot
   // and the tenant's admission accounting are reclaimed now, not whenever
-  // dead-sender detection happens to notice the departed QPs.
-  // Never-handshaken handles (pending piggyback, admission rejects) hold no
-  // server-side state to release, and a departed handle's sender was torn
-  // down at Leave — its conn_id may now name a newer handle's sender.
-  if (!st.handshake_pending && !st.admission_rejected && !st.departed()) {
+  // dead-sender detection happens to notice the departed QPs. A departed
+  // handle's sender was torn down at Leave — its conn_id may now name a newer
+  // handle's sender.
+  if (!st.departed()) {
     ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster_);
     ctrl::wire::DisconnectRequest req;
     req.client_node = node_;
@@ -325,16 +305,6 @@ void FlockRuntime::CloseConnection(Connection* conn) {
                           static_cast<std::ptrdiff_t>(i));
       break;
     }
-  }
-}
-
-void FlockRuntime::FinishConnect(Connection* conn) {
-  if (config_.lane_reconnect) {
-    FLOCK_CHECK(config_.rpc_timeout > 0)
-        << "lane_reconnect requires rpc_timeout: in-flight RPCs on a dead QP "
-           "recover only through the retry watchdog";
-    conn->state_.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
-    cluster_.sim().Spawn(internal::ReconnectDaemon(conn->state_), node_);
   }
 }
 

@@ -118,9 +118,6 @@ class Connection {
   int server_node() const { return state_.server_node; }
   // Tenant identity this handle presented at fl_connect (DESIGN.md §15).
   tenant::TenantId tenant_id() const { return state_.tenant_id; }
-  // The deferred (piggybacked) handshake was refused by tenant admission
-  // control: the handle is closed and every RPC on it fails fast.
-  bool admission_rejected() const { return state_.admission_rejected; }
   // True once CloseConnection ran; a closed handle must not be used again.
   bool closed() const { return state_.closed; }
   uint32_t num_lanes() const { return static_cast<uint32_t>(state_.lanes.size()); }
@@ -175,28 +172,28 @@ class FlockRuntime : public ctrl::Endpoint {
   void StartServer(int dispatcher_cores);
 
   // ---- client role ----
-  // fl_connect: builds the connection handle through the control-plane
-  // connect/accept handshake (QPs, rings, MR rkey exchange, credit
-  // bootstrap). The overload taking a runtime is the common case; the
-  // node-id form is what the handshake actually needs and exists for callers
-  // that only know the server's node. `tenant` is the identity the handle
-  // presents (DESIGN.md §15): the default tenant is always admitted; a
-  // registered tenant may be refused by admission control (unknown tenant,
-  // connection or lane ceiling), in which case Connect returns nullptr. Any
-  // other reject (e.g. no StartServer on that node) is a hard failure.
+  // fl_connect, setup phase: builds the connection handle with all `lanes`
+  // through the control-plane connect/accept handshake (QPs, rings, MR rkey
+  // exchange, credit bootstrap), in zero simulated time. The overload taking
+  // a runtime is the common case; the node-id form is what the handshake
+  // actually needs and exists for callers that only know the server's node.
+  // `tenant` is the identity the handle presents (DESIGN.md §15): the
+  // default tenant is always admitted; a registered tenant may be refused by
+  // admission control (unknown tenant, connection or lane ceiling), in which
+  // case Connect returns nullptr. Any other reject (e.g. no StartServer on
+  // that node) is a hard failure.
   Connection* Connect(FlockRuntime& server, uint32_t lanes,
                       tenant::TenantId tenant = tenant::kDefaultTenant);
   Connection* Connect(int server_node, uint32_t lanes,
                       tenant::TenantId tenant = tenant::kDefaultTenant);
-  // Runtime-phase connect (DESIGN.md §13): unlike the setup-phase Connect,
-  // this charges simulated time for the QP bring-up (CostModel::qp_create /
-  // qp_reset by provenance) and one ctrl_rtt for the handshake, and it honors
-  // the connection-storm flags — lazy_lanes (build only lane 0 now, the rest
-  // on first use) and connect_piggyback (defer the handshake to the first
-  // RPC, saving the RTT on the time-to-first-RPC path). A tenant admission
-  // reject co_returns nullptr, like Connect — except under connect_piggyback,
-  // where the handle is returned immediately and a later reject closes it
-  // (admission_rejected), failing its RPCs instead.
+  // fl_connect, runtime phase (DESIGN.md §13): the same handshake, but only
+  // lane 0 is built now; each further distinct thread that uses the handle
+  // adds a lane through the AddLane handshake, up to `lanes`. Unlike the
+  // setup-phase Connect, this charges simulated time for the QP bring-up on
+  // both sides (CostModel::qp_create / qp_reset by provenance) and one
+  // internal::kCtrlRtt for the handshake. A tenant admission reject
+  // co_returns nullptr, like Connect; a refused AddLane leaves the handle
+  // serving on the lanes it has.
   sim::Co<Connection*> ConnectAsync(
       int server_node, uint32_t lanes,
       tenant::TenantId tenant = tenant::kDefaultTenant);
@@ -245,9 +242,16 @@ class FlockRuntime : public ctrl::Endpoint {
  private:
   friend class Connection;
 
-  // Spawns the reconnect daemon (under lane_reconnect); shared tail of
-  // Connect and ConnectAsync.
-  void FinishConnect(Connection* conn);
+  // The connect body shared by Connect and ConnectAsync. OpenHandle creates
+  // the handle and builds its first `eager` client halves; *bringup gets
+  // their QP bring-up time. AdmitHandle runs the handshake: an admission
+  // reject closes the handle and returns nullptr, any other reject aborts.
+  // An accepted handle gets its reconnect daemon (under lane_reconnect) and
+  // is published; *bringup gets the server's QP bring-up time.
+  std::unique_ptr<Connection> OpenHandle(int server_node, uint32_t lanes,
+                                         uint32_t eager, tenant::TenantId tenant,
+                                         Nanos* bringup);
+  Connection* AdmitHandle(std::unique_ptr<Connection> conn, Nanos* bringup);
 
   verbs::Cluster& cluster_;
   const int node_;

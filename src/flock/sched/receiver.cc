@@ -153,15 +153,16 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
           continue;
         }
         auto* lane = WrIdPtr<ServerLane>(wc.wr_id);
+        if (lane->qp == nullptr) {
+          // A graveyard lane (qp harvested into the recycling pool) is past
+          // caring: quarantining it on a flush would book a spurious lane
+          // failure for a teardown that already completed, and a renewal
+          // that landed before the teardown has no QP to re-post on.
+          continue;
+        }
         if (wc.status != verbs::WcStatus::kSuccess) {
           // Flushed. A flush of the lane's *current* QP condemns it; a stale
-          // flush from a QP that a reconnect already replaced does not. A
-          // graveyard lane (qp harvested into the recycling pool) is past
-          // caring either way — quarantining it would book a spurious lane
-          // failure for a teardown that already completed.
-          if (lane->qp == nullptr) {
-            continue;
-          }
+          // flush from a QP that a reconnect already replaced does not.
           if (wc.qpn == 0 || wc.qpn == lane->qp->qpn()) {
             QuarantineServerLane(*lane, server.stats);
           }

@@ -1,7 +1,7 @@
 // Connection control plane tests (DESIGN.md §10): connect/accept handshake,
 // QP re-establishment after a kill, membership leave/rejoin with AQP
-// repartitioning, stale handles left by a rejoin, and same-seed
-// determinism.
+// repartitioning, stale handles left by a rejoin, lazy lane growth on
+// ConnectAsync handles, and same-seed determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,8 +75,9 @@ sim::Proc EchoLoop(Connection* conn, FlockThread* thread, int count,
 }
 
 sim::Proc ConnectAsyncInto(FlockRuntime* client, int server_node,
-                           uint32_t lanes, Connection** out) {
-  *out = co_await client->ConnectAsync(server_node, lanes);
+                           uint32_t lanes, Connection** out,
+                           tenant::TenantId tenant = tenant::kDefaultTenant) {
+  *out = co_await client->ConnectAsync(server_node, lanes, tenant);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,10 +342,71 @@ TEST(CtrlTest, StaleCloseOfTenantHandleLeavesNewHandleIntact) {
   EXPECT_EQ(fresh->num_failed_lanes(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Lazy lane bring-up: ConnectAsync builds lane 0, first use grows the rest
+// ---------------------------------------------------------------------------
+
+TEST(CtrlTest, AsyncHandleGrowsOneLanePerThread) {
+  CtrlWorld world;
+  FlockRuntime* client = world.clients[0].get();
+  Connection* conn = nullptr;
+  world.cluster.sim().Spawn(ConnectAsyncInto(client, 0, 4, &conn));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  ASSERT_NE(conn, nullptr);
+  ASSERT_EQ(conn->num_lanes(), 1u) << "ConnectAsync builds only lane 0";
+
+  int ok = 0, fail = 0;
+  for (int t = 0; t < 3; ++t) {
+    world.cluster.sim().Spawn(
+        EchoLoop(conn, client->CreateThread(t), 200, &ok, &fail));
+  }
+  world.cluster.sim().RunFor(100 * kMillisecond);
+
+  EXPECT_EQ(conn->num_lanes(), 3u) << "one lane per distinct thread";
+  EXPECT_EQ(client->client_stats().lanes_added, 2u);
+  EXPECT_EQ(world.server->server_stats().lanes_added, 2u);
+  EXPECT_EQ(world.server->ServerLiveLanes(), 3u);
+  EXPECT_EQ(ok, 3 * 200);
+  EXPECT_EQ(fail, 0);
+  EXPECT_EQ(conn->num_failed_lanes(), 0u);
+}
+
+TEST(CtrlTest, AsyncHandleAtTenantLaneCeilingKeepsServing) {
+  constexpr tenant::TenantId kTenant = 1;
+  CtrlWorld world;
+  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
+  tenant::TenantPolicy two_lanes;
+  two_lanes.max_lanes = 2;
+  cp.RegisterTenant(kTenant, two_lanes);
+  FlockRuntime* client = world.clients[0].get();
+  Connection* conn = nullptr;
+  world.cluster.sim().Spawn(ConnectAsyncInto(client, 0, 4, &conn, kTenant));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  ASSERT_NE(conn, nullptr);
+
+  // Four threads want four lanes; the second AddLane hits the ceiling
+  // (kTenantOverLanes). The handle stops asking and keeps serving on two.
+  int ok = 0, fail = 0, issued = 0;
+  for (int t = 0; t < 4; ++t) {
+    world.cluster.sim().Spawn(EchoLoop(conn, client->CreateThread(t), 200, &ok,
+                                       &fail, nullptr, &issued));
+  }
+  world.cluster.sim().RunFor(100 * kMillisecond);
+
+  EXPECT_EQ(conn->num_lanes(), 2u);
+  EXPECT_EQ(world.server->server_stats().lanes_added, 1u);
+  EXPECT_EQ(cp.tenants().CountersFor(kTenant)->admission_rejects, 1u)
+      << "a refused handle must not keep asking for lanes";
+  EXPECT_EQ(cp.tenants().LiveLanes(kTenant), 2u);
+  EXPECT_EQ(client->ClientLanePool(), 1u)
+      << "the refused lane's client half goes back to the pool";
+  EXPECT_EQ(issued, 4 * 200);
+  EXPECT_EQ(ok, 4 * 200) << "a call hung or failed at the lane ceiling";
+  EXPECT_EQ(fail, 0);
+}
+
 TEST(CtrlTest, StaleLazyHandleCannotGrowIntoNewHandle) {
-  FlockConfig client_cfg = CtrlWorld::DefaultClientConfig();
-  client_cfg.lazy_lanes = true;
-  CtrlWorld world(/*nodes=*/2, FlockConfig{}, client_cfg);
+  CtrlWorld world;
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
   FlockRuntime* client = world.clients[0].get();
   Connection* old_conn = nullptr;
@@ -455,6 +517,68 @@ KillRunResult RunKillScenario() {
   r.server_reconnects = world.server->server_stats().lane_reconnects;
   r.states = conn->CountLaneStates();
   return r;
+}
+
+
+sim::Proc HoldCore(sim::Core* core, Nanos duration) {
+  co_await core->Work(duration);
+}
+
+sim::Proc CallThenClose(FlockRuntime* client, Connection* conn,
+                        FlockThread* thread, int* ok, bool* closed) {
+  std::vector<uint8_t> resp;
+  uint64_t payload = 7;
+  if (co_await conn->Call(*thread, kEchoRpc,
+                          reinterpret_cast<const uint8_t*>(&payload), 8,
+                          &resp)) {
+    *ok += 1;
+  }
+  // Step off the dispatcher's resume stack so the close harvests the lane.
+  co_await sim::Delay(client->sim(), 1 * kMicrosecond);
+  client->CloseConnection(conn);
+  *closed = true;
+}
+
+TEST(CtrlTest, RenewalQueuedForHarvestedLaneIsDropped) {
+  // Two credits: the first request already carries a credit renewal.
+  FlockConfig cfg;
+  cfg.credits = 2;
+  CtrlWorld world(/*nodes=*/2, cfg, cfg);
+  FlockRuntime* client = world.clients[0].get();
+  Connection* conn = client->Connect(*world.server, 1);
+  ASSERT_NE(conn, nullptr);
+
+  // Hold the server's core 0, where the receiver scheduler polls renewals,
+  // while the call completes and the close harvests the server lane: the
+  // renewal's CQE is still queued when its lane loses its QP.
+  world.cluster.sim().Spawn(
+      HoldCore(&world.cluster.cpu(0).core(0), 100 * kMicrosecond));
+  int ok = 0;
+  bool closed = false;
+  world.cluster.sim().Spawn(
+      CallThenClose(client, conn, client->CreateThread(0), &ok, &closed));
+  world.cluster.sim().RunFor(50 * kMicrosecond);
+  ASSERT_TRUE(closed);
+  ASSERT_EQ(ok, 1);
+  ASSERT_EQ(world.server->ServerLiveLanes(), 0u) << "the lane was not harvested";
+  ASSERT_EQ(world.server->server_stats().credit_renewals, 0u)
+      << "the renewal was polled before the harvest";
+
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  EXPECT_EQ(world.server->server_stats().credit_renewals, 0u);
+  EXPECT_EQ(world.server->server_stats().lane_failures, 1u)
+      << "only the teardown's own quarantine";
+
+  // The harvested shell serves the next handle.
+  Connection* next = client->Connect(*world.server, 1);
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(world.server->server_stats().qps_recycled, 1u);
+  int next_ok = 0, next_fail = 0;
+  world.cluster.sim().Spawn(
+      EchoLoop(next, client->CreateThread(1), 100, &next_ok, &next_fail));
+  world.cluster.sim().RunFor(50 * kMillisecond);
+  EXPECT_EQ(next_ok, 100);
+  EXPECT_EQ(next_fail, 0);
 }
 
 TEST(CtrlTest, ReconnectScenarioIsDeterministic) {
@@ -747,10 +871,7 @@ ChurnResult RunChurn(int cycles) {
   FlockRuntime server(cluster, 0, FlockConfig{});
   server.RegisterHandler(kEchoRpc, EchoHandler);
   server.StartServer(2);
-  FlockConfig client_cfg;
-  client_cfg.lazy_lanes = true;
-  client_cfg.connect_piggyback = true;
-  FlockRuntime client(cluster, 1, client_cfg);
+  FlockRuntime client(cluster, 1, FlockConfig{});
   client.StartClient();
   FlockThread* thread = client.CreateThread(2);
 
