@@ -249,6 +249,9 @@ struct KernelCounters {
   uint64_t resumes = 0;
   uint64_t direct_resumes = 0;
   uint64_t coalesced_wakes = 0;
+  // Idle passes parked pollers skipped (DESIGN.md §7): events +
+  // elided_passes is how much polling the run modelled.
+  uint64_t elided_passes = 0;
 
   template <typename SimT>
   static KernelCounters Capture(const SimT& sim) {
@@ -257,6 +260,7 @@ struct KernelCounters {
     c.resumes = sim.resumes();
     c.direct_resumes = sim.direct_resumes();
     c.coalesced_wakes = sim.coalesced_wakes();
+    c.elided_passes = sim.elided_passes();
     return c;
   }
 
@@ -266,6 +270,7 @@ struct KernelCounters {
     d.resumes = resumes - before.resumes;
     d.direct_resumes = direct_resumes - before.direct_resumes;
     d.coalesced_wakes = coalesced_wakes - before.coalesced_wakes;
+    d.elided_passes = elided_passes - before.elided_passes;
     return d;
   }
 };

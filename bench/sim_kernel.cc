@@ -12,14 +12,21 @@
 //   * calendar_churn — events spread across the 4096-bucket calendar horizon
 //     plus an overflow-heap tail: bucket insert, occupancy scan, refill, and
 //     heap merge costs.
+//   * idle_pollers — busy-polling procs that almost never find work, written
+//     with Core::Idle (empty passes park and cost no events, DESIGN.md §7),
+//     against the same pollers written with Core::Work (idle_pollers_work);
+//     the two must leave the same fingerprint.
 //
 // Usage:
 //   sim_kernel [--iters=2000000] [--repeats=3] [--shards=8] [--workers=0]
 //              [--hop-nodes=16] [--json=<path>]
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/rand.h"
+#include "src/sim/cpu.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 
@@ -124,6 +131,76 @@ KernelResult RunCalendarChurn(uint64_t iters, int procs) {
   return r;
 }
 
+// ---- idle pollers ----
+
+// 13 pollers on 9 nodes (periods 22, 35 and 70 ns) and one producer per node
+// that leaves a unit of work every few microseconds: nearly every pass finds
+// nothing. The fingerprint folds every pass that found work (time, node,
+// poller) and every core's busy time, in node order.
+constexpr int kPollNodes = 9;
+constexpr int kPollers = 13;
+
+struct PollNode {
+  explicit PollNode(sim::Simulator& sim) : cpu(sim, 2) {}
+  sim::Cpu cpu;
+  int pending = 0;
+  TraceHash found;
+};
+
+sim::Proc IdlePoller(sim::Simulator& sim, PollNode& node, int id, int core,
+                     Nanos period, bool idle) {
+  for (;;) {
+    if (node.pending > 0) {
+      --node.pending;
+      node.found.Mix(static_cast<uint64_t>(sim.Now())).Mix(static_cast<uint64_t>(id));
+      co_await node.cpu.core(core).Work(2 * period);
+    } else if (idle) {
+      co_await node.cpu.core(core).Idle(period);
+    } else {
+      co_await node.cpu.core(core).Work(period);
+    }
+  }
+}
+
+sim::Proc SparseProducer(sim::Simulator& sim, PollNode& node, uint64_t seed) {
+  Rng rng(seed);
+  for (;;) {
+    co_await sim::Delay(sim, static_cast<Nanos>(rng.NextInRange(2000, 8000)));
+    ++node.pending;
+  }
+}
+
+KernelResult RunIdlePollers(Nanos span, bool idle, uint64_t* fingerprint) {
+  static constexpr Nanos kPeriods[] = {22, 35, 70};
+  sim::Simulator sim;
+  std::vector<std::unique_ptr<PollNode>> nodes;
+  for (int n = 0; n < kPollNodes; ++n) {
+    nodes.push_back(std::make_unique<PollNode>(sim));
+    sim.Spawn(SparseProducer(sim, *nodes.back(), 7 + static_cast<uint64_t>(n)), n);
+  }
+  for (int p = 0; p < kPollers; ++p) {
+    const int n = p % kPollNodes;  // nodes 0-3 get two pollers
+    sim.Spawn(IdlePoller(sim, *nodes[static_cast<size_t>(n)], p, p / kPollNodes,
+                         kPeriods[p % 3], idle),
+              n);
+  }
+  const WallTimer timer;
+  sim.RunUntil(span);
+  KernelResult r;
+  r.wall_s = timer.Seconds();
+  r.kernel = KernelCounters::Capture(sim);
+  r.events_per_s = static_cast<double>(r.kernel.events) / r.wall_s;
+  TraceHash hash;
+  for (const auto& node : nodes) {
+    hash.Mix(node->found.value());
+    for (int c = 0; c < node->cpu.num_cores(); ++c) {
+      hash.Mix(static_cast<uint64_t>(node->cpu.core(c).busy_time()));
+    }
+  }
+  *fingerprint = hash.value();
+  return r;
+}
+
 // ---- cross-shard hop grid (sharded-kernel scaling sweep) ----
 
 // A ring of nodes, several procs per node, each alternating same-node delays
@@ -177,11 +254,12 @@ KernelResult RunHopGrid(int nodes, int shards, int workers, uint64_t rounds) {
 void Report(JsonDump& json, const char* name, const KernelResult& best,
             const char* rate_unit) {
   std::printf("%-18s %14.0f %s  (%lu events, %lu resumes, %lu coalesced, "
-              "%.1f ms)\n",
+              "%lu elided, %.1f ms)\n",
               name, best.events_per_s, rate_unit,
               static_cast<unsigned long>(best.kernel.events),
               static_cast<unsigned long>(best.kernel.resumes),
               static_cast<unsigned long>(best.kernel.coalesced_wakes),
+              static_cast<unsigned long>(best.kernel.elided_passes),
               best.wall_s * 1e3);
   json.Row({{"case", name},
             {"rate", best.events_per_s},
@@ -189,6 +267,7 @@ void Report(JsonDump& json, const char* name, const KernelResult& best,
             {"events", best.kernel.events},
             {"resumes", best.kernel.resumes},
             {"coalesced_wakes", best.kernel.coalesced_wakes},
+            {"elided_passes", best.kernel.elided_passes},
             {"wall_s", best.wall_s}});
 }
 
@@ -216,6 +295,21 @@ int Main(int argc, char** argv) {
          "wakes/s");
   Report(json, "calendar_churn", BestOf(repeats, [&] { return RunCalendarChurn(iters / 8, 8); }, kRate),
          "events/s");
+
+  // Parity: parking must not change what the pollers found or their cores'
+  // busy time. Best-of picks by rate; every repeat has the same fingerprint.
+  const Nanos poll_span = static_cast<Nanos>(iters) * 10;
+  uint64_t work_print = 0;
+  uint64_t idle_print = 0;
+  const auto kWall = [](const KernelResult& r) { return -r.wall_s; };
+  Report(json, "idle_pollers_work",
+         BestOf(repeats, [&] { return RunIdlePollers(poll_span, false, &work_print); }, kWall),
+         "events/s");
+  Report(json, "idle_pollers",
+         BestOf(repeats, [&] { return RunIdlePollers(poll_span, true, &idle_print); }, kWall),
+         "events/s");
+  FLOCK_CHECK_EQ(idle_print, work_print)
+      << "idle_pollers: parked passes changed the simulation";
 
   // Shard-scaling sweep: the same hop grid on 1..--shards shards. The event
   // count is asserted shard-invariant; the per-shard rates land in the JSON

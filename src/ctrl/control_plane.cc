@@ -103,6 +103,8 @@ uint32_t ControlPlane::Call(int to_node, const uint8_t* msg, uint32_t len,
     stats_.rejected_no_endpoint += 1;
     return 0;
   }
+  // The endpoint mutates `to_node` from the caller's event (DESIGN.md §7).
+  cluster_.sim().TouchNode(to_node);
   return eps.front()->OnCtrlMessage(msg, len, resp, resp_cap);
 }
 

@@ -46,8 +46,8 @@ class MemorySpace {
       base = (ChunkIndex(base) + 1) * kChunkBytes;  // start of next chunk
     }
     while (ChunkIndex(base + (size > 0 ? size - 1 : 0)) >= chunks_.size()) {
+      // make_unique<T[]> value-initializes: the chunk arrives zeroed.
       chunks_.push_back(std::make_unique<uint8_t[]>(kChunkBytes));
-      std::memset(chunks_.back().get(), 0, kChunkBytes);
     }
     next_ = base + size;
     high_water_ = next_ > high_water_ ? next_ : high_water_;

@@ -20,6 +20,7 @@ sim::Proc RequestDispatcher(NodeEnv& env, ServerState& server, int index) {
 
   for (;;) {
     Nanos pass_cost = 0;
+    bool found = false;
     for (size_t li = 0;
          li < server.dispatcher_lanes[static_cast<size_t>(index)].size(); ++li) {
       ServerLane& lane = *server.dispatcher_lanes[static_cast<size_t>(index)][li];
@@ -30,6 +31,7 @@ sim::Proc RequestDispatcher(NodeEnv& env, ServerState& server, int index) {
       wire::MsgHeader header;
       const wire::ProbeResult probe = lane.req_consumer->Probe(&header);
       if (probe == wire::ProbeResult::kMessage) {
+        found = true;
         if (config.server_workers > 0) {
           // Worker-pool mode: route the lane to the pool (small routing cost)
           // and let a worker gather + execute + respond.
@@ -49,7 +51,8 @@ sim::Proc RequestDispatcher(NodeEnv& env, ServerState& server, int index) {
         lane.in_service = false;
       }
     }
-    co_await core.Work(pass_cost > 0 ? pass_cost : cost.cpu_ring_poll_empty);
+    co_await EndPass(env, core,
+                     pass_cost > 0 ? pass_cost : cost.cpu_ring_poll_empty, found);
   }
 }
 
@@ -411,10 +414,12 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
   verbs::Completion wcs[kCqPollBatch];
   for (;;) {
     Nanos pass_cost = cost.cpu_cq_poll_empty;
+    bool found = false;
     // Vectorized send-CQ drain (selective signaling keeps this sparse, but
     // error bursts — a flushed QP — arrive as whole batches).
     for (size_t nc;
          (nc = env.transport->PollBatch(*env.send_cq, wcs, kCqPollBatch)) > 0;) {
+      found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
         pass_cost += cost.cpu_cqe_handle;
@@ -456,10 +461,11 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
         wire::MsgHeader header;
         if (sweep == 0) {
           pass_cost += cost.cpu_ring_poll_empty;
-          ApplyCtrlSlot(env, lane);  // grants / activation from the server
+          found |= ApplyCtrlSlot(env, lane);  // grants / activation from the server
           if (lane.resp_consumer->Probe(&header) != wire::ProbeResult::kMessage) {
             continue;
           }
+          found = true;
           if (sweeps == 2 && (header.flags & wire::kFlagSegment) != 0) {
             continue;  // defer chunk reassembly to sweep 1
           }
@@ -610,7 +616,8 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
       }
       }
     }
-    co_await core.Work(pass_cost > 0 ? pass_cost : cost.cpu_cq_poll_empty);
+    co_await EndPass(env, core,
+                     pass_cost > 0 ? pass_cost : cost.cpu_cq_poll_empty, found);
   }
 }
 

@@ -686,6 +686,9 @@ bool TearDownSenders(NodeEnv& env, ServerState& server, int node) {
     if (sender.client_node != node || sender.dead) {
       continue;
     }
+    // A membership listener: runs in the event that called Leave, which
+    // belongs to another node.
+    env.sim().TouchNode(env.node);
     TearDownOneSender(env, server, sender);
     touched = true;
   }
@@ -1019,6 +1022,9 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     if (conn.closed) {
       break;  // closed under the handshake: the wired lane is abandoned
     }
+    // Runs in the calling thread's event, which may belong to another node:
+    // the response dispatchers are about to see one more lane.
+    env.sim().TouchNode(env.node);
     WireClientLane(env, *lane, conn.server_node, accept.lane,
                    /*grant_cumulative=*/0);
     conn.lanes.push_back(std::move(lane));

@@ -130,6 +130,7 @@ void FlockRuntime::StartServer(int dispatcher_cores) {
   batch_end_listener_id_ = cp.AddBatchEndListener([this]() {
     if (redistribute_pending_) {
       redistribute_pending_ = false;
+      cluster_.sim().TouchNode(node_);
       receiver_.Redistribute(env_, server_);
     }
   });
@@ -267,6 +268,9 @@ Connection* FlockRuntime::AdmitHandle(std::unique_ptr<Connection> conn,
     cluster_.sim().Spawn(internal::ReconnectDaemon(st), node_);
   }
   connections_.push_back(std::move(conn));
+  // The caller's event may belong to another node: the response dispatchers
+  // of this one are about to see a new connection (DESIGN.md §7).
+  cluster_.sim().TouchNode(node_);
   client_.conns.push_back(&connections_.back()->state_);
   return connections_.back().get();
 }
@@ -295,6 +299,7 @@ void FlockRuntime::CloseConnection(Connection* conn) {
     // to the dead-sender path, which TearDownOneSender guards for.
     cp.Call(st.server_node, msg, msg_len, resp, sizeof(resp));
   }
+  cluster_.sim().TouchNode(node_);  // see AdmitHandle
   internal::CloseClientConn(st);
   // Detach from the client procs' iteration set. The handle itself stays in
   // connections_: stale CQEs and parked coroutines may still hold pointers

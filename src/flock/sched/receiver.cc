@@ -58,9 +58,9 @@ void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
   lane.renew_in_flight = true;
 }
 
-void ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
+bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
   if (lane.failed || lane.retired) {
-    return;  // quarantined/retired: stale grants must not resurrect it
+    return false;  // quarantined/retired: stale grants must not resurrect it
   }
   // Polled every dispatcher pass: read through the cached pointer rather than
   // the bounds-checked chunked MemorySpace path.
@@ -104,6 +104,7 @@ void ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
   // renewal; cumulative grants make duplicates harmless.
   if (env.cluster->fault().armed()) {
     if (lane.active && lane.credits == 0 && lane.combine_head != nullptr) {
+      changed = true;  // the starved-pass count moves
       if (++lane.starved_passes >= 256) {
         lane.starved_passes = 0;
         verbs::SendWr wr;
@@ -121,9 +122,11 @@ void ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
         }
       }
     } else {
+      changed |= lane.starved_passes != 0;
       lane.starved_passes = 0;
     }
   }
+  return changed;
 }
 
 sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
@@ -139,11 +142,13 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
   verbs::Completion wcs[kCqPollBatch];
   for (;;) {
     Nanos work = 2 * cost.cpu_cq_poll_empty;
+    bool found = false;
     // Credit-renew requests arrive as write-with-imm completions on the RCQ
     // (§7: polling the RCQ avoids synchronizing with the request dispatchers).
     // Vectorized drain: one poll call pulls a whole batch of CQEs.
     for (size_t nc;
          (nc = env.transport->PollBatch(*env.recv_cq, wcs, kCqPollBatch)) > 0;) {
+      found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
         work += cost.cpu_cqe_handle + cost.cpu_post_recv;
@@ -199,6 +204,7 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
     // Our own posted writes (signaled responses, control messages).
     for (size_t nc;
          (nc = env.transport->PollBatch(*env.send_cq, wcs, kCqPollBatch)) > 0;) {
+      found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
         work += cost.cpu_cqe_handle;
@@ -225,8 +231,9 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
       }
       next_redistribution = env.sim().Now() + kQpSchedInterval;
       work += static_cast<Nanos>(server.lanes.size()) * 20;
+      found = true;
     }
-    co_await core.Work(work);
+    co_await EndPass(env, core, work, found, next_redistribution);
   }
 }
 

@@ -35,7 +35,18 @@ void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
 
 // Applies the server-written control slot to the client lane: new grants,
 // activation flips, and (armed runs only) starved-lane renewal recovery.
-void ApplyCtrlSlot(NodeEnv& env, ClientLane& lane);
+// Returns whether it changed anything (a dispatcher pass that changed
+// nothing may park, DESIGN.md §7).
+bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane);
+
+// Ends a busy-poll pass of `cost`: a pass that found nothing parks
+// (Core::Idle, DESIGN.md §7) unless faults are armed, when ApplyCtrlSlot
+// counts starved passes and every pass must run as Work.
+inline sim::FifoServer::IdleAwaiter EndPass(NodeEnv& env, sim::Core& core,
+                                            Nanos cost, bool found,
+                                            Nanos wake_at = -1) {
+  return core.Idle(cost, wake_at, !found && !env.cluster->fault().armed());
+}
 
 // The receiver scheduler proc and its periodic redistribution sweep. The
 // scratch vector persists across sweeps to keep the hot path allocation-free.

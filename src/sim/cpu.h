@@ -33,6 +33,16 @@ class Core {
   // Occupies the core for `duration`; FIFO among threads sharing the core.
   FifoServer::Awaiter Work(Nanos duration) { return server_.Serve(duration); }
 
+  // A polling pass that found nothing and changed nothing: costs `duration`
+  // like Work, but parks the poller until its node can change or its pass
+  // boundary at or after `wake_at` comes up (FifoServer::ServeIdle). With
+  // `park` false it is exactly Work(duration), so a poller ends every pass
+  // at one suspend point.
+  FifoServer::IdleAwaiter Idle(Nanos duration, Nanos wake_at = -1,
+                               bool park = true) {
+    return server_.ServeIdle(duration, wake_at, park);
+  }
+
   Nanos busy_time() const { return server_.busy_time(); }
 
  private:

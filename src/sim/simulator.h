@@ -59,6 +59,18 @@
 // through their promises (one list per shard). Shutdown() (also run by the
 // destructor) destroys every still-suspended process frame, so a bench can
 // simply stop simulating mid-workload without draining in-flight operations.
+//
+// ---- Idle-pass parking (DESIGN.md §7) ----
+//
+// A busy-polling proc whose pass found nothing awaits Core::Idle instead of
+// Core::Work. Its passes then stop being events: the shard records the
+// poller as *parked* (IdlePark) and its passes continue virtually at
+// parked_at + k * period. Before anything could change what a pass of the
+// node sees, the node's parked pollers are re-queued at their next pass
+// boundary, in the order the unparked kernel would have queued them, with
+// the skipped passes charged to the core (DESIGN.md §7 lists the triggers;
+// enum Unpark the positions). Every decision is node-local, so event counts
+// stay shard-invariant.
 #ifndef FLOCK_SIM_SIMULATOR_H_
 #define FLOCK_SIM_SIMULATOR_H_
 
@@ -78,6 +90,33 @@
 #include "src/sim/task.h"
 
 namespace flock::sim {
+
+// One parked poller: its pass boundaries are parked_at + k * period, k >= 1.
+// Embedded in the FifoServer of the poller's core, which fills the handles;
+// the kernel owns it from Simulator::Park until the re-queue.
+struct IdlePark {
+  Nanos period = 0;     // cost of one idle pass
+  Nanos parked_at = 0;  // instant of the pass that parked
+  Nanos wake = -1;      // boundary whose pass must run, or -1
+  uint64_t order = 0;   // park order on the shard (same-instant parks)
+  int32_t node = 0;
+  void* handle = nullptr;  // the poller's coroutine frame
+  void* server = nullptr;  // completion event: done(server)
+  void (*done)(void*) = nullptr;
+  // Brings the server's counters to the re-queue point: passes before `due`
+  // completed; `fired` = the completion at `due` (== now) completed too and
+  // only the pass itself is pending.
+  void (*settle)(IdlePark*, Nanos due, bool fired) = nullptr;
+
+  Nanos FirstPassAtOrAfter(Nanos t) const {
+    const Nanos first = parked_at + period;
+    return t <= first ? first
+                      : parked_at + (t - parked_at + period - 1) / period * period;
+  }
+  bool PassAt(Nanos t) const {
+    return t > parked_at && (t - parked_at) % period == 0;
+  }
+};
 
 class Simulator {
  public:
@@ -164,16 +203,24 @@ class Simulator {
     }
     home.live_head_ = &promise;
     ++home.live_count_;
-    home.Push(Event{home.now_, home.next_seq_++, handle.address(), nullptr,
-                    static_cast<int32_t>(node)});
+    home.PushNew(0, handle.address(), nullptr, static_cast<int32_t>(node));
   }
 
   // Schedules `handle` to be resumed `delay` from now, on the current node.
   void ScheduleResume(Nanos delay, std::coroutine_handle<> handle) {
     FLOCK_CHECK_GE(delay, 0);
     Shard& s = CurrentShard();
-    s.Push(Event{s.now_ + delay, s.next_seq_++, handle.address(), nullptr,
-                 s.current_node_});
+    s.PushNew(delay, handle.address(), nullptr, s.current_node_);
+  }
+
+  // Schedules `handle` to resume now, behind the events already queued, as
+  // the continuation of the executing event: the resume of a parked pass's
+  // completion is still that pass, so it leaves the node's other parked
+  // pollers parked (FifoServer::Done).
+  void ScheduleContinuation(std::coroutine_handle<> handle) {
+    Shard& s = CurrentShard();
+    s.PushNew(0, handle.address(), nullptr, s.current_node_,
+              s.cur_meta_ & kPassBit);
   }
 
   // Schedules `fn(arg)` to run `delay` from now, on the current node.
@@ -181,7 +228,7 @@ class Simulator {
     FLOCK_CHECK_GE(delay, 0);
     FLOCK_CHECK(fn != nullptr);
     Shard& s = CurrentShard();
-    s.Push(Event{s.now_ + delay, s.next_seq_++, arg, fn, s.current_node_});
+    s.PushNew(delay, arg, fn, s.current_node_);
   }
 
   // Schedules `handle` to resume `delay` from now on `node` — the only way an
@@ -197,8 +244,7 @@ class Simulator {
     Shard* cur = RunningShard();
     if (!windowed_) {
       Shard& s = cur != nullptr ? *cur : *shards_[0];
-      s.Push(Event{s.now_ + delay, s.next_seq_++, handle.address(), nullptr,
-                   static_cast<int32_t>(node)});
+      s.PushNew(delay, handle.address(), nullptr, static_cast<int32_t>(node));
       return;
     }
     FLOCK_CHECK(cur != nullptr) << "cross-node hop outside event execution";
@@ -215,10 +261,18 @@ class Simulator {
   }
 
   // Runs events until all queues drain. Returns the number of events run.
-  uint64_t Run() { return RunLoop(-1); }
+  // (A parked poller polls forever, like an unparked one: with pollers alive
+  // a windowed Run() never returns.)
+  uint64_t Run() {
+    const uint64_t n = RunLoop(-1);
+    UnparkAll();
+    return n;
+  }
 
   // Runs events with time <= deadline; the clock lands on `deadline` even if
-  // queues still have later events.
+  // queues still have later events. Parked pollers go back into the queues,
+  // so between runs every core's counters are exact and code may mutate
+  // simulated state freely.
   uint64_t RunUntil(Nanos deadline) {
     const uint64_t n = RunLoop(deadline);
     for (auto& s : shards_) {
@@ -226,6 +280,7 @@ class Simulator {
         s->now_ = deadline;
       }
     }
+    UnparkAll();
     return n;
   }
 
@@ -267,6 +322,43 @@ class Simulator {
   // Waiters woken by a shared drain event (Condition::NotifyAll, Semaphore
   // release batches) rather than one scheduled event per waiter.
   uint64_t coalesced_wakes() const { return Sum(&Shard::coalesced_wakes_); }
+
+  // Idle passes a parked poller skipped: with events_processed() this is how
+  // much polling a run modelled.
+  uint64_t elided_passes() const { return Sum(&Shard::elided_passes_); }
+
+  // ---- idle-pass parking (DESIGN.md §7) ----
+  //
+  // Parks the poller described by `park` (period, parked_at, wake and the
+  // handles filled by its FifoServer) on the executing event's node.
+  void Park(IdlePark* park) { CurrentShard().Park(park); }
+
+  // Announces a direct mutation of `node`'s state by the executing event
+  // (ControlPlane::Call into its endpoint, a membership listener of its
+  // runtime): the node's parked pollers are re-queued first, at the pass
+  // boundaries the mutation leaves them. Outside event execution nothing is
+  // parked. Pushing an event of `node` does this implicitly.
+  void TouchNode(int node) {
+    Shard* cur = RunningShard();
+    if (cur == nullptr) {
+      return;
+    }
+    FLOCK_CHECK(&ShardOfNode(node) == cur)
+        << "direct mutation of node " << node << " from another shard";
+    cur->Touch(static_cast<int32_t>(node), /*scan=*/true);
+  }
+
+  // TouchNode for every node of the executing shard (e.g. arming faults,
+  // which changes what every later pass does).
+  void TouchAllNodes() {
+    Shard* cur = RunningShard();
+    if (cur == nullptr) {
+      return;
+    }
+    for (size_t n = 0; n < cur->node_slots_.size(); ++n) {
+      cur->Touch(static_cast<int32_t>(n), /*scan=*/true);
+    }
+  }
 
   // Bookkeeping hook for sync primitives that resume coroutines without a
   // per-waiter event (src/sim/sync.h).
@@ -321,11 +413,21 @@ class Simulator {
   // only same-node events constrain the resume position. Keeping it node-
   // local is what makes the decision — and with it the event count —
   // identical across shard counts.
+  //
+  // A parked poller's pass due now counts as pending: the unparked kernel
+  // would have its completion queued at this timestamp.
   bool SameTimePending() const {
     const Shard& s = CurrentShard();
-    const auto node = static_cast<size_t>(s.current_node_);
-    return node < s.fifo_node_pending_.size() &&
-           s.fifo_node_pending_[node] > 0;
+    const Shard::NodeSlot& slot = s.node_slots_[static_cast<size_t>(s.current_node_)];
+    if (slot.fifo_pending > 0) {
+      return true;
+    }
+    for (const IdlePark* p : slot.parked) {
+      if (p->PassAt(s.now_)) {
+        return true;
+      }
+    }
+    return false;
   }
 
   // Destroys every live process frame and drops pending events. Safe to call
@@ -360,7 +462,10 @@ class Simulator {
       s.live_count_ = 0;
       s.fifo_.clear();
       s.fifo_pos_ = 0;
-      std::fill(s.fifo_node_pending_.begin(), s.fifo_node_pending_.end(), 0u);
+      for (Shard::NodeSlot& slot : s.node_slots_) {
+        slot.fifo_pending = 0;
+        slot.parked.clear();
+      }
       s.wake_batch_.clear();
       s.wake_drain_pos_ = 0;
       s.wake_counts_.clear();
@@ -377,6 +482,9 @@ class Simulator {
         }
         s.occupancy_[word] = 0;
       }
+      s.parked_total_ = 0;
+      s.wakers_.clear();
+      s.wake_min_ = -1;
       s.nodes_.clear();
       s.free_node_ = kNilNode;
       s.calendar_count_ = 0;
@@ -394,13 +502,33 @@ class Simulator {
   // 40 bytes: when `fn` is null, `ctx` is a coroutine frame address to
   // resume; otherwise the event runs fn(ctx). `node` is the simulated node
   // the event belongs to: pushes inherit the executing event's node, so every
-  // event of a node runs on the shard that owns it.
+  // event of a node runs on the shard that owns it. `meta` holds the push
+  // time as at - pushed_at (clamped to kLagMask) and two flags: kPassBit
+  // marks a re-queued parked pass, which does not un-park its node's other
+  // pollers, and kRequeuedBit marks an event whose push time is the one the
+  // unparked kernel would have given it rather than the actual push.
   struct Event {
     Nanos at;
     uint64_t seq;
     void* ctx;
     void (*fn)(void*);
     int32_t node;
+    uint32_t meta = 0;
+  };
+  static constexpr uint32_t kPassBit = 1u << 31;
+  static constexpr uint32_t kRequeuedBit = 1u << 30;
+  static constexpr uint32_t kLagMask = kRequeuedBit - 1;
+
+  static uint32_t Lag(Nanos lag) {
+    return static_cast<uint32_t>(std::min<Nanos>(lag, kLagMask));
+  }
+
+  // Where a node's parked pollers stand when they are re-queued (Unpark).
+  enum class Unpark {
+    kBeforeEvent,  // before an event of the node runs or is pushed
+    kAfterNow,     // after every event at now: hop merge, end of a run
+    kWake,         // before the wake pass of one of them
+    kCrossNode,    // inside another node's event that mutates this node
   };
 
   struct EventLater {
@@ -469,18 +597,16 @@ class Simulator {
     // Consumed events stay in the processed prefix until the whole batch
     // drains (the vector is cleared at the next refill, keeping its
     // capacity), so push is a plain append and pop an index increment.
-    // fifo_node_pending_ counts the *unconsumed* FIFO events per node,
+    // NodeSlot::fifo_pending counts the *unconsumed* FIFO events per node,
     // maintained on push/pop/flush, so SameTimePending() is one array read.
+    // Every event passes through the FIFO before it runs, so the executing
+    // event's node always has a slot.
 
     bool FifoEmpty() const { return fifo_pos_ == fifo_.size(); }
 
     void FifoPush(const Event& event) {
       fifo_.push_back(event);
-      const auto node = static_cast<size_t>(event.node);
-      if (node >= fifo_node_pending_.size()) {
-        fifo_node_pending_.resize(node + 1, 0u);
-      }
-      ++fifo_node_pending_[node];
+      ++Slot(event.node).fifo_pending;
     }
 
     // ---- enqueue ----
@@ -509,6 +635,58 @@ class Simulator {
       } else {
         overflow_.push(event);
       }
+    }
+
+    static Nanos PushedAt(const Event& e) {
+      return e.at - static_cast<Nanos>(e.meta & kLagMask);
+    }
+
+    // Queues a re-queued parked pass where the unparked kernel had it: behind
+    // every queued event of its timestamp pushed at or before its (virtual)
+    // push time, ahead of those pushed later. Its timestamp is within one
+    // pass of now, so it never overflows the calendar.
+    [[gnu::noinline]] void PushRequeued(const Event& event) {
+      const Nanos pushed = PushedAt(event);
+      ++size_;
+      if (event.at == now_) {
+        size_t i = fifo_.size();
+        while (i > fifo_pos_ && PushedAt(fifo_[i - 1]) > pushed) {
+          --i;
+        }
+        fifo_.insert(fifo_.begin() + static_cast<std::ptrdiff_t>(i), event);
+        ++Slot(event.node).fifo_pending;
+        return;
+      }
+      FLOCK_CHECK_LT(event.at - now_, kHorizon);
+      const size_t bucket = BucketOf(event.at);
+      uint32_t prev = kNilNode;
+      uint32_t next = buckets_[bucket].head;
+      while (next != kNilNode && PushedAt(nodes_[next].event) <= pushed) {
+        prev = next;
+        next = nodes_[next].next;
+      }
+      const uint32_t node = AllocNode(event);
+      nodes_[node].next = next;
+      Bucket& b = buckets_[bucket];
+      (prev == kNilNode ? b.head : nodes_[prev].next) = node;
+      if (next == kNilNode) {
+        b.tail = node;
+      }
+      occupancy_[bucket >> 6] |= uint64_t{1} << (bucket & 63);
+      ++calendar_count_;
+    }
+
+    // A push by simulated code (or setup code between runs): the target
+    // node's parked pollers are re-queued first — the unparked kernel queued
+    // their next completions before anything pushed now — and the event
+    // records its push time. The event is built in one piece: setting seq
+    // and meta on a copy the caller built slowed every push measurably.
+    void PushNew(Nanos delay, void* ctx, void (*fn)(void*), int32_t node,
+                 uint32_t flags = 0) {
+      if (parked_total_ != 0 && HasParked(node)) {
+        Touch(node, /*scan=*/false);
+      }
+      Push(Event{now_ + delay, next_seq_++, ctx, fn, node, Lag(delay) | flags});
     }
 
     uint32_t AllocNode(const Event& event) {
@@ -579,8 +757,12 @@ class Simulator {
           FifoPush(overflow_.top());
           overflow_.pop();
         }
-        std::sort(fifo_.begin(), fifo_.end(),
-                  [](const Event& a, const Event& b) { return a.seq < b.seq; });
+        // Push order; a re-queued pass sits at its virtual push time.
+        std::sort(fifo_.begin(), fifo_.end(), [](const Event& a, const Event& b) {
+          const Nanos pa = PushedAt(a);
+          const Nanos pb = PushedAt(b);
+          return pa != pb ? pa < pb : a.seq < b.seq;
+        });
       }
     }
 
@@ -601,7 +783,7 @@ class Simulator {
     void FlushFifo() {
       while (fifo_pos_ < fifo_.size()) {
         const Event event = fifo_[fifo_pos_++];
-        --fifo_node_pending_[static_cast<size_t>(event.node)];
+        --Slot(event.node).fifo_pending;
         --size_;  // Push re-counts it; the event keeps its original seq
         Push(event);
       }
@@ -610,18 +792,28 @@ class Simulator {
     }
 
     // Earliest pending event time, or -1 if the shard is empty. Called by the
-    // owning worker between windows to pick the next window start.
+    // owning worker between windows to pick the next window start. A parked
+    // poller's next pass counts: the unparked kernel has its completion
+    // queued, so window boundaries stay those of the unparked kernel.
     Nanos NextEventAt() const {
-      if (!FifoEmpty()) {
-        return fifo_[fifo_pos_].at;  // e.g. a Spawn between runs
-      }
       Nanos best = -1;
-      if (calendar_count_ != 0) {
-        const size_t bucket = FirstOccupied(BucketOf(now_));
-        best = nodes_[buckets_[bucket].head].event.at;
+      if (!FifoEmpty()) {
+        best = fifo_[fifo_pos_].at;  // e.g. a Spawn between runs
+      } else {
+        if (calendar_count_ != 0) {
+          const size_t bucket = FirstOccupied(BucketOf(now_));
+          best = nodes_[buckets_[bucket].head].event.at;
+        }
+        if (!overflow_.empty() && (best < 0 || overflow_.top().at < best)) {
+          best = overflow_.top().at;
+        }
       }
-      if (!overflow_.empty() && (best < 0 || overflow_.top().at < best)) {
-        best = overflow_.top().at;
+      if (parked_total_ != 0) {
+        for (const NodeSlot& slot : node_slots_) {
+          for (const IdlePark* p : slot.parked) {
+            best = EarlierOf(best, p->FirstPassAtOrAfter(now_ + 1));
+          }
+        }
       }
       return best;
     }
@@ -630,11 +822,27 @@ class Simulator {
     uint64_t RunWindow(Nanos deadline) {
       uint64_t ran = 0;
       for (;;) {
-        if (FifoEmpty()) {
-          if (size_ == 0) {
+        if (FifoEmpty() && size_ != 0) {
+          Refill();
+        }
+        // A wake pass runs at its position: after every event at its instant
+        // that is already queued (those were pushed before it parked).
+        if (wake_min_ >= 0 && (FifoEmpty() || wake_min_ < fifo_[fifo_pos_].at)) {
+          if (deadline >= 0 && wake_min_ > deadline) {
+            if (!FifoEmpty() && fifo_[fifo_pos_].at > now_) {
+              FlushFifo();
+            }
             break;
           }
-          Refill();
+          if (!FifoEmpty()) {
+            FlushFifo();  // a batch after the wake instant
+          }
+          now_ = wake_min_;
+          Wake();
+          continue;
+        }
+        if (FifoEmpty()) {
+          break;
         }
         const Event& front = fifo_[fifo_pos_];
         if (deadline >= 0 && front.at > deadline) {
@@ -645,11 +853,16 @@ class Simulator {
         }
         const Event event = front;
         ++fifo_pos_;
-        --fifo_node_pending_[static_cast<size_t>(event.node)];
+        NodeSlot& slot = node_slots_[static_cast<size_t>(event.node)];
+        --slot.fifo_pending;
         --size_;
         FLOCK_CHECK_GE(event.at, now_);
         now_ = event.at;
         current_node_ = event.node;
+        cur_meta_ = event.meta;
+        if ((event.meta & kPassBit) == 0 && !slot.parked.empty()) {
+          UnparkNode(event.node, Unpark::kBeforeEvent, nullptr);
+        }
         ++ran;
         ++events_processed_;
         if (event.fn != nullptr) {
@@ -666,6 +879,175 @@ class Simulator {
         now_ = deadline;
       }
       return ran;
+    }
+
+    // ---- idle-pass parking ----
+
+    void Park(IdlePark* p) {
+      p->node = current_node_;
+      p->order = park_order_++;
+      Slot(p->node).parked.push_back(p);
+      ++parked_total_;
+      if (p->wake >= 0) {
+        wakers_.push_back(p);
+        wake_min_ = EarlierOf(wake_min_, p->wake);
+      }
+    }
+
+    // The executing event is about to push to, or mutate, `node`. Another
+    // node's event is placed against the node's passes by its push time;
+    // `scan` also rejects a re-queued pass of the node still pending now
+    // whose virtual push instant equals that push time (an unresolvable
+    // tie: the order inside that instant is not recorded).
+    [[gnu::noinline]] void Touch(int32_t node, bool scan) {
+      if (node == current_node_) {
+        UnparkNode(node, Unpark::kBeforeEvent, nullptr);
+        return;
+      }
+      if (scan) {
+        for (size_t i = fifo_pos_; i < fifo_.size(); ++i) {
+          const Event& e = fifo_[i];
+          FLOCK_CHECK(e.node != node || (e.meta & kRequeuedBit) == 0 ||
+                      PushedAt(e) != CurPushedAt())
+              << "node " << node << " mutated at t=" << now_
+              << " by an event pushed on the push instant of a re-queued pass";
+        }
+      }
+      UnparkNode(node, Unpark::kCrossNode, nullptr);
+    }
+
+    // Both passes are due at one instant: does a's completion come first?
+    // Its push instant is (instant - period), so the longer period was pushed
+    // earlier. Equal periods share every instant since the later of the two
+    // parks, where the one that parked later ran first (a queued event
+    // precedes a parked pass); equal park instants keep park order.
+    static bool CompletesFirst(const IdlePark& a, const IdlePark& b) {
+      if (a.period != b.period) {
+        return a.period > b.period;
+      }
+      if (a.parked_at != b.parked_at) {
+        return a.parked_at > b.parked_at;
+      }
+      return a.order < b.order;
+    }
+
+    // Re-queues every parked poller of `node` (see Unpark for where they
+    // stand), in the order the unparked kernel queued them: completions due
+    // now, then passes whose completion already fired now (their resumes),
+    // then later completions; each group in completion order.
+    [[gnu::noinline]] void UnparkNode(int32_t node, Unpark rule, const IdlePark* waker) {
+      if (!HasParked(node)) {
+        return;
+      }
+      NodeSlot& slot = node_slots_[static_cast<size_t>(node)];
+      std::vector<IdlePark*>& list = slot.parked;
+      size_t due_now = 0;
+      bool had_waker = false;
+      for (const IdlePark* p : list) {
+        due_now += p->PassAt(now_) ? 1 : 0;
+        had_waker |= p->wake >= 0;
+      }
+      const bool node_pending = slot.fifo_pending > 0;
+      std::vector<Requeue>& rq = requeue_scratch_;
+      rq.clear();
+      for (IdlePark* p : list) {
+        Requeue r{p, p->FirstPassAtOrAfter(now_), false};
+        if (r.due == now_) {
+          switch (rule) {
+            case Unpark::kBeforeEvent:
+              break;  // parked passes follow every queued event
+            case Unpark::kAfterNow:
+              r.due += p->period;
+              break;
+            case Unpark::kWake:
+              // Completions ahead of the wake pass fired with it pending, so
+              // their passes were deferred behind it.
+              r.fired = p != waker && CompletesFirst(*p, *waker);
+              break;
+            case Unpark::kCrossNode: {
+              // The pass's completion was queued at now - period, the
+              // mutating event at CurPushedAt().
+              const Nanos queued = now_ - p->period;
+              const Nanos pushed = CurPushedAt();
+              FLOCK_CHECK_NE(pushed, queued)
+                  << "node " << node << " mutated at t=" << now_
+                  << " by an event pushed on a pass instant of its poller";
+              if (pushed > queued) {
+                if (due_now == 1 && !node_pending) {
+                  r.due += p->period;  // resumed inline: the pass ran
+                } else {
+                  FLOCK_CHECK_LT(pushed, now_)
+                      << "node " << node << " mutated at t=" << now_
+                      << " by an event pushed at the same instant";
+                  r.fired = true;  // its resume sits behind the mutation
+                }
+              }
+              break;
+            }
+          }
+        }
+        rq.push_back(r);
+      }
+      parked_total_ -= list.size();
+      list.clear();
+      if (had_waker) {
+        wakers_.erase(std::remove_if(wakers_.begin(), wakers_.end(),
+                                     [node](const IdlePark* p) {
+                                       return p->node == node;
+                                     }),
+                      wakers_.end());
+        wake_min_ = -1;
+        for (const IdlePark* p : wakers_) {
+          wake_min_ = EarlierOf(wake_min_, p->wake);
+        }
+      }
+      std::sort(rq.begin(), rq.end(), [](const Requeue& a, const Requeue& b) {
+        if (a.due != b.due) {
+          return a.due < b.due;
+        }
+        if (a.fired != b.fired) {
+          return b.fired;
+        }
+        return CompletesFirst(*a.p, *b.p);
+      });
+      for (const Requeue& r : rq) {
+        IdlePark& p = *r.p;
+        elided_passes_ += static_cast<uint64_t>((r.due - p.parked_at) / p.period - 1);
+        p.settle(&p, r.due, r.fired);
+        if (r.fired) {
+          PushRequeued(Event{now_, next_seq_++, p.handle, nullptr, node, kRequeuedBit});
+        } else {
+          PushRequeued(Event{r.due, next_seq_++, p.server, p.done, node,
+                             kPassBit | kRequeuedBit | Lag(p.period)});
+        }
+      }
+    }
+
+    // Un-parks the node of the earliest wake pass, which is due now.
+    [[gnu::noinline]] void Wake() {
+      for (const IdlePark* p : wakers_) {
+        if (p->wake == wake_min_) {
+          UnparkNode(p->node, Unpark::kWake, p);
+          return;
+        }
+      }
+      FLOCK_CHECK(false) << "wake_min_ without a waker";
+    }
+
+    // A hop to `node` arriving at `at` is being merged (now_ is the window
+    // end). A parked pass due at `at` whose completion the unparked kernel
+    // queued by now precedes the hop, so the node must be re-queued; later
+    // completions follow the hop, which a parked node gives for free.
+    [[gnu::noinline]] void UnparkForHop(int32_t node, Nanos at) {
+      if (!HasParked(node)) {
+        return;
+      }
+      for (const IdlePark* p : Slot(node).parked) {
+        if (p->PassAt(at) && at - p->period <= now_) {
+          UnparkNode(node, Unpark::kAfterNow, nullptr);
+          return;
+        }
+      }
     }
 
     void WakeDrain() {
@@ -698,12 +1080,37 @@ class Simulator {
     uint64_t resumes_ = 0;
     uint64_t direct_resumes_ = 0;
     uint64_t coalesced_wakes_ = 0;
+    uint64_t elided_passes_ = 0;
     size_t size_ = 0;
     int32_t current_node_ = 0;
+    uint32_t cur_meta_ = 0;   // meta of the executing event
+    size_t parked_total_ = 0;  // parked pollers on the shard
+    Nanos wake_min_ = -1;      // earliest wake pass among them, or -1
 
     std::vector<Event> fifo_;  // drain vector: [fifo_pos_, size) is pending
     size_t fifo_pos_ = 0;
-    std::vector<uint32_t> fifo_node_pending_;  // unconsumed FIFO events/node
+    // Per node, the state every event of the node touches.
+    struct NodeSlot {
+      uint32_t fifo_pending = 0;  // unconsumed FIFO events
+      std::vector<IdlePark*> parked;  // its parked pollers
+    };
+    std::vector<NodeSlot> node_slots_;
+
+    NodeSlot& Slot(int32_t node) {
+      const auto n = static_cast<size_t>(node);
+      if (n >= node_slots_.size()) [[unlikely]] {
+        node_slots_.resize(n + 1);
+      }
+      return node_slots_[n];
+    }
+    bool HasParked(int32_t node) const {
+      const auto n = static_cast<size_t>(node);
+      return n < node_slots_.size() && !node_slots_[n].parked.empty();
+    }
+    // Push time of the executing event.
+    Nanos CurPushedAt() const {
+      return now_ - static_cast<Nanos>(cur_meta_ & kLagMask);
+    }
 
     // Wake batches: handles in commit order, one count per commit. Both
     // vectors drain by position and reset when empty, so steady state never
@@ -736,6 +1143,16 @@ class Simulator {
     Nanos earliest_hop_ = -1;  // earliest arrival sent this window, or -1
     std::vector<uint64_t> hop_seq_;  // per-source-node hop counters (own nodes)
     std::vector<HopEntry> merge_scratch_;  // inbox merge buffer
+
+    // ---- idle-pass parking state off the per-event path ----
+    struct Requeue {
+      IdlePark* p;
+      Nanos due;
+      bool fired;
+    };
+    std::vector<IdlePark*> wakers_;  // parked pollers with a wake pass
+    uint64_t park_order_ = 0;
+    std::vector<Requeue> requeue_scratch_;
   };
 
   static void WakeDrainTrampoline(void* shard) {
@@ -773,6 +1190,16 @@ class Simulator {
     FLOCK_CHECK(node >= 0 && static_cast<size_t>(node) < node_shard_.size())
         << "node " << node << " outside the sharding map";
     return *shards_[static_cast<size_t>(node_shard_[static_cast<size_t>(node)])];
+  }
+
+  // Re-queues every parked poller after the last event at each shard's now
+  // (end of a run; called between runs, on the calling thread).
+  void UnparkAll() {
+    for (auto& s : shards_) {
+      for (size_t n = 0; s->parked_total_ != 0 && n < s->node_slots_.size(); ++n) {
+        s->UnparkNode(static_cast<int32_t>(n), Unpark::kAfterNow, nullptr);
+      }
+    }
   }
 
   uint64_t Sum(uint64_t Shard::* field) const {
@@ -908,7 +1335,11 @@ class Simulator {
                 return a.hop_seq < b.hop_seq;
               });
     for (const HopEntry& h : merge) {
-      d.Push(Event{h.at, d.next_seq_++, h.ctx, nullptr, h.dst_node});
+      if (d.parked_total_ != 0) {
+        d.UnparkForHop(h.dst_node, h.at);
+      }
+      d.Push(Event{h.at, d.next_seq_++, h.ctx, nullptr, h.dst_node,
+                   Lag(h.at - d.now_)});
     }
     for (const auto& src : shards_) {
       auto& fin = src->finish_out_[parity][dst];

@@ -164,6 +164,37 @@ class FifoServer {
     return Awaiter(*this, duration, expedited);
   }
 
+  // An idle poller's pass (DESIGN.md §7): occupies the server for `duration`
+  // like Serve, and — when the server is otherwise free — parks the caller
+  // on the kernel instead of scheduling its completion, so the passes that
+  // follow cost no events until something of the node changes. The pass
+  // boundary at or after `wake_at` (if >= 0) always runs. The caller's pass
+  // must have changed nothing; with `park` false it is a plain Serve.
+  class IdleAwaiter {
+   public:
+    IdleAwaiter(FifoServer& server, Nanos duration, Nanos wake_at, bool park)
+        : server_(server), duration_(duration), wake_at_(wake_at), park_(park) {}
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> handle) {
+      if (park_) {
+        server_.EnqueueIdle(handle, duration_, wake_at_);
+      } else {
+        server_.Enqueue(handle, duration_, false);
+      }
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    FifoServer& server_;
+    Nanos duration_;
+    Nanos wake_at_;
+    bool park_;
+  };
+
+  IdleAwaiter ServeIdle(Nanos duration, Nanos wake_at, bool park) {
+    return IdleAwaiter(*this, duration, wake_at, park);
+  }
+
   bool busy() const { return busy_; }
   size_t queue_depth() const {
     return static_cast<size_t>(tail_ - head_) +
@@ -171,7 +202,8 @@ class FifoServer {
   }
   // Busy time elapsed up to Now(). StartNext books an item's whole duration
   // when its service begins, so a reading taken mid-item subtracts the part
-  // not yet served.
+  // not yet served. Like served(), exact whenever no poller is parked, i.e.
+  // between runs (every run ends by re-queueing them, skipped passes charged).
   Nanos busy_time() const {
     return busy_ ? busy_time_ - (current_end_ - sim_.Now()) : busy_time_;
   }
@@ -225,6 +257,43 @@ class FifoServer {
     sim_.Schedule(current_.duration, &FifoServer::DoneTrampoline, this);
   }
 
+  void EnqueueIdle(std::coroutine_handle<> handle, Nanos duration,
+                   Nanos wake_at) {
+    if (busy_ || duration <= 0) {
+      Enqueue(handle, duration, false);  // behind other work: a plain serve
+      return;
+    }
+    const Nanos now = sim_.Now();
+    busy_ = true;
+    current_ = Item{handle, duration};
+    busy_time_ += duration;
+    current_end_ = now + duration;
+    // park_ is free: the poller is running, so it is not parked.
+    park_.period = duration;
+    park_.parked_at = now;
+    park_.wake = wake_at < 0 ? -1 : park_.FirstPassAtOrAfter(wake_at);
+    park_.handle = handle.address();
+    park_.server = this;
+    park_.done = &FifoServer::DoneTrampoline;
+    park_.settle = &FifoServer::Settle;
+    sim_.Park(&park_);
+  }
+
+  // The kernel re-queued the parked pass: charge the skipped passes (each a
+  // completion plus a new service of the same duration) up to `due`.
+  static void Settle(IdlePark* park, Nanos due, bool fired) {
+    auto& self = *static_cast<FifoServer*>(park->server);
+    const int64_t skipped = (due - park->parked_at) / park->period - 1;
+    self.served_ += static_cast<uint64_t>(skipped);
+    self.busy_time_ += skipped * park->period;
+    self.current_end_ = due;
+    if (fired) {
+      FLOCK_CHECK(self.head_ == self.tail_ && self.exp_head_ == self.exp_tail_);
+      ++self.served_;
+      self.busy_ = false;
+    }
+  }
+
   static void DoneTrampoline(void* self) {
     static_cast<FifoServer*>(self)->Done();
   }
@@ -253,7 +322,7 @@ class FifoServer {
       // Same-time events of this node are pending; an inline resume would
       // run `finished` ahead of them. Keep the order the unbatched kernel
       // had.
-      sim_.ScheduleResume(0, finished);
+      sim_.ScheduleContinuation(finished);
     }
   }
 
@@ -269,6 +338,7 @@ class FifoServer {
   Nanos busy_time_ = 0;
   Nanos current_end_ = 0;  // completion time of the item in service
   uint64_t served_ = 0;
+  IdlePark park_;  // the parked pass, owned by the kernel while parked
 };
 
 // Counted FIFO semaphore. Models resources with bounded concurrency.

@@ -11,6 +11,10 @@ void FaultInjector::Arm() {
   // the sequential (one-shard) kernel, where this is sound.
   FLOCK_CHECK_EQ(cluster_.sim().num_shards(), 1)
       << "fault injection requires a single-shard simulation";
+  if (!armed_) {
+    // Armed pollers count starved passes, so every parked pass must run.
+    cluster_.sim().TouchAllNodes();
+  }
   armed_ = true;
 }
 

@@ -3,6 +3,7 @@
 // failure handling (quarantine, retry, dead-sender reclamation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -327,6 +328,58 @@ TEST(FlockFaultTest, TransientErrorBurstIsAbsorbedWithoutQuarantine) {
   EXPECT_EQ(conn->num_failed_lanes(), 0u) << "transient errors must not quarantine";
   EXPECT_EQ(world.clients[0]->client_stats().failed_rpcs, 0u);
   EXPECT_EQ(world.cluster.fault().stats().injected_errors, 8u);
+}
+
+// Drops one credit grant on lane 0 at `at` — the client books the next
+// `credits` granted as already seen, so that grant write lands but adds
+// nothing — then samples the lane's starved-pass counter for `watch`.
+sim::Proc LoseNextGrant(verbs::Cluster* cluster, Connection* conn,
+                        uint32_t credits, Nanos at, Nanos watch,
+                        uint32_t* max_starved) {
+  sim::Simulator& sim = cluster->sim();
+  co_await sim::Delay(sim, at);
+  auto& lane = const_cast<internal::ClientLane&>(conn->lane(0));
+  lane.grants_seen += credits;
+  for (const Nanos end = sim.Now() + watch; sim.Now() < end;) {
+    *max_starved = std::max(*max_starved, lane.starved_passes);
+    co_await sim::Delay(sim, 5);
+  }
+}
+
+// ApplyCtrlSlot's lost-grant recovery (armed runs only): with its grant lost,
+// the lane sits with queued work, no credits and its renewal latched in
+// flight. After 256 starved dispatcher passes the client re-sends the
+// renewal, the server grants again, and every RPC on the lane completes.
+TEST(FlockFaultTest, LostGrantIsRecoveredAfterStarvedPasses) {
+  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 2, .cores_per_node = 8});
+  FlockRuntime server(cluster, 0, FlockConfig{});
+  server.RegisterHandler(kEchoRpc, EchoHandler);
+  server.StartServer(4);
+  // One request per message, so work queues behind the pump's batch.
+  FlockConfig cfg;
+  cfg.rpc_timeout = 100 * kMicrosecond;
+  cfg.max_coalesce = 1;
+  FlockRuntime client(cluster, 1, cfg);
+  client.StartClient();
+  Connection* conn = client.Connect(server, 1);
+  // Arm the injector without touching traffic (no QP has this number).
+  cluster.fault().InjectSendErrors(1, 0xFFFFFF, verbs::WcStatus::kRnrError, 1);
+  int ok = 0, fail = 0;
+  for (int t = 0; t < 4; ++t) {
+    cluster.sim().Spawn(EchoLoop(conn, client.CreateThread(t), 300, &ok, &fail), 1);
+  }
+  uint32_t max_starved = 0;
+  cluster.sim().Spawn(LoseNextGrant(&cluster, conn, cfg.credits, 20 * kMicrosecond,
+                                    200 * kMicrosecond, &max_starved),
+                      1);
+  cluster.sim().RunFor(50 * kMillisecond);
+
+  // The counter reaches 255 and the 256th starved pass re-sends and resets it.
+  EXPECT_EQ(max_starved, 255u);
+  EXPECT_EQ(ok, 4 * 300);
+  EXPECT_EQ(fail, 0);
+  EXPECT_EQ(conn->num_failed_lanes(), 0u);
+  EXPECT_EQ(client.client_stats().retries, 0u);
 }
 
 TEST(FlockFaultTest, NodePauseDelaysButCompletes) {
