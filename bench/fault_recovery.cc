@@ -1,7 +1,7 @@
 // Fault-recovery bench: kill one of the client's lanes mid-run and measure
-// how much steady-state throughput survives — and, with the control plane's
-// lane reconnect enabled (the default), how long the handle takes to climb
-// back to fault-free throughput.
+// how much steady-state throughput survives, and how long the handle takes
+// to climb back to fault-free throughput once the control plane reconnects
+// the lane.
 //
 // Two runs share every parameter except the fault. The baseline run is
 // fault-free; the faulted run kills one client-side lane QP at 1/4 of the
@@ -12,16 +12,13 @@
 //   * recovery_time_ns — sim-ns from the kill until the first bucket whose
 //                       completion count is back within 1% of the baseline's
 //                       same bucket (-1 if throughput never recovers).
-// With --reconnect=1 the lane is re-established through the control plane
-// (fresh QP pair, ring resync, replay), so steady state runs at full lane
-// count and scripts/check_perf.py gates recovery at >= 99%. With
-// --reconnect=0 the legacy quarantine-only behaviour applies (one lane short,
-// gated at 90%).
+// The lane is re-established through the control plane (fresh QP pair, ring
+// resync, replay), so steady state runs at full lane count and
+// scripts/check_perf.py gates recovery at >= 99%.
 //
 // Usage:
 //   fault_recovery [--threads=16] [--lanes=8] [--payload=64] [--sim-ms=20]
-//                  [--timeout-us=200] [--reconnect=1]
-//                  [--buckets=0] [--json=<path>]
+//                  [--timeout-us=200] [--buckets=0] [--json=<path>]
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -64,8 +61,8 @@ sim::Proc EchoWorker(Connection* conn, FlockThread* thread, uint32_t payload_byt
   }
 }
 
-RecoveryResult RunOnce(bool inject, bool reconnect, int threads, uint32_t lanes,
-                       uint32_t payload_bytes, Nanos sim_span, Nanos rpc_timeout) {
+RecoveryResult RunOnce(bool inject, int threads, uint32_t lanes, uint32_t payload_bytes,
+                       Nanos sim_span, Nanos rpc_timeout) {
   verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 2,
                                                 .cores_per_node = 34});
   FlockConfig server_cfg;
@@ -80,7 +77,6 @@ RecoveryResult RunOnce(bool inject, bool reconnect, int threads, uint32_t lanes,
 
   FlockConfig client_cfg;
   client_cfg.rpc_timeout = rpc_timeout;
-  client_cfg.lane_reconnect = reconnect;
   // Two response dispatchers so the client is not the saturated resource:
   // with a single dispatcher at this thread count, the measurement is of the
   // client's CPU ceiling (a revived lane re-enters phase-shifted from the
@@ -143,18 +139,14 @@ int Main(int argc, char** argv) {
   const uint32_t payload = static_cast<uint32_t>(flags.Int("payload", 64));
   const Nanos sim_span = flags.Int("sim-ms", 20) * kMillisecond;
   const Nanos timeout = flags.Int("timeout-us", 200) * kMicrosecond;
-  const bool reconnect = flags.Int("reconnect", 1) != 0;
   const bool print_buckets = flags.Int("buckets", 0) != 0;
   JsonDump json(flags, "fault_recovery");
   flags.Finish();
 
-  PrintBanner(reconnect
-                  ? "fault_recovery: kill 1 lane mid-run, reconnect via control plane"
-                  : "fault_recovery: throughput after killing 1 lane mid-run");
-  const RecoveryResult base =
-      RunOnce(false, reconnect, threads, lanes, payload, sim_span, timeout);
+  PrintBanner("fault_recovery: kill 1 lane mid-run, reconnect via control plane");
+  const RecoveryResult base = RunOnce(false, threads, lanes, payload, sim_span, timeout);
   const RecoveryResult faulted =
-      RunOnce(true, reconnect, threads, lanes, payload, sim_span, timeout);
+      RunOnce(true, threads, lanes, payload, sim_span, timeout);
 
   const double recovery = base.window_rpcs == 0
                               ? 0.0
@@ -220,7 +212,6 @@ int Main(int argc, char** argv) {
       .Add("payload_bytes", payload)
       .Add("sim_ms", static_cast<int64_t>(sim_span / kMillisecond))
       .Add("timeout_us", static_cast<int64_t>(timeout / kMicrosecond))
-      .Add("reconnect", reconnect ? int64_t{1} : int64_t{0})
       .Add("baseline_fail", base.fail)
       .Add("baseline_retries", base.retries)
       .Add("baseline_client_lane_failures", base.client_lane_failures)

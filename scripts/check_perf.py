@@ -13,8 +13,7 @@ rows join its bench's rows under a "baseline/" prefix.
 
 GATES has one line per gate: bench, gate name, a value computed from that
 bench's rows, a comparison and a constant bound. A value of None means the
-gate does not apply to this dump (another host-core tier, another
-fault_recovery mode); a ratio with a non-positive term is nan and fails every
+gate does not apply to this dump (another host-core tier); a ratio with a non-positive term is nan and fails every
 comparison. Gates of benches with no dump given are skipped. The run fails if
 any gate fails, if a gate names a row or field the dump lacks, or if a dump
 cannot be read or names a bench with no gates.
@@ -136,14 +135,13 @@ GATES = [
     ("extent_store", "bimodal.meta_p99_over_solo", lambda r: ratio(r["bimodal"]["meta_p99_ns"], r["solo"]["meta_p99_ns"]), "<=", 2.0),
     *each("extent_store", ("solo", "bimodal"), "failures", lambda x: x["failures"], "==", 0),
     # fault_recovery: a clean baseline, exactly one detected lane failure, and
-    # recovery (full, with the lane back, when reconnect is on).
+    # full recovery with the lane back.
     ("fault_recovery", "baseline_fail_retries_lane_failures", lambda r: r["run"]["baseline_fail"] + r["run"]["baseline_retries"] + r["run"]["baseline_client_lane_failures"], "==", 0),
     ("fault_recovery", "client_lane_failures", lambda r: r["run"]["client_lane_failures"], "==", 1),
-    ("fault_recovery", "recovery_reconnect", lambda r: when(r["run"]["reconnect"], r["run"]["recovery"]), ">=", 0.99),
-    ("fault_recovery", "recovery_quarantine", lambda r: when(not r["run"]["reconnect"], r["run"]["recovery"]), ">=", 0.90),
-    ("fault_recovery", "lane_reconnects", lambda r: when(r["run"]["reconnect"], r["run"]["lane_reconnects"]), ">=", 1),
-    ("fault_recovery", "lanes_not_healthy", lambda r: when(r["run"]["reconnect"], r["run"]["lanes_quarantined"] + r["run"]["lanes_reconnecting"]), "==", 0),
-    ("fault_recovery", "recovery_time_ns", lambda r: when(r["run"]["reconnect"], r["run"]["recovery_time_ns"]), ">=", 0),
+    ("fault_recovery", "recovery_reconnect", lambda r: r["run"]["recovery"], ">=", 0.99),
+    ("fault_recovery", "lane_reconnects", lambda r: r["run"]["lane_reconnects"], ">=", 1),
+    ("fault_recovery", "lanes_not_healthy", lambda r: r["run"]["lanes_quarantined"] + r["run"]["lanes_reconnecting"], "==", 0),
+    ("fault_recovery", "recovery_time_ns", lambda r: r["run"]["recovery_time_ns"], ">=", 0),
     # Fig. 2(a): flat through 704 QPs, then the RNIC cache knee.
     ("fig2_qp_scaling", "2a.min_over_max_mops_to_704_qps", lambda r: ratio(min(r[k]["mops"] for k in FIG2A_FLAT), max(r[k]["mops"] for k in FIG2A_FLAT)), ">=", 0.98),
     ("fig2_qp_scaling", "2a.mops_1408_over_704_qps", lambda r: ratio(r["2a/1408"]["mops"], r["2a/704"]["mops"]), "<=", 0.5),

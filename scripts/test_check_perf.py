@@ -62,7 +62,7 @@ def passing_dumps():
             {"config": "bimodal", "extent_kb": 1024, "extent_gbps": 8.0,
              "meta_p99_ns": 1500, "failures": 0}],
         "fault_recovery": [
-            {"reconnect": 1, "recovery": 0.995, "baseline_fail": 0, "baseline_retries": 0,
+            {"recovery": 0.995, "baseline_fail": 0, "baseline_retries": 0,
              "baseline_client_lane_failures": 0, "client_lane_failures": 1,
              "lane_reconnects": 1, "lanes_quarantined": 0, "lanes_reconnecting": 0,
              "recovery_time_ns": 1000}],
@@ -135,8 +135,6 @@ MUTATIONS = {
     "fault_recovery.baseline_fail_retries_lane_failures": [("fault_recovery", "run", "baseline_retries", 1)],
     "fault_recovery.client_lane_failures": [("fault_recovery", "run", "client_lane_failures", 2)],
     "fault_recovery.recovery_reconnect": [("fault_recovery", "run", "recovery", 0.989)],
-    "fault_recovery.recovery_quarantine": [("fault_recovery", "run", "reconnect", 0),
-                                           ("fault_recovery", "run", "recovery", 0.899)],
     "fault_recovery.lane_reconnects": [("fault_recovery", "run", "lane_reconnects", 0)],
     "fault_recovery.lanes_not_healthy": [("fault_recovery", "run", "lanes_quarantined", 1)],
     "fault_recovery.recovery_time_ns": [("fault_recovery", "run", "recovery_time_ns", -1)],

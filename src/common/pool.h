@@ -1,11 +1,12 @@
 // Allocation-free hot-path building blocks: a slab-backed object pool with an
-// intrusive free list, a small-buffer-optimized byte buffer, and an
-// open-addressed sequence-number map.
+// intrusive free list, a small-buffer-optimized byte buffer with a free list
+// for its grown heap blocks, and an open-addressed sequence-number map.
 //
 // The Flock data path allocates nothing in steady state (see DESIGN.md
 // "Simulator internals & performance"): per-RPC objects come from Pool<T>,
-// payloads up to SmallBuf's inline capacity stay inline, and outstanding-RPC
-// lookup uses SeqSlotMap instead of a node-based hash map.
+// payloads up to SmallBuf's inline capacity stay inline, larger ones reuse
+// blocks from a SmallBufFreeList, and outstanding-RPC lookup uses SeqSlotMap
+// instead of a node-based hash map.
 #ifndef FLOCK_COMMON_POOL_H_
 #define FLOCK_COMMON_POOL_H_
 
@@ -225,6 +226,49 @@ class SmallBuf {
   uint32_t heap_capacity_ = 0;
   uint8_t* heap_ = nullptr;
   uint8_t inline_[kInline];
+};
+
+// Recycled SmallBufs: a finished buffer parks here with its heap block, and
+// Acquire hands back the best fit for the next payload, so streams of
+// payloads above the inline threshold reach a steady-state population of
+// blocks and then stop allocating. Best fit matters: a big block burned on
+// a small payload leaves the next big payload only small blocks to grow.
+template <size_t kInline>
+class SmallBufFreeList {
+ public:
+  SmallBuf<kInline> Acquire(uint32_t len) {
+    if (free_.empty()) {
+      return SmallBuf<kInline>();
+    }
+    size_t pick = free_.size();
+    for (size_t i = 0; i < free_.size(); ++i) {
+      if (!free_[i].FitsWithoutAlloc(len)) {
+        continue;
+      }
+      if (pick == free_.size() ||
+          free_[i].heap_capacity() < free_[pick].heap_capacity()) {
+        pick = i;
+        if (free_[i].heap_capacity() == 0) {
+          break;  // inline fit; nothing smaller exists
+        }
+      }
+    }
+    if (pick == free_.size()) {
+      pick = free_.size() - 1;  // no fit: grow an existing block
+    }
+    SmallBuf<kInline> buf = std::move(free_[pick]);
+    free_[pick] = std::move(free_.back());
+    free_.pop_back();
+    return buf;
+  }
+
+  void Recycle(SmallBuf<kInline>&& buf) {
+    buf.clear();
+    free_.push_back(std::move(buf));
+  }
+
+ private:
+  std::vector<SmallBuf<kInline>> free_;
 };
 
 // Bounded-churn FIFO queue over a power-of-two ring. Unlike std::deque —

@@ -114,12 +114,13 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   rpc->response_len = 0;
   rpc->resp_assembled = 0;
   rpc->resp_src = nullptr;
-  if (config.rpc_timeout > 0) {
-    // Failure handling armed: retain the payload for retransmission and set
-    // the first deadline. With timeouts off, neither field is ever read.
-    rpc->deadline = rpc->submitted_at + config.rpc_timeout;
-    payload.CopyTo(rpc->request.Resize(len));
+  // Retain the payload for retransmission and set the first deadline. A
+  // payload past the inline bytes reuses a recycled heap block (FreeRpc).
+  rpc->deadline = rpc->submitted_at + config.rpc_timeout;
+  if (len > rpc->request.kInlineBytes) {
+    rpc->request = conn.client->request_bufs.Acquire(len);
   }
+  payload.CopyTo(rpc->request.Resize(len));
   if (conn.pending.size() <= thread.id()) {
     conn.pending.resize(size_t{thread.id()} + 1);
   }
@@ -327,10 +328,6 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
           // Quarantined with nowhere to migrate: drop the queued sends and
           // release their waiters. The RPCs stay pending — the retry watchdog
           // retransmits them (or fails them) on whatever lane survives.
-          FLOCK_CHECK(config.rpc_timeout > 0)
-              << "lane quarantined with rpc_timeout == 0: no retry watchdog "
-                 "is running, so the dropped RPCs would pend forever; set "
-                 "FlockConfig::rpc_timeout when fault injection can kill QPs";
           if (batch_tail != nullptr) {
             batch_tail->next = lane.combine_head;
             lane.combine_head = batch_head;

@@ -44,18 +44,10 @@ struct FlockConfig {
 
   // ---- failure handling (§7) ----
   // Per-RPC timeout before a retry is attempted; exponential backoff doubles
-  // it per attempt, and an RPC fails after internal::kMaxRetries retries. 0
-  // disables timeouts/retries entirely: no watchdog proc is spawned, so with
-  // fault injection unarmed the simulation trace stays bit-identical to a
-  // build without failure handling.
-  Nanos rpc_timeout = 0;
-
-  // ---- connection control plane (DESIGN.md §10) ----
-  // Reconnect quarantined lanes through the control plane: a per-connection
-  // daemon requests a fresh QP pair, resyncs ring state and un-quarantines.
-  // Requires rpc_timeout > 0 (in-flight RPCs on the dead QP recover via the
-  // retry watchdog). Off by default so fault-free traces stay bit-identical.
-  bool lane_reconnect = false;
+  // it per attempt, and an RPC fails after internal::kMaxRetries retries.
+  // Must be positive: every RPC carries a deadline, every client runs the
+  // retry watchdog and every connection its reconnect daemon (DESIGN.md §8).
+  Nanos rpc_timeout = 5 * kMillisecond;
 
   // ---- scatter-gather payload path & segmentation (DESIGN.md §16) ----
   // Master switch: payloads above this many bytes travel as a train of

@@ -51,8 +51,8 @@ sim::Proc RequestDispatcher(NodeEnv& env, ServerState& server, int index) {
         lane.in_service = false;
       }
     }
-    co_await EndPass(env, core,
-                     pass_cost > 0 ? pass_cost : cost.cpu_ring_poll_empty, found);
+    co_await core.Idle(pass_cost > 0 ? pass_cost : cost.cpu_ring_poll_empty,
+                       /*wake_at=*/-1, /*park=*/!found);
   }
 }
 
@@ -616,8 +616,8 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
       }
       }
     }
-    co_await EndPass(env, core,
-                     pass_cost > 0 ? pass_cost : cost.cpu_cq_poll_empty, found);
+    co_await core.Idle(pass_cost > 0 ? pass_cost : cost.cpu_cq_poll_empty,
+                       /*wake_at=*/-1, /*park=*/!found);
   }
 }
 

@@ -35,10 +35,7 @@ void QuarantineLane(ClientConnState& conn, ClientLane& lane) {
   }
   // Wake the pump so queued work migrates (or drains) off the dead lane.
   lane.send_ready.NotifyAll();
-  // Kick the reconnect daemon (constructed only when lane_reconnect is on).
-  if (conn.reconnect_cond != nullptr) {
-    conn.reconnect_cond->NotifyAll();
-  }
+  conn.reconnect_cond->NotifyAll();  // kick the reconnect daemon
 }
 
 ClientLane& LaneFor(ClientConnState& conn, FlockThread& thread) {
@@ -141,7 +138,7 @@ void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index) {
   const Nanos now = conn.env->sim().Now();
   for (auto& map : conn.pending) {
     map.ForEach([&](uint32_t, PendingRpc* rpc) {
-      if (rpc->deadline > 0 && rpc->lane_index == lane_index) {
+      if (rpc->lane_index == lane_index) {
         rpc->deadline = std::min(rpc->deadline, now);
       }
     });
@@ -771,6 +768,12 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     // (its qpn is never reused, so stale flushes are filtered by qpn).
     verbs::Qp* fresh = conn.env->device().CreateQp(
         verbs::QpType::kRc, conn.env->send_cq, conn.env->recv_cq);
+    if (fresh->in_error()) {
+      // This node was killed (Device::MarkKilled): its NIC never comes back,
+      // so no handshake can give any lane a working QP.
+      victim->reconnecting = false;
+      co_return;
+    }
     ctrl::wire::ReconnectRequest req;
     req.client_node = conn.env->node;
     req.conn_id = conn.conn_id;
@@ -826,7 +829,6 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     victim->qp = fresh;
     victim->failed = false;
     victim->renew_in_flight = false;
-    victim->starved_passes = 0;
     victim->resp_bytes_since_send = 0;
     WireClientLane(*conn.env, *victim, conn.server_node, accept.lane,
                    accept.grant_cumulative);
@@ -1083,9 +1085,7 @@ void CloseClientConn(ClientConnState& conn) {
   if (conn.setup_cond != nullptr) {
     conn.setup_cond->NotifyAll();
   }
-  if (conn.reconnect_cond != nullptr) {
-    conn.reconnect_cond->NotifyAll();
-  }
+  conn.reconnect_cond->NotifyAll();
 }
 
 }  // namespace internal

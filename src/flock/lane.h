@@ -227,9 +227,8 @@ struct ClientLane {
   uint64_t credits = 0;
   bool active = true;
   // Quarantined: the lane's QP errored. Queued work and threads migrate to
-  // surviving lanes, in-flight RPCs recover via retry. With
-  // FlockConfig::lane_reconnect the connection's reconnect daemon revives the
-  // lane through the control plane; otherwise it stays quarantined forever.
+  // surviving lanes, in-flight RPCs recover via retry, and the connection's
+  // reconnect daemon revives the lane through the control plane.
   bool failed = false;
   // The reconnect daemon is mid-handshake for this lane (introspection only;
   // the lane still counts as failed until the handshake lands).
@@ -246,12 +245,10 @@ struct ClientLane {
   // daemon steers exactly these threads back on revival so the surviving
   // lanes' phase-aligned coalescing groups stay intact.
   std::vector<uint32_t> evacuated_tids;
+  // A renewal request is unacked until a grant arrives. If the request or
+  // the grant-slot write is lost, the lane starves at zero credits until a
+  // retry lands here and re-sends the renewal (RetryPendingRpc).
   bool renew_in_flight = false;
-  // Dispatcher passes spent with queued work but zero credits. Only counted
-  // while fault injection is armed: a lost renewal imm or a lost grant-slot
-  // write (both unacked RDMA) would otherwise starve the lane forever, so
-  // after enough starved passes the dispatcher re-sends the renewal.
-  uint32_t starved_passes = 0;
   sim::Condition send_ready;  // credits or ring space became available
   // Client-local control slot the server RDMA-writes (grants + activation).
   uint64_t ctrl_slot_addr = 0;
@@ -463,6 +460,9 @@ struct ClientState {
   // Hot-path object pools (per node; the simulation is single-threaded).
   Pool<PendingRpc> rpc_pool;
   Pool<PendingSend> send_pool;
+  // Heap blocks of retained requests above the inline bytes: a PendingRpc's
+  // destructor would free its block every call, so FreeRpc parks it here.
+  SmallBufFreeList<128> request_bufs;
   // Recycling pool (DESIGN.md §13): shells harvested by CloseClientConn,
   // drawn by BuildClientLane.
   std::vector<ClientLaneShell> lane_pool;
@@ -475,7 +475,8 @@ struct ClientConnState {
   ClientState* client = nullptr;
   int server_node = -1;
   uint32_t conn_id = 0;
-  // Kicked by QuarantineLane; only constructed when lane_reconnect is on.
+  // Kicked by QuarantineLane and CloseClientConn; waited on by the handle's
+  // reconnect daemon.
   std::unique_ptr<sim::Condition> reconnect_cond;
   std::vector<std::unique_ptr<ClientLane>> lanes;
   // ---- connection-storm fields (DESIGN.md §13) ----
@@ -560,8 +561,8 @@ struct ServerState {
 // ---- lane lifecycle (lane.cc) ----
 
 // Marks a lane's QP as dead: deactivates it, zeroes its credits and wakes
-// the pump so queued work migrates to a surviving lane. Idempotent. With
-// lane_reconnect enabled it also kicks the reconnect daemon.
+// the pump so queued work migrates to a surviving lane, and kicks the
+// reconnect daemon. Idempotent.
 void QuarantineLane(ClientConnState& conn, ClientLane& lane);
 
 // The lane serving `thread`, applying any pending scheduler migration and
@@ -676,8 +677,8 @@ inline constexpr Nanos kCtrlRtt = 5 * kMicrosecond;
 // per consecutive failure (capped at 256×) while the server keeps rejecting.
 inline constexpr Nanos kReconnectBackoff = 50 * kMicrosecond;
 
-// Control-plane client daemon (spawned by Connect only with lane_reconnect,
-// so default traces gain no procs or events).
+// Control-plane client daemon, one per accepted handle: revives quarantined
+// lanes; returns once it wakes to find the handle closed or departed.
 sim::Proc ReconnectDaemon(ClientConnState& conn);
 
 }  // namespace internal

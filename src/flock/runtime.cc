@@ -21,6 +21,8 @@ using internal::WrTag;
 
 FlockRuntime::FlockRuntime(verbs::Cluster& cluster, int node, const FlockConfig& config)
     : cluster_(cluster), node_(node), config_(config) {
+  FLOCK_CHECK_GT(config_.rpc_timeout, 0)
+      << "rpc_timeout must be positive: every RPC needs a retry deadline";
   if (config_.segment_threshold > 0) {
     // Segmentation constraints (DESIGN.md §16): the 24-bit ctrl-slot head
     // report must disambiguate ring positions, and one full chunk message
@@ -144,11 +146,7 @@ void FlockRuntime::StartClient() {
         internal::ResponseDispatcher(env_, client_, server_.stats, i), node_);
   }
   cluster_.sim().Spawn(sender_sched_.Run(env_, client_), node_);
-  // The retry watchdog exists only when timeouts are enabled, so the default
-  // configuration spawns no extra proc and the event trace stays untouched.
-  if (config_.rpc_timeout > 0) {
-    cluster_.sim().Spawn(watchdog_.Run(env_, client_), node_);
-  }
+  cluster_.sim().Spawn(watchdog_.Run(env_, client_), node_);
 }
 
 FlockThread* FlockRuntime::CreateThread(int core) {
@@ -229,6 +227,7 @@ std::unique_ptr<Connection> FlockRuntime::OpenHandle(int server_node,
   st.server_node = server_node;
   st.target_lanes = lanes;
   st.tenant_id = tenant;
+  st.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
 
   // Client halves first: QPs, rings, MRs — their coordinates travel in the
   // connect request. Bring-up is priced by provenance: a pooled shell is a
@@ -260,13 +259,7 @@ Connection* FlockRuntime::AdmitHandle(std::unique_ptr<Connection> conn,
     internal::CloseClientConn(st);
     return nullptr;
   }
-  if (config_.lane_reconnect) {
-    FLOCK_CHECK(config_.rpc_timeout > 0)
-        << "lane_reconnect requires rpc_timeout: in-flight RPCs on a dead QP "
-           "recover only through the retry watchdog";
-    st.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
-    cluster_.sim().Spawn(internal::ReconnectDaemon(st), node_);
-  }
+  cluster_.sim().Spawn(internal::ReconnectDaemon(st), node_);
   connections_.push_back(std::move(conn));
   // The caller's event may belong to another node: the response dispatchers
   // of this one are about to see a new connection (DESIGN.md §7).
@@ -411,7 +404,13 @@ sim::Co<bool> Connection::AwaitResponse(FlockThread& thread, PendingRpc* rpc) {
   co_return rpc->ok;
 }
 
-void Connection::FreeRpc(PendingRpc* rpc) { state_.client->rpc_pool.Delete(rpc); }
+void Connection::FreeRpc(PendingRpc* rpc) {
+  internal::ClientState& client = *state_.client;
+  if (rpc->request.heap_capacity() > 0) {
+    client.request_bufs.Recycle(std::move(rpc->request));
+  }
+  client.rpc_pool.Delete(rpc);
+}
 
 sim::Co<bool> Connection::Call(FlockThread& thread, uint16_t rpc_id,
                                const uint8_t* data, uint32_t len,

@@ -246,8 +246,8 @@ class FlockRuntime : public ctrl::Endpoint {
   // the handle and builds its first `eager` client halves; *bringup gets
   // their QP bring-up time. AdmitHandle runs the handshake: an admission
   // reject closes the handle and returns nullptr, any other reject aborts.
-  // An accepted handle gets its reconnect daemon (under lane_reconnect) and
-  // is published; *bringup gets the server's QP bring-up time.
+  // An accepted handle gets its reconnect daemon and is published; *bringup
+  // gets the server's QP bring-up time.
   std::unique_ptr<Connection> OpenHandle(int server_node, uint32_t lanes,
                                          uint32_t eager, tenant::TenantId tenant,
                                          Nanos* bringup);

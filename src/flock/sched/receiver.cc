@@ -34,12 +34,7 @@ void WriteCtrlSlot(NodeEnv& env, ServerLane& lane, ServerStats& stats,
   }
 }
 
-void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
-                       verbs::SendWr* wrs, size_t* nwrs) {
-  if (!lane.active || lane.renew_in_flight ||
-      lane.credits > config.credits / 2) {
-    return;
-  }
+verbs::SendWr RenewalWr(ClientLane& lane) {
   // write-with-imm carrying {lane, median coalescing degree since last renew}
   // (§5.1 + §7). Zero-length write: only the immediate travels.
   verbs::SendWr wr;
@@ -54,8 +49,17 @@ void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
       std::min<uint32_t>(lane.coalesce_degree.Median(1), 0xffff);
   wr.imm = PackCtrl(CtrlType::kRenewRequest, lane.index,
                     std::max<uint32_t>(degree, 1));
-  wrs[(*nwrs)++] = wr;
   lane.renew_in_flight = true;
+  return wr;
+}
+
+void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
+                       verbs::SendWr* wrs, size_t* nwrs) {
+  if (!lane.active || lane.renew_in_flight ||
+      lane.credits > config.credits / 2) {
+    return;
+  }
+  wrs[(*nwrs)++] = RenewalWr(lane);
 }
 
 bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
@@ -96,35 +100,6 @@ bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
   }
   if (changed) {
     lane.send_ready.NotifyAll();  // wake the pump (or let it migrate work)
-  }
-  // Lost-control-message recovery (armed runs only — plain bool check, no
-  // events otherwise): renewal imms and grant-slot writes are unacked, so an
-  // injected drop of either starves the lane with renew_in_flight latched.
-  // A lane stuck with queued work and no credits for many passes re-requests
-  // renewal; cumulative grants make duplicates harmless.
-  if (env.cluster->fault().armed()) {
-    if (lane.active && lane.credits == 0 && lane.combine_head != nullptr) {
-      changed = true;  // the starved-pass count moves
-      if (++lane.starved_passes >= 256) {
-        lane.starved_passes = 0;
-        verbs::SendWr wr;
-        wr.wr_id = TagWrId(WrTag::kCtrl, &lane);
-        wr.opcode = verbs::Opcode::kWriteImm;
-        wr.local_addr = 0;
-        wr.length = 0;
-        wr.remote_addr = lane.remote_ring_addr;
-        wr.rkey = lane.remote_ring_rkey;
-        wr.signaled = false;
-        wr.imm = PackCtrl(CtrlType::kRenewRequest, lane.index, 1);
-        lane.renew_in_flight = true;
-        if (env.transport->Post(*lane.qp, wr) != verbs::WcStatus::kSuccess) {
-          QuarantineLane(*lane.conn, lane);
-        }
-      }
-    } else {
-      changed |= lane.starved_passes != 0;
-      lane.starved_passes = 0;
-    }
   }
   return changed;
 }
@@ -233,7 +208,7 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
       work += static_cast<Nanos>(server.lanes.size()) * 20;
       found = true;
     }
-    co_await EndPass(env, core, work, found, next_redistribution);
+    co_await core.Idle(work, next_redistribution, /*park=*/!found);
   }
 }
 

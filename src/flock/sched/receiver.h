@@ -28,25 +28,20 @@ inline constexpr Nanos kQpSchedInterval = 200 * kMicrosecond;
 void WriteCtrlSlot(NodeEnv& env, ServerLane& lane, ServerStats& stats,
                    bool signaled = false);
 
+// Builds the lane's credit-renewal write-with-imm and marks the renewal in
+// flight. Posted by MaybeRenewCredits, and re-posted by the watchdog when a
+// retry finds the lane starved at zero credits (a lost renewal or grant).
+verbs::SendWr RenewalWr(ClientLane& lane);
+
 // Appends a credit-renewal write-with-imm to `wrs` once the lane has consumed
 // half its credits (§5.1 + §7); piggybacked on the pump's doorbell.
 void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
                        verbs::SendWr* wrs, size_t* nwrs);
 
-// Applies the server-written control slot to the client lane: new grants,
-// activation flips, and (armed runs only) starved-lane renewal recovery.
-// Returns whether it changed anything (a dispatcher pass that changed
-// nothing may park, DESIGN.md §7).
+// Applies the server-written control slot to the client lane: new grants and
+// activation flips. Returns whether it changed anything (a dispatcher pass
+// that changed nothing may park, DESIGN.md §7).
 bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane);
-
-// Ends a busy-poll pass of `cost`: a pass that found nothing parks
-// (Core::Idle, DESIGN.md §7) unless faults are armed, when ApplyCtrlSlot
-// counts starved passes and every pass must run as Work.
-inline sim::FifoServer::IdleAwaiter EndPass(NodeEnv& env, sim::Core& core,
-                                            Nanos cost, bool found,
-                                            Nanos wake_at = -1) {
-  return core.Idle(cost, wake_at, !found && !env.cluster->fault().armed());
-}
 
 // The receiver scheduler proc and its periodic redistribution sweep. The
 // scratch vector persists across sweeps to keep the hot path allocation-free.

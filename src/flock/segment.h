@@ -38,10 +38,9 @@ namespace internal {
 inline constexpr uint32_t kReassemblyEntries = 16;
 
 // Reclamation deadline for partials that stopped making progress (their
-// lane died mid-extent): give the watchdog one retry first, or 1 ms without
-// a watchdog.
+// lane died mid-extent): give the watchdog one retry first.
 inline Nanos ReassemblyTimeout(const FlockConfig& config) {
-  return config.rpc_timeout > 0 ? 2 * config.rpc_timeout : kMillisecond;
+  return 2 * config.rpc_timeout;
 }
 
 // Effective on-wire chunk size: segment_threshold, so a segmented payload

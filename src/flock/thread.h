@@ -82,12 +82,11 @@ struct PendingRpc {
   uint32_t resp_assembled = 0;
   const void* resp_src = nullptr;
 
-  // Failure handling (populated only when FlockConfig::rpc_timeout > 0):
-  // the retained request payload for retransmission, the retry deadline,
-  // the lane currently accounting this RPC's in-flight slot, and the number
-  // of retries attempted so far.
+  // Failure handling: the retained request payload for retransmission, the
+  // retry deadline, the lane currently accounting this RPC's in-flight slot,
+  // and the number of retries attempted so far.
   SmallBuf<128> request;
-  Nanos deadline = 0;  // 0 = no timeout armed
+  Nanos deadline = 0;
   uint32_t lane_index = 0;
   uint16_t retries = 0;
 

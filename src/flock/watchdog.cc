@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/flock/combine.h"
+#include "src/flock/sched/receiver.h"
 
 namespace flock {
 namespace internal {
@@ -29,7 +30,7 @@ sim::Proc Watchdog::Run(NodeEnv& env, ClientState& client) {
       scratch.clear();
       for (auto& map : conn->pending) {
         map.ForEach([&](uint32_t, PendingRpc* rpc) {
-          if (rpc->deadline > 0 && now >= rpc->deadline) {
+          if (now >= rpc->deadline) {
             scratch.push_back(rpc);
           }
         });
@@ -62,9 +63,20 @@ void RetryPendingRpc(ClientConnState& conn, PendingRpc* rpc) {
     lane.inflight += 1;
     rpc->lane_index = lane.index;
   }
-  // A timeout hints that an unacked control message may have been lost; let
-  // the next pump pass re-request credit renewal (duplicates are harmless).
-  lane.renew_in_flight = false;
+  // A timeout hints that an unacked control message may have been lost.
+  // Renewal requests and grant-slot writes are both unacked RDMA, so losing
+  // either leaves the lane at zero credits with its renewal latched in
+  // flight, and a pump with no credit posts nothing: re-send the renewal
+  // here. Cumulative grants make a duplicate harmless. With credits left,
+  // clearing the latch lets the pump's next post re-request instead.
+  if (lane.active && lane.credits == 0 && lane.renew_in_flight) {
+    if (conn.env->transport->Post(*lane.qp, RenewalWr(lane)) !=
+        verbs::WcStatus::kSuccess) {
+      QuarantineLane(conn, lane);
+    }
+  } else {
+    lane.renew_in_flight = false;
+  }
 
   // The caller's original buffer is long gone; restage from the retained
   // copy. Each PendingSend owns its bytes (`retained`) so the watchdog never
@@ -117,7 +129,6 @@ void FailPendingRpc(ClientConnState& conn, PendingRpc* rpc) {
     thread.outstanding -= 1;
   }
   rpc->ok = false;
-  rpc->deadline = 0;
   rpc->completed_at = conn.env->sim().Now();
   rpc->done_event.Fire(conn.env->sim());
 }

@@ -1,6 +1,5 @@
 // Client-side failure handling: per-RPC timeouts, exponential-backoff
-// retransmission, and terminal failure (spawned only when
-// FlockConfig::rpc_timeout > 0).
+// retransmission, lost-grant recovery, and terminal failure.
 //
 // The schedule arithmetic (tick granularity, backoff growth and saturation)
 // is pure so tests/watchdog_test.cc verifies it without building a cluster.

@@ -348,18 +348,6 @@ class Simulator {
     cur->Touch(static_cast<int32_t>(node), /*scan=*/true);
   }
 
-  // TouchNode for every node of the executing shard (e.g. arming faults,
-  // which changes what every later pass does).
-  void TouchAllNodes() {
-    Shard* cur = RunningShard();
-    if (cur == nullptr) {
-      return;
-    }
-    for (size_t n = 0; n < cur->node_slots_.size(); ++n) {
-      cur->Touch(static_cast<int32_t>(n), /*scan=*/true);
-    }
-  }
-
   // Bookkeeping hook for sync primitives that resume coroutines without a
   // per-waiter event (src/sim/sync.h).
   void NoteDirectResume() {

@@ -174,6 +174,7 @@ Qp* Device::CreateQp(QpType type, Cq* send_cq, Cq* recv_cq) {
   FLOCK_CHECK(recv_cq != nullptr);
   const uint32_t qpn = next_qpn_++;
   auto qp = std::make_unique<Qp>(*this, qpn, type, send_cq, recv_cq);
+  qp->in_error_ = killed_;
   Qp* raw = qp.get();
   qps_.push_back(std::move(qp));
   return raw;
@@ -248,7 +249,7 @@ sim::Co<void> Device::ProcessWr(Qp& qp, SendWr wr) {
   co_await TouchQpState(qp.qpn(), tx_pipe_);
 
   // Snapshot the payload from host memory (DMA read unless inlined).
-  PayloadBuf payload = AcquirePayloadBuf(wr.length);
+  PayloadBuf payload = payload_freelist_.Acquire(wr.length);
   if (wr.opcode != Opcode::kRead && !IsAtomic(wr.opcode) && wr.length > 0) {
     FLOCK_CHECK(cluster_.mem(node_id_).Contains(wr.local_addr, wr.length))
         << "bad local segment on node " << node_id_;
@@ -283,7 +284,7 @@ sim::Proc Device::Deliver(Qp& qp, SendWr wr, PayloadBuf payload) {
     // ProcessWr). ConnectTo may already have re-pointed peer_node at the new
     // session's peer, so nothing below is safe to run for a stale WR.
     stats_.tx_stale_drops++;
-    RecyclePayloadBuf(std::move(payload));  // still on the sender's shard
+    payload_freelist_.Recycle(std::move(payload));  // still on the sender's shard
     co_return;
   }
   const int dest_node = qp.type() == QpType::kUd ? wr.dest_node : qp.peer_node();
@@ -319,7 +320,7 @@ sim::Proc Device::Deliver(Qp& qp, SendWr wr, PayloadBuf payload) {
   if (qp.type() != QpType::kRc) {
     // Unreliable: remote failures are silent, already completed. Execution
     // sits on the destination's shard, so the buffer goes to that device.
-    peer.RecyclePayloadBuf(std::move(payload));
+    peer.payload_freelist_.Recycle(std::move(payload));
     co_return;
   }
   if (wr.opcode != Opcode::kRead && !IsAtomic(wr.opcode)) {
@@ -332,7 +333,7 @@ sim::Proc Device::Deliver(Qp& qp, SendWr wr, PayloadBuf payload) {
   }
   CompleteSend(qp, wr, status, wr.length);
   // Every RC path above ends back on the sender's shard.
-  RecyclePayloadBuf(std::move(payload));
+  payload_freelist_.Recycle(std::move(payload));
 }
 
 sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
@@ -463,7 +464,7 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
       }
       // NIC fetches the data from the responder's host memory...
       co_await sim::Delay(sim_, cost_.nic_dma_read);
-      PayloadBuf data = peer.AcquirePayloadBuf(wr.length);
+      PayloadBuf data = peer.payload_freelist_.Acquire(wr.length);
       peer_mem.Read(wr.remote_addr, data.Resize(wr.length), wr.length);
       // ...and streams it back.
       const uint32_t resp_packets = net_.PacketCount(wr.length);
@@ -484,7 +485,7 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
       cluster_.mem(node_id_).Write(wr.local_addr, data.data(), data.size());
       // The response hop above moved execution to the requester's shard:
       // the buffer (acquired on the responder) retires into this device.
-      RecyclePayloadBuf(std::move(data));
+      payload_freelist_.Recycle(std::move(data));
       co_return;
     }
     case Opcode::kFetchAdd:
@@ -603,7 +604,7 @@ void Device::ResetQp(Qp& qp) {
   // destination) fails the receiver's mutual-connection check instead of
   // landing in memory that may already belong to a pooled shell.
   ErrorQp(qp);
-  qp.in_error_ = false;
+  qp.in_error_ = killed_;
   qp.reset_epoch_ += 1;
   qp.peer_node_ = -1;
   qp.peer_qpn_ = 0;

@@ -94,6 +94,9 @@ class Device {
   // for unsignaled WRs), and later posts fail with kQpError.
   void ErrorQp(Qp& qp);
   void KillQp(uint32_t qpn);
+  // Node kill: the NIC never comes back, so a QP created or reset on it
+  // afterwards starts in the error state instead of reviving the node.
+  void MarkKilled() { killed_ = true; }
   // ---- recycling support (DESIGN.md §13) ----
   // Resets `qp` for reuse by a new connection: flushes queued work like
   // ErrorQp, then clears the error state and bumps the reset epoch so
@@ -119,49 +122,6 @@ class Device {
   sim::Co<void> TouchQpState(uint32_t qpn, sim::FifoServer& pipe);
   void CompleteSend(Qp& qp, const SendWr& wr, WcStatus status, uint32_t byte_len);
 
-  // Recycled jumbo payload snapshots: messages above the SmallBuf inline
-  // threshold reuse previously grown heap blocks instead of allocating one
-  // per WR, so multi-MB extent streams stay allocation-free in steady
-  // state. Shard discipline like every other device member: acquire and
-  // recycle only from events currently executing on this device's node —
-  // callers hand a finished buffer to whichever device's shard they are on.
-  PayloadBuf AcquirePayloadBuf(uint32_t len) {
-    if (payload_freelist_.empty()) {
-      return PayloadBuf();
-    }
-    // Best fit: the smallest block that already holds `len` without
-    // allocating. Big blocks — grown by rare jumbo coalesced messages — must
-    // not be burned on small payloads, or the next jumbo arrival finds only
-    // small blocks in the list and Resize allocates again. With best fit
-    // every capacity class converges to its own steady-state population and
-    // the list stops allocating entirely.
-    size_t pick = payload_freelist_.size();
-    for (size_t i = 0; i < payload_freelist_.size(); ++i) {
-      if (!payload_freelist_[i].FitsWithoutAlloc(len)) {
-        continue;
-      }
-      if (pick == payload_freelist_.size() ||
-          payload_freelist_[i].heap_capacity() <
-              payload_freelist_[pick].heap_capacity()) {
-        pick = i;
-        if (payload_freelist_[i].heap_capacity() == 0) {
-          break;  // inline fit; nothing smaller exists
-        }
-      }
-    }
-    if (pick == payload_freelist_.size()) {
-      pick = payload_freelist_.size() - 1;  // no fit: grow an existing block
-    }
-    PayloadBuf buf = std::move(payload_freelist_[pick]);
-    payload_freelist_[pick] = std::move(payload_freelist_.back());
-    payload_freelist_.pop_back();
-    return buf;
-  }
-  void RecyclePayloadBuf(PayloadBuf&& buf) {
-    buf.clear();
-    payload_freelist_.push_back(std::move(buf));
-  }
-
   Cluster& cluster_;
   sim::Simulator& sim_;
   const sim::CostModel& cost_;
@@ -172,6 +132,7 @@ class Device {
   sim::FifoServer rx_pipe_;
   sim::Semaphore pcie_fetch_slots_;
   bool paused_ = false;
+  bool killed_ = false;
   sim::Condition resume_cond_;
   rnic::QpCache qp_cache_;
   MrTable mrs_;
@@ -179,7 +140,13 @@ class Device {
   uint32_t next_qpn_ = 1;
   std::vector<std::unique_ptr<Qp>> qps_;  // index = qpn - 1 (qpns are dense)
   std::vector<std::unique_ptr<Cq>> cqs_;
-  std::vector<PayloadBuf> payload_freelist_;
+  // Recycled jumbo payload snapshots: messages above the SmallBuf inline
+  // threshold reuse previously grown heap blocks instead of allocating one
+  // per WR, so multi-MB extent streams stay allocation-free in steady
+  // state. Shard discipline like every other device member: acquire and
+  // recycle only from events currently executing on this device's node —
+  // callers hand a finished buffer to whichever device's shard they are on.
+  SmallBufFreeList<PayloadBuf::kInlineBytes> payload_freelist_;
   Stats stats_;
 };
 

@@ -11,15 +11,14 @@ void FaultInjector::Arm() {
   // the sequential (one-shard) kernel, where this is sound.
   FLOCK_CHECK_EQ(cluster_.sim().num_shards(), 1)
       << "fault injection requires a single-shard simulation";
-  if (!armed_) {
-    // Armed pollers count starved passes, so every parked pass must run.
-    cluster_.sim().TouchAllNodes();
-  }
   armed_ = true;
 }
 
 void FaultInjector::KillQp(int node, uint32_t qpn) {
   Arm();
+  // The flush completions land in the node's CQs: its parked pollers must
+  // see them (DESIGN.md §7).
+  cluster_.sim().TouchNode(node);
   Device& dev = cluster_.device(node);
   Qp* qp = dev.FindQp(qpn);
   if (qp != nullptr && !qp->in_error()) {
@@ -30,7 +29,9 @@ void FaultInjector::KillQp(int node, uint32_t qpn) {
 
 void FaultInjector::KillNode(int node) {
   Arm();
+  cluster_.sim().TouchNode(node);  // see KillQp
   Device& dev = cluster_.device(node);
+  dev.MarkKilled();
   for (uint32_t qpn = 1;; ++qpn) {
     Qp* qp = dev.FindQp(qpn);
     if (qp == nullptr) {

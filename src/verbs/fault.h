@@ -51,7 +51,9 @@ class FaultInjector {
 
   // ---- immediate actions ----
   void KillQp(int node, uint32_t qpn);
-  void KillNode(int node);  // errors every QP on the node, then pauses it
+  // Errors every QP on the node and pauses it for good: QPs created or reset
+  // there later start in error too (Device::MarkKilled).
+  void KillNode(int node);
   void PauseNode(int node);
   void ResumeNode(int node);
   void InjectSendErrors(int node, uint32_t qpn, WcStatus status, uint32_t count);

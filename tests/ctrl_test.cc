@@ -27,9 +27,9 @@ uint32_t EchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp,
   return len;
 }
 
-// A server plus N-1 clients wired for control-plane testing: clients carry
-// rpc_timeout (the reconnect path replays un-acked batches via the retry
-// watchdog) and, by default, lane_reconnect.
+// A server plus N-1 clients wired for control-plane testing: clients carry a
+// short rpc_timeout, so the reconnect path replays un-acked batches via the
+// retry watchdog within the test's horizon.
 struct CtrlWorld {
   explicit CtrlWorld(int nodes = 2, FlockConfig server_cfg = FlockConfig{},
                      FlockConfig client_cfg = DefaultClientConfig())
@@ -46,7 +46,6 @@ struct CtrlWorld {
   static FlockConfig DefaultClientConfig() {
     FlockConfig cfg;
     cfg.rpc_timeout = 100 * kMicrosecond;
-    cfg.lane_reconnect = true;
     return cfg;
   }
 

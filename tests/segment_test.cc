@@ -157,7 +157,6 @@ TEST(SegmentChunkBytesTest, ThresholdFlooredAt64) {
 
 TEST(ReassemblyTimeoutTest, DerivedFromWatchdog) {
   FlockConfig config;
-  EXPECT_EQ(ReassemblyTimeout(config), kMillisecond);  // no watchdog
   config.rpc_timeout = 100 * kMicrosecond;
   EXPECT_EQ(ReassemblyTimeout(config), 200 * kMicrosecond);
 }
