@@ -17,6 +17,11 @@ no mechanism module may include runtime.h — only runtime.cc and the umbrella
 flock.h may. Foundation libraries (src/common, src/sim, src/fabric,
 src/verbs, src/rnic, src/tenant, src/ctrl) must not include src/flock at all.
 
+The runtime also never consults the simulator's fault injector: no file
+under src/flock/ may call `fault()` (DESIGN.md §8). Failure detection has to
+come from what the server can observe on the wire, so fault-free runs and
+fault tests execute one program.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -60,6 +65,12 @@ LOWER_LAYER_DIRS = [
 ]
 
 INCLUDE_RE = re.compile(r'^\s*#include\s+"src/flock/([^"]+)"')
+FAULT_ORACLE_RE = re.compile(r"\bfault\s*\(\s*\)")
+
+# Self-check: the oracle rule must fire on the call it exists to forbid and
+# stay quiet on ordinary fault-handling code.
+assert FAULT_ORACLE_RE.search("if (env.cluster->fault().armed()) {")
+assert not FAULT_ORACLE_RE.search("QuarantineLane(conn, lane);  // a fault")
 
 
 def flock_module(rel):
@@ -97,6 +108,10 @@ def main():
             my_rank = RANK[module]
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
+                if FAULT_ORACLE_RE.search(line):
+                    violations.append(
+                        f"src/flock/{rel}:{lineno}: calls fault() — the "
+                        "runtime must not consult the fault injector")
                 m = INCLUDE_RE.match(line)
                 if not m:
                     continue

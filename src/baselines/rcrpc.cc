@@ -6,8 +6,6 @@ namespace flock::baselines {
 
 namespace {
 
-constexpr uint32_t kSignalInterval = 16;
-
 uint64_t PendingKey(uint16_t thread_id, uint32_t seq) {
   return (uint64_t{thread_id} << 32) | seq;
 }
@@ -18,28 +16,10 @@ template <typename LaneT>
 verbs::WcStatus PostRingWrite(flock::TransportOps& transport, LaneT& lane,
                               const RingProducer::Reservation& resv,
                               uint32_t msg_len, uint64_t canary) {
-  std::vector<verbs::SendWr> wrs;
-  if (resv.wrapped) {
-    wire::EncodeWrapMarker(lane.staging + resv.marker_offset, canary);
-    verbs::SendWr marker;
-    marker.opcode = verbs::Opcode::kWrite;
-    marker.local_addr = lane.staging_addr + resv.marker_offset;
-    marker.length = wire::kWrapMarkerBytes;
-    marker.remote_addr = lane.remote_ring_addr + resv.marker_offset;
-    marker.rkey = lane.remote_ring_rkey;
-    marker.signaled = false;
-    wrs.push_back(marker);
-  }
-  verbs::SendWr msg;
-  msg.opcode = verbs::Opcode::kWrite;
-  msg.local_addr = lane.staging_addr + resv.offset;
-  msg.length = msg_len;
-  msg.remote_addr = lane.remote_ring_addr + resv.offset;
-  msg.rkey = lane.remote_ring_rkey;
-  lane.posts += 1;
-  msg.signaled = (lane.posts % kSignalInterval) == 0;
-  wrs.push_back(msg);
-  return transport.PostBatch(*lane.qp, wrs.data(), wrs.size());
+  verbs::SendWr wrs[2];
+  size_t nwrs = 0;
+  flock::AppendRingWrite(lane, resv, msg_len, canary, /*wr_id=*/0, wrs, &nwrs);
+  return transport.PostBatch(*lane.qp, wrs, nwrs);
 }
 
 }  // namespace

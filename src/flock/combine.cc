@@ -430,28 +430,8 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
     // with a single doorbell.
     verbs::SendWr wrs[3];
     size_t nwrs = 0;
-    if (resv.wrapped) {
-      wire::EncodeWrapMarker(lane.staging + resv.marker_offset, canary);
-      verbs::SendWr marker;
-      marker.wr_id = TagWrId(WrTag::kRpcWrite, &lane);
-      marker.opcode = verbs::Opcode::kWrite;
-      marker.local_addr = lane.staging_addr + resv.marker_offset;
-      marker.length = wire::kWrapMarkerBytes;
-      marker.remote_addr = lane.remote_ring_addr + resv.marker_offset;
-      marker.rkey = lane.remote_ring_rkey;
-      marker.signaled = false;
-      wrs[nwrs++] = marker;
-    }
-    verbs::SendWr msg;
-    msg.wr_id = TagWrId(WrTag::kRpcWrite, &lane);
-    msg.opcode = verbs::Opcode::kWrite;
-    msg.local_addr = lane.staging_addr + resv.offset;
-    msg.length = msg_len;
-    msg.remote_addr = lane.remote_ring_addr + resv.offset;
-    msg.rkey = lane.remote_ring_rkey;
-    lane.posts += 1;
-    msg.signaled = (lane.posts % kSignalInterval) == 0;  // §7
-    wrs[nwrs++] = msg;
+    AppendRingWrite(lane, resv, msg_len, canary,
+                    TagWrId(WrTag::kRpcWrite, &lane), wrs, &nwrs);
     MaybeRenewCredits(config, lane, wrs, &nwrs);
 
     co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +

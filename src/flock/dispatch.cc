@@ -81,6 +81,73 @@ sim::Proc RpcWorker(NodeEnv& env, ServerState& server, int index) {
 
 namespace {
 
+// Posts one response message on `lane`'s response ring: the `n` entries of
+// `resps` (payloads at base + offset, `bytes` in total) sealed with the
+// request-ring head report and `flags`. Returns false when the lane died
+// first, after counting the message as dropped.
+sim::Co<bool> PostResponse(NodeEnv& env, ServerState& server, ServerLane& lane,
+                           sim::Core& core,
+                           const DispatchScratch::RespEntry* resps, uint32_t n,
+                           const uint8_t* base, uint32_t bytes, uint16_t flags) {
+  const sim::CostModel& cost = env.cost();
+  // Reserve response-ring space; while stalled, re-read the head slot the
+  // client's dispatcher keeps fresh (the §4.1 fallback for a stale Head).
+  const uint32_t msg_len = wire::MessageBytes(n, bytes);
+  RingProducer::Reservation resv;
+  uint64_t stalls = 0;
+  while (!lane.resp_producer.Reserve(msg_len, &resv)) {
+    if (lane.failed) {
+      // The client stopped consuming because it is gone, not slow. Drop the
+      // responses; its RPCs recover (or fail) through their own timeouts.
+      server.stats.responses_dropped += 1;
+      co_return false;
+    }
+    // A ring stuck for 64 us may mean the client silently died: re-post the
+    // control slot *signaled*. A live client just sees its slot rewritten; a
+    // dead QP answers with an error completion, which quarantines the lane
+    // and ends this stall.
+    if ((++stalls & 63) == 0) {
+      WriteCtrlSlot(env, lane, server.stats, /*signaled=*/true);
+      if (lane.failed) {
+        server.stats.responses_dropped += 1;
+        co_return false;
+      }
+    }
+    co_await sim::Delay(env.sim(), kMicrosecond);
+    uint32_t slot_value = 0;
+    std::memcpy(&slot_value, lane.head_slot_ptr, 4);
+    lane.resp_producer.OnHeadUpdate(slot_value);
+  }
+
+  // Encode; piggyback the request-ring head (§4.3).
+  const uint64_t canary = SplitMix64(*env.rng_state);
+  wire::MessageEncoder encoder(lane.staging + resv.offset, msg_len, canary);
+  for (uint32_t i = 0; i < n; ++i) {
+    encoder.Add(resps[i].meta, base + resps[i].offset);
+  }
+  const uint32_t total = encoder.Seal(lane.req_consumer->consumed_report(),
+                                      /*credit_grant=*/0, flags);
+  FLOCK_CHECK_EQ(total, msg_len);
+  lane.seg_bytes_since_report = 0;  // the piggyback head carried the report
+  co_await core.Work(cost.cpu_msg_fixed +
+                     static_cast<Nanos>(n) * cost.cpu_msg_per_req +
+                     cost.MemcpyCost(bytes));
+
+  verbs::SendWr wrs[2];
+  size_t nwrs = 0;
+  AppendRingWrite(lane, resv, msg_len, canary,
+                  TagWrId(WrTag::kServerWrite, &lane), wrs, &nwrs);
+  co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +
+                     cost.cpu_mmio_doorbell);
+  if (env.transport->PostBatch(*lane.qp, wrs, nwrs) !=
+      verbs::WcStatus::kSuccess) {
+    QuarantineServerLane(lane, server.stats);
+    server.stats.responses_dropped += 1;
+    co_return false;
+  }
+  co_return true;
+}
+
 // Streams one above-threshold handler response as a SegMark chunk train on
 // `lane`'s response ring (DESIGN.md §16). Large responses never enter the
 // accumulation buffer: each chunk is posted as its own single-request
@@ -91,78 +158,19 @@ sim::Co<bool> StreamSegmentedResponse(NodeEnv& env, ServerState& server,
                                       ServerLane& lane, sim::Core& core,
                                       wire::ReqMeta meta, const uint8_t* data,
                                       uint32_t len) {
-  const sim::CostModel& cost = env.cost();
-  const FlockConfig& config = *env.config;
-  const uint32_t chunk = SegmentChunkBytes(config);
-  uint32_t offset = 0;
-  while (offset < len) {
+  const uint32_t chunk = SegmentChunkBytes(*env.config);
+  for (uint32_t offset = 0; offset < len;) {
     const uint32_t clen = std::min(chunk, len - offset);
     const bool last = offset + clen == len;
-    wire::ReqMeta cmeta = meta;
-    cmeta.data_len = wire::PackSegLen(
+    DispatchScratch::RespEntry entry;
+    entry.meta = meta;
+    entry.meta.data_len = wire::PackSegLen(
         offset == 0 ? wire::SegMark::kFirst
                     : (last ? wire::SegMark::kLast : wire::SegMark::kMiddle),
         clen);
-    const uint32_t msg_len = wire::MessageBytes(1, clen);
-    RingProducer::Reservation resv;
-    uint64_t stalls = 0;
-    while (!lane.resp_producer.Reserve(msg_len, &resv)) {
-      if (lane.failed) {
-        server.stats.responses_dropped += 1;
-        co_return false;
-      }
-      if (env.cluster->fault().armed() && (++stalls & 63) == 0) {
-        WriteCtrlSlot(env, lane, server.stats, /*signaled=*/true);
-        if (lane.failed) {
-          server.stats.responses_dropped += 1;
-          co_return false;
-        }
-      }
-      co_await sim::Delay(env.sim(), kMicrosecond);
-      uint32_t slot_value = 0;
-      std::memcpy(&slot_value, lane.head_slot_ptr, 4);
-      lane.resp_producer.OnHeadUpdate(slot_value);
-    }
-    const uint64_t canary = SplitMix64(*env.rng_state);
-    wire::MessageEncoder encoder(lane.staging + resv.offset, msg_len, canary);
-    encoder.Add(cmeta, data + offset);
-    const uint32_t total = encoder.Seal(lane.req_consumer->consumed_report(),
-                                        /*credit_grant=*/0, wire::kFlagSegment);
-    FLOCK_CHECK_EQ(total, msg_len);
-    lane.seg_bytes_since_report = 0;  // the chunk header carried the report
-    co_await core.Work(cost.cpu_msg_fixed + cost.cpu_msg_per_req +
-                       cost.MemcpyCost(clen));
-
-    verbs::SendWr wrs[2];
-    size_t nwrs = 0;
-    if (resv.wrapped) {
-      wire::EncodeWrapMarker(lane.staging + resv.marker_offset, canary);
-      verbs::SendWr marker;
-      marker.wr_id = TagWrId(WrTag::kServerWrite, &lane);
-      marker.opcode = verbs::Opcode::kWrite;
-      marker.local_addr = lane.staging_addr + resv.marker_offset;
-      marker.length = wire::kWrapMarkerBytes;
-      marker.remote_addr = lane.remote_ring_addr + resv.marker_offset;
-      marker.rkey = lane.remote_ring_rkey;
-      marker.signaled = false;
-      wrs[nwrs++] = marker;
-    }
-    verbs::SendWr msg;
-    msg.wr_id = TagWrId(WrTag::kServerWrite, &lane);
-    msg.opcode = verbs::Opcode::kWrite;
-    msg.local_addr = lane.staging_addr + resv.offset;
-    msg.length = msg_len;
-    msg.remote_addr = lane.remote_ring_addr + resv.offset;
-    msg.rkey = lane.remote_ring_rkey;
-    lane.posts += 1;
-    msg.signaled = (lane.posts % kSignalInterval) == 0;
-    wrs[nwrs++] = msg;
-    co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +
-                       cost.cpu_mmio_doorbell);
-    if (env.transport->PostBatch(*lane.qp, wrs, nwrs) !=
-        verbs::WcStatus::kSuccess) {
-      QuarantineServerLane(lane, server.stats);
-      server.stats.responses_dropped += 1;
+    entry.offset = offset;
+    if (!co_await PostResponse(env, server, lane, core, &entry, 1, data, clen,
+                               wire::kFlagSegment)) {
       co_return false;
     }
     offset += clen;
@@ -320,85 +328,11 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
     co_return;
   }
 
-  // Reserve response-ring space; while stalled, re-read the head slot the
-  // client's dispatcher keeps fresh (the §4.1 fallback for a stale Head).
-  const uint32_t msg_len = wire::MessageBytes(num_resps, resp_bytes);
-  RingProducer::Reservation resv;
-  uint64_t stalls = 0;
-  while (!lane.resp_producer.Reserve(msg_len, &resv)) {
-    if (lane.failed) {
-      // The client stopped consuming because it is gone, not slow. Drop the
-      // responses; its RPCs recover (or fail) through their own timeouts.
-      server.stats.responses_dropped += 1;
-      co_return;
-    }
-    // A stuck ring with faults armed may mean the client silently died.
-    // Periodically re-post the control slot *signaled*: a dead QP answers
-    // with an error completion, which quarantines the lane and ends this
-    // stall. (Gated on armed() so fault-free traces see no extra posts.)
-    if (env.cluster->fault().armed() && (++stalls & 63) == 0) {
-      WriteCtrlSlot(env, lane, server.stats, /*signaled=*/true);
-      if (lane.failed) {
-        server.stats.responses_dropped += 1;
-        co_return;
-      }
-    }
-    co_await sim::Delay(env.sim(), kMicrosecond);
-    std::memcpy(&slot_value, lane.head_slot_ptr, 4);
-    lane.resp_producer.OnHeadUpdate(slot_value);
+  if (co_await PostResponse(env, server, lane, core, scratch.resp.data(),
+                            num_resps, scratch.data.data(), resp_bytes,
+                            /*flags=*/0)) {
+    server.stats.responses_sent += 1;
   }
-
-  // Encode the coalesced response; piggyback the request-ring head and any
-  // pending credit grant (§4.3, §5.1).
-  const uint64_t canary = SplitMix64(*env.rng_state);
-  wire::MessageEncoder encoder(lane.staging + resv.offset, msg_len, canary);
-  for (uint32_t i = 0; i < num_resps; ++i) {
-    encoder.Add(scratch.resp[i].meta, scratch.data.data() + scratch.resp[i].offset);
-  }
-  const uint32_t total =
-      encoder.Seal(lane.req_consumer->consumed_report(), /*credit_grant=*/0);
-  FLOCK_CHECK_EQ(total, msg_len);
-  if (seg_on) {
-    lane.seg_bytes_since_report = 0;  // the piggyback head carried the report
-  }
-  co_await core.Work(cost.cpu_msg_fixed +
-                     static_cast<Nanos>(num_resps) * cost.cpu_msg_per_req +
-                     cost.MemcpyCost(resp_bytes));
-
-  verbs::SendWr wrs[2];
-  size_t nwrs = 0;
-  if (resv.wrapped) {
-    wire::EncodeWrapMarker(lane.staging + resv.marker_offset, canary);
-    verbs::SendWr marker;
-    marker.wr_id = TagWrId(WrTag::kServerWrite, &lane);
-    marker.opcode = verbs::Opcode::kWrite;
-    marker.local_addr = lane.staging_addr + resv.marker_offset;
-    marker.length = wire::kWrapMarkerBytes;
-    marker.remote_addr = lane.remote_ring_addr + resv.marker_offset;
-    marker.rkey = lane.remote_ring_rkey;
-    marker.signaled = false;
-    wrs[nwrs++] = marker;
-  }
-  verbs::SendWr msg;
-  msg.wr_id = TagWrId(WrTag::kServerWrite, &lane);
-  msg.opcode = verbs::Opcode::kWrite;
-  msg.local_addr = lane.staging_addr + resv.offset;
-  msg.length = msg_len;
-  msg.remote_addr = lane.remote_ring_addr + resv.offset;
-  msg.rkey = lane.remote_ring_rkey;
-  lane.posts += 1;
-  msg.signaled = (lane.posts % kSignalInterval) == 0;
-  wrs[nwrs++] = msg;
-
-  co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +
-                     cost.cpu_mmio_doorbell);
-  const verbs::WcStatus status = env.transport->PostBatch(*lane.qp, wrs, nwrs);
-  if (status != verbs::WcStatus::kSuccess) {
-    QuarantineServerLane(lane, server.stats);
-    server.stats.responses_dropped += 1;
-    co_return;
-  }
-  server.stats.responses_sent += 1;
 }
 
 sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,

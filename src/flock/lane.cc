@@ -403,6 +403,7 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
   SenderState& sender = server.senders[sender_key];
   sender.client_node = req.client_node;
   sender.tenant_id = req.tenant_id;
+  sender.quiet_since = env.sim().Now();
   // AdmitConnect charged one connection and `granted_lanes` lanes above;
   // record exactly what teardown (or dead-sender reclamation) must release.
   sender.tenant_lanes_charged = granted_lanes;
@@ -532,6 +533,7 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   // Shield the revived lane from dead-sender reclamation for two sweeps; it
   // has zero utilization by construction (the double-reclaim bug).
   sender.revive_grace = 2;
+  sender.quiet_since = env.sim().Now();
 
   cw::ReconnectAccept accept;
   accept.lane_index = req.lane_index;

@@ -379,6 +379,9 @@ struct SenderState {
   // "failed sibling + idle interval" test would re-condemn it immediately
   // (the double-reclaim bug) and a rejoining node could never come back.
   uint32_t revive_grace = 0;
+  // Last sweep (or handshake) that saw this sender move traffic; once it has
+  // been quiet for rpc_timeout, Redistribute sends it a liveness probe.
+  Nanos quiet_since = 0;
   // ---- tenants (DESIGN.md §15) ----
   // Identity this sender's connect handshake presented, and the admission
   // accounting charged for it (released exactly once at teardown or

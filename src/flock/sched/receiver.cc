@@ -398,18 +398,27 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
         lane.active = false;
         server.stats.deactivations += 1;
         WriteCtrlSlot(env, lane, server.stats);
-      } else if (env.cluster->fault().armed() && lane.active &&
-                 lane.utilization == 0) {
-        // Liveness probe (armed runs only — plain bool, zero events in
-        // fault-free traces): an active lane that moved nothing all interval
-        // may terminate at a dead client QP that the server would otherwise
-        // never touch again. The signaled slot rewrite is idempotent against
-        // a healthy peer and completes in error against a dead one, which
-        // quarantines the lane via the scheduler's send-CQ poll.
-        WriteCtrlSlot(env, lane, server.stats, /*signaled=*/true);
       }
       lane.messages_at_last_sweep = lane.messages_handled;
       lane.utilization = 0;
+    }
+    // Liveness probe: a sender that moved nothing for rpc_timeout may be a
+    // dead client whose QPs the server would otherwise never touch again.
+    // One signaled slot rewrite on an active lane is idempotent against a
+    // healthy peer and completes in error against a dead one; the quarantine
+    // that follows lets the reclamation rule above condemn the rest at the
+    // next sweep. Busy senders are never probed.
+    const Nanos now = env.sim().Now();
+    if (sender.utilization > 0) {
+      sender.quiet_since = now;
+    } else if (now - sender.quiet_since >= config.rpc_timeout) {
+      sender.quiet_since = now;
+      for (ServerLane* lane : sender.lanes) {
+        if (lane->active && !lane->failed) {
+          WriteCtrlSlot(env, *lane, server.stats, /*signaled=*/true);
+          break;
+        }
+      }
     }
     sender.utilization = 0;
   }

@@ -8,12 +8,14 @@
 #include <vector>
 
 #include "src/flock/flock.h"
+#include "src/flock/sched/receiver.h"
 #include "src/verbs/fault.h"
 
 namespace flock {
 namespace {
 
 constexpr uint16_t kEchoRpc = 1;
+constexpr uint16_t kFullRpc = 2;
 
 uint32_t EchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp, uint32_t cap,
                      Nanos* cpu) {
@@ -21,6 +23,14 @@ uint32_t EchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp, uint32_t c
   std::memcpy(resp, req, len);
   *cpu = 60;
   return len;
+}
+
+// Answers every request with a max_payload response.
+uint32_t FullResponseHandler(const uint8_t*, uint32_t, uint8_t* resp, uint32_t cap,
+                             Nanos* cpu) {
+  std::memset(resp, 0x5a, cap);
+  *cpu = 60;
+  return cap;
 }
 
 // ---------------------------------------------------------------------------
@@ -298,12 +308,12 @@ struct FaultWorld {
 };
 
 sim::Proc EchoLoop(Connection* conn, FlockThread* thread, int count,
-                   int* ok_count, int* fail_count) {
+                   int* ok_count, int* fail_count, uint16_t rpc_id = kEchoRpc) {
   std::vector<uint8_t> resp;
   for (int i = 0; i < count; ++i) {
     uint64_t payload = static_cast<uint64_t>(i);
     const bool ok =
-        co_await conn->Call(*thread, kEchoRpc,
+        co_await conn->Call(*thread, rpc_id,
                             reinterpret_cast<const uint8_t*>(&payload), 8, &resp);
     (ok ? *ok_count : *fail_count) += 1;
   }
@@ -441,6 +451,93 @@ TEST(FlockFaultTest, AllLanesDeadFailsRpcsAndReclaimsSender) {
   // The server reclaims the dead sender wholesale.
   EXPECT_GE(world.server->server_stats().dead_senders, 1u);
   EXPECT_GE(world.server->server_stats().lane_failures, 2u);
+}
+
+// Quiet-sender liveness probe (DESIGN.md §8): a client finishes its calls,
+// goes idle, and its node dies. The server has no traffic left to post on
+// that sender's lanes, so only the Redistribute probe can notice: once the
+// sender has been quiet for rpc_timeout, a signaled control-slot write
+// completes in error, and the next sweep reclaims the rest of the sender.
+TEST(FlockFaultTest, IdleDeadClientIsReclaimedByLivenessProbe) {
+  FaultWorld world;
+  Connection* conn = world.clients[0]->Connect(*world.server, 2);
+  int ok = 0, fail = 0;
+  world.cluster.sim().Spawn(EchoLoop(conn, world.clients[0]->CreateThread(0), 50,
+                                     &ok, &fail));
+  // Idle for several sweeps first, so the dormant-sender deactivation write
+  // lands while the client is still alive and cannot expose the death.
+  world.cluster.sim().RunFor(2 * kMillisecond);
+  ASSERT_EQ(ok, 50);
+  ASSERT_EQ(world.server->server_stats().lane_failures, 0u);
+
+  world.cluster.fault().KillNode(/*node=*/1);
+  // The quiet clock started no later than the kill: the probe goes out at the
+  // first sweep past rpc_timeout, and the sweep after it reclaims the sender.
+  world.cluster.sim().RunFor(FlockConfig{}.rpc_timeout +
+                             2 * internal::kQpSchedInterval);
+  EXPECT_GE(world.server->server_stats().dead_senders, 1u);
+  EXPECT_GE(world.server->server_stats().lane_failures, 2u);
+}
+
+// Response-ring stall probe (DESIGN.md §8): a client stops consuming its
+// response ring and then dies while the server's only dispatcher is blocked
+// waiting for space in that ring. The dispatcher re-posts the control slot
+// signaled every 64 stalled polls; against the dead client that write fails,
+// the lane is quarantined and the dispatcher drops the stuck responses and
+// goes back to serving the healthy client — within one probe period plus a
+// round trip, not after the rpc_timeout that the liveness probe needs.
+TEST(FlockFaultTest, DispatcherStalledOnDeadClientRingRecoversQuickly) {
+  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 3, .cores_per_node = 8});
+  // A small ring that a few dozen outstanding max_payload responses fill,
+  // with coalesced responses still bounded by half the ring.
+  FlockConfig cfg;
+  cfg.ring_bytes = 8 * 1024;
+  cfg.max_payload = 512;
+  cfg.max_coalesce = 4;
+  FlockRuntime server(cluster, 0, cfg);
+  server.RegisterHandler(kEchoRpc, EchoHandler);
+  server.RegisterHandler(kFullRpc, FullResponseHandler);
+  server.StartServer(1);  // one dispatcher serves both clients
+  FlockRuntime victim(cluster, 1, cfg);
+  victim.StartClient();
+  FlockRuntime healthy(cluster, 2, cfg);
+  healthy.StartClient();
+  Connection* vconn = victim.Connect(server, 1);
+  Connection* hconn = healthy.Connect(server, 1);
+
+  int v_ok = 0, v_fail = 0, h_ok = 0, h_fail = 0;
+  for (int t = 0; t < 24; ++t) {
+    FlockThread* thread = victim.CreateThread(t % 4);
+    cluster.sim().Spawn(EchoLoop(vconn, thread, 200, &v_ok, &v_fail, kFullRpc), 1);
+  }
+  cluster.sim().Spawn(EchoLoop(hconn, healthy.CreateThread(0), 2000, &h_ok, &h_fail), 2);
+
+  // The victim stops consuming: its response dispatcher's core (the node's
+  // top core) is taken by a long job, while its NIC keeps accepting writes.
+  sim::Core& dispatcher_core = cluster.cpu(1).core(cluster.cpu(1).num_cores() - 1);
+  auto hog = [&]() -> sim::Co<void> {
+    co_await sim::Delay(cluster.sim(), 300 * kMicrosecond);
+    co_await dispatcher_core.Work(100 * kMillisecond);
+  };
+  cluster.sim().Spawn(sim::RunClosure(hog), 1);
+  cluster.sim().RunUntil(600 * kMicrosecond);
+  ASSERT_GT(v_ok, 0);
+  ASSERT_GT(h_ok, 0);
+  ASSERT_EQ(server.server_stats().responses_dropped, 0u);
+  // The ring is full and the dispatcher is stuck on it: the healthy client is
+  // starved.
+  const int h_before_kill = h_ok;
+  cluster.sim().RunFor(50 * kMicrosecond);
+  ASSERT_EQ(h_ok, h_before_kill) << "the dispatcher must be stalled before the kill";
+
+  cluster.fault().KillNode(/*node=*/1);
+  cluster.sim().RunFor(64 * kMicrosecond + 20 * kMicrosecond);
+  EXPECT_GE(server.server_stats().responses_dropped, 1u);
+  EXPECT_GE(server.server_stats().lane_failures, 1u);
+  const int h_at_drop = h_ok;
+  cluster.sim().RunFor(1 * kMillisecond);
+  EXPECT_GT(h_ok, h_at_drop) << "the healthy client is served again";
+  EXPECT_EQ(h_fail, 0);
 }
 
 // Killed lane mid-extent (DESIGN.md §16): a QP dies while a megabyte chunk
