@@ -11,12 +11,18 @@
 // valid forever because chunks are never reallocated. A single allocation
 // must fit inside one chunk (4 MiB), which every buffer in this codebase
 // satisfies by a wide margin.
+//
+// Each chunk is its own anonymous mapping, prefaulted whole when it is
+// created, so every byte is zero and resident before the simulation touches
+// it (DESIGN.md §7: a first-touch fault inside a measured window costs host
+// time there).
 #ifndef FLOCK_FABRIC_MEMORY_H_
 #define FLOCK_FABRIC_MEMORY_H_
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -28,39 +34,42 @@ class MemorySpace {
   static constexpr size_t kChunkBytes = size_t{4} << 20;
 
   MemorySpace() = default;
+  ~MemorySpace() {
+    for (uint8_t* chunk : chunks_) {
+      munmap(chunk, kChunkBytes);
+    }
+  }
 
   MemorySpace(const MemorySpace&) = delete;
   MemorySpace& operator=(const MemorySpace&) = delete;
 
   size_t capacity() const { return chunks_.size() * kChunkBytes; }
-  size_t allocated() const { return next_; }
 
   // Bump allocation; simulated applications never free (they live for the
   // duration of one experiment, as the paper's do). An allocation never
   // straddles a chunk boundary so At(addr) is contiguous for its whole size.
   uint64_t Alloc(size_t size, size_t align = 64) {
-    FLOCK_CHECK_GT(align, 0u);
+    FLOCK_CHECK(align > 0 && (align & (align - 1)) == 0)
+        << "alignment " << align << " is not a power of two";
     FLOCK_CHECK_LE(size, kChunkBytes) << "single allocation too large";
     size_t base = (next_ + align - 1) & ~(align - 1);
     if (size > 0 && ChunkIndex(base) != ChunkIndex(base + size - 1)) {
       base = (ChunkIndex(base) + 1) * kChunkBytes;  // start of next chunk
     }
     while (ChunkIndex(base + (size > 0 ? size - 1 : 0)) >= chunks_.size()) {
-      // make_unique<T[]> value-initializes: the chunk arrives zeroed.
-      chunks_.push_back(std::make_unique<uint8_t[]>(kChunkBytes));
+      chunks_.push_back(MapChunk());
     }
     next_ = base + size;
-    high_water_ = next_ > high_water_ ? next_ : high_water_;
     return static_cast<uint64_t>(base);
   }
 
   uint8_t* At(uint64_t addr) {
     FLOCK_CHECK_LT(addr, capacity());
-    return chunks_[ChunkIndex(addr)].get() + (addr % kChunkBytes);
+    return chunks_[ChunkIndex(addr)] + (addr % kChunkBytes);
   }
   const uint8_t* At(uint64_t addr) const {
     FLOCK_CHECK_LT(addr, capacity());
-    return chunks_[ChunkIndex(addr)].get() + (addr % kChunkBytes);
+    return chunks_[ChunkIndex(addr)] + (addr % kChunkBytes);
   }
 
   bool Contains(uint64_t addr, size_t len) const {
@@ -98,11 +107,21 @@ class MemorySpace {
  private:
   static size_t ChunkIndex(uint64_t addr) { return addr / kChunkBytes; }
 
-  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  // One zeroed, resident chunk. MAP_POPULATE has the kernel fault in and
+  // zero every page inside the mmap call, instead of one trap per page on
+  // first touch. Pages it could not populate stay mapped and fault in as
+  // zeroes later, so a chunk reads zero either way.
+  static uint8_t* MapChunk() {
+    void* chunk = mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    FLOCK_CHECK(chunk != MAP_FAILED) << "cannot map a memory chunk";
+    return static_cast<uint8_t*>(chunk);
+  }
+
+  std::vector<uint8_t*> chunks_;
   // Address 0 is reserved as a null sentinel (work requests use local_addr 0
   // to mean "no local buffer"), so allocations start at 64.
   size_t next_ = 64;
-  size_t high_water_ = 0;
 };
 
 }  // namespace flock::fabric

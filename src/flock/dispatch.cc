@@ -257,6 +257,25 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
         }
         continue;
       }
+      // One message must fit a ring_bytes / 2 reservation: flush what has
+      // accumulated before this result would push it over. Earlier results
+      // stay where they are in the buffer, which holds the whole gather.
+      if (!scratch.resp.empty() &&
+          wire::MessageBytes64(scratch.resp.size() + 1,
+                               uint64_t{resp_bytes} + resp_len) >
+              config.ring_bytes / 2) {
+        co_await core.Work(work);
+        work = 0;
+        if (!co_await PostResponse(
+                env, server, lane, core, scratch.resp.data(),
+                static_cast<uint32_t>(scratch.resp.size()),
+                scratch.data.data(), resp_bytes, /*flags=*/0)) {
+          co_return;  // lane died
+        }
+        server.stats.responses_sent += 1;
+        scratch.resp.clear();
+        resp_bytes = 0;
+      }
       DispatchScratch::RespEntry entry;
       entry.meta = req.meta;  // echo thread id, seq, rpc id
       entry.meta.data_len = resp_len;

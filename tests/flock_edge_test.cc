@@ -1,11 +1,13 @@
 // Edge-case and stress tests for the Flock runtime: the §4.3 worker-pool
 // execution mode, ring wrap-around under large payloads, QP
-// activation/deactivation churn, and mixed RPC + one-sided traffic on the
-// same lanes.
+// activation/deactivation churn, mixed RPC + one-sided traffic on the
+// same lanes, and coalesced responses that outgrow half the ring.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/flock/flock.h"
@@ -14,6 +16,7 @@ namespace flock {
 namespace {
 
 constexpr uint16_t kEchoRpc = 1;
+constexpr uint16_t kFullRpc = 2;
 
 uint32_t EchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp, uint32_t cap,
                      Nanos* cpu) {
@@ -21,6 +24,16 @@ uint32_t EchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp, uint32_t c
   std::memcpy(resp, req, len);
   *cpu = 60;
   return len;
+}
+
+// Answers with a full `cap`-byte response filled with the request's first
+// byte.
+uint32_t FullHandler(const uint8_t* req, uint32_t len, uint8_t* resp, uint32_t cap,
+                     Nanos* cpu) {
+  FLOCK_CHECK_GE(len, 1u);
+  std::memset(resp, req[0], cap);
+  *cpu = 60;
+  return cap;
 }
 
 sim::Proc EchoLoop(verbs::Cluster* cluster, Connection* conn, FlockThread* thread,
@@ -206,6 +219,52 @@ TEST(FlockWorkerPoolTest, PoolAndDispatcherModesAgree) {
     cluster.sim().RunFor(100 * kMillisecond);
     EXPECT_EQ(completed, 300) << "workers=" << workers;
     EXPECT_EQ(server.server_stats().requests, 300u) << "workers=" << workers;
+  }
+}
+
+TEST(FlockCoalescedResponseTest, FullSizeResponsesSplitAtHalfTheRing) {
+  // max_coalesce requests in one message whose handlers each return
+  // max_payload bytes. On the default config (16 x 8 KB plus headers) one
+  // coalesced response would exceed ring_bytes / 2, so it leaves in two
+  // messages; on a 32 KB ring only one 8 KB response fits per message.
+  FlockConfig small_ring;
+  small_ring.ring_bytes = 32 * 1024;
+  for (const auto& [config, response_msgs] :
+       {std::pair{FlockConfig{}, 2u}, std::pair{small_ring, 16u}}) {
+    const int threads = static_cast<int>(config.max_coalesce);
+    verbs::Cluster::Config cluster_config;  // two nodes
+    cluster_config.cores_per_node = threads + 4;
+    verbs::Cluster cluster(cluster_config);
+    FlockRuntime server(cluster, 0, config);
+    server.RegisterHandler(kFullRpc, FullHandler);
+    server.StartServer(4);
+    FlockRuntime client(cluster, 1, config);
+    client.StartClient();
+    Connection* conn = client.Connect(server, 1);
+
+    // One request per thread, all issued at once: they share one lane, so
+    // the combining leader seals them into one message.
+    int completed = 0;
+    for (int t = 0; t < threads; ++t) {
+      FlockThread* thread = client.CreateThread(t);
+      const uint32_t bytes = config.max_payload;
+      auto app = [conn, thread, bytes, &completed]() -> sim::Co<void> {
+        const uint8_t tag = static_cast<uint8_t>(thread->id() + 1);
+        std::vector<uint8_t> resp;
+        EXPECT_TRUE(co_await conn->Call(*thread, kFullRpc, &tag, 1, &resp));
+        EXPECT_TRUE(resp == std::vector<uint8_t>(bytes, tag))
+            << "thread " << thread->id() << ": response corrupted";
+        ++completed;
+      };
+      cluster.sim().Spawn(sim::RunClosure(app));
+    }
+    cluster.sim().RunFor(10 * kMillisecond);
+    const std::string where = "ring_bytes=" + std::to_string(config.ring_bytes);
+    EXPECT_EQ(completed, threads) << where;
+    EXPECT_EQ(server.server_stats().messages, 1u) << where;
+    EXPECT_EQ(server.server_stats().requests, config.max_coalesce) << where;
+    EXPECT_EQ(server.server_stats().responses_sent, response_msgs) << where;
+    EXPECT_EQ(client.client_stats().retries, 0u) << where;
   }
 }
 
