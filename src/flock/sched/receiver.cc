@@ -67,7 +67,7 @@ bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
     return false;  // quarantined/retired: stale grants must not resurrect it
   }
   // Polled every dispatcher pass: read through the cached pointer rather than
-  // the bounds-checked chunked MemorySpace path.
+  // the bounds-checked MemorySpace::Read.
   CtrlSlot slot;
   std::memcpy(&slot, lane.ctrl_slot_ptr, sizeof(slot));
   bool changed = false;

@@ -159,7 +159,7 @@ class Cluster {
   struct Config {
     int num_nodes = 2;
     int cores_per_node = 32;
-    sim::CostModel cost;
+    sim::CostModel cost{};
     // Simulation-kernel shards (see src/sim/simulator.h). Nodes are assigned
     // round-robin (node % num_shards); traces are bit-identical at every
     // shard count, so this is purely a wall-clock knob. Scheduled fault

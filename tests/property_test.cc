@@ -130,8 +130,8 @@ TEST_P(WireFuzzProperty, CorruptedMessagesNeverEscapeBounds) {
       enc.Add(wire::ReqMeta{wire::PackSegLen(mark, per_req), 0, 0, i},
               payload.data());
     }
-    ASSERT_EQ(enc.Seal(0, 0, segmented ? wire::kFlagSegment : uint16_t{0}),
-              msg_len);
+    const auto flags = segmented ? wire::kFlagSegment : wire::HeaderFlags{};
+    ASSERT_EQ(enc.Seal(0, 0, flags), msg_len);
 
     const uint32_t flips = 1 + static_cast<uint32_t>(rng.NextBelow(8));
     for (uint32_t f = 0; f < flips; ++f) {
@@ -190,8 +190,9 @@ TEST_P(SegmentFuzzProperty, InterleavedTrainsReassembleCorrectly) {
   int lanes[2];  // distinct stable addresses standing in for lane identities
   for (int round = 0; round < 50; ++round) {
     std::vector<Train> trains(1 + rng.NextBelow(6));
+    const auto seq = static_cast<uint32_t>(100 + round);
     for (size_t t = 0; t < trains.size(); ++t) {
-      trains[t].key = {&lanes[t % 2], static_cast<uint16_t>(t), 100 + round};
+      trains[t].key = {&lanes[t % 2], static_cast<uint16_t>(t), seq};
       trains[t].bytes.resize(2 + rng.NextBelow(8000));
       for (size_t i = 0; i < trains[t].bytes.size(); ++i) {
         trains[t].bytes[i] = static_cast<uint8_t>(rng.NextBelow(256));
