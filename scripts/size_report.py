@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Design-size report: the numbers ROADMAP.md's "same behaviour from less"
+aim is measured by.
+
+  - lines of C++ (*.h and *.cc files) under src/, src/flock and bench/, and
+    the lines of src/sim/simulator.h;
+  - the number of FlockConfig fields (src/flock/config.h): every field is an
+    independently settable knob the tests and benches must cover;
+  - the Simulator::TouchNode call sites under src/ (each marks code that
+    mutates another node's state from inside an event).
+
+Usage: python3 scripts/size_report.py [--root DIR] [--max-config-fields N]
+
+With --max-config-fields, exits 1 if FlockConfig has more than N fields, so
+CI fails when a change adds a knob.
+"""
+
+import argparse
+import os
+import re
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+LINE_DIRS = ["src", "src/flock", "bench"]
+SIMULATOR_H = "src/sim/simulator.h"
+CONFIG_H = "src/flock/config.h"
+
+
+def cxx_files(root, rel):
+    for dirpath, _, names in os.walk(os.path.join(root, rel)):
+        for name in sorted(names):
+            if name.endswith((".h", ".cc")):
+                yield os.path.join(dirpath, name)
+
+
+def count_lines(path):
+    with open(path, encoding="utf-8") as f:
+        return sum(1 for _ in f)
+
+
+def strip_comments(text):
+    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def config_fields(path):
+    """Names of the data members of `struct FlockConfig` (no methods, no
+    static or using declarations)."""
+    with open(path, encoding="utf-8") as f:
+        text = strip_comments(f.read())
+    start = re.search(r"\bstruct\s+FlockConfig\s*\{", text)
+    if start is None:
+        raise ValueError(f"{path}: no struct FlockConfig")
+    depth = 1
+    statement = ""
+    fields = []
+    for ch in text[start.end():]:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                break
+            if depth == 1:
+                statement = ""  # an in-class function body ended
+        elif ch == ";" and depth == 1:
+            decl = statement.split("=")[0].strip()
+            statement = ""
+            if decl and "(" not in decl and not re.match(
+                    r"(static|using|friend)\b", decl):
+                fields.append(re.findall(r"\w+", decl)[-1])
+        elif depth == 1:
+            statement += ch
+    return fields
+
+
+def touchnode_sites(root):
+    """{relative path: call count} for TouchNode calls under src/ (comments
+    and the definition itself excluded)."""
+    sites = {}
+    for path in cxx_files(root, "src"):
+        with open(path, encoding="utf-8") as f:
+            text = strip_comments(f.read())
+        calls = len(re.findall(r"(?<!void )\bTouchNode\(", text))
+        if calls:
+            sites[os.path.relpath(path, root)] = calls
+    return sites
+
+
+def report(root):
+    lines = {rel: sum(count_lines(p) for p in cxx_files(root, rel))
+             for rel in LINE_DIRS}
+    lines[SIMULATOR_H] = count_lines(os.path.join(root, SIMULATOR_H))
+    return {
+        "lines": lines,
+        "config_fields": config_fields(os.path.join(root, CONFIG_H)),
+        "touchnode_sites": touchnode_sites(root),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=REPO, help="repository root")
+    parser.add_argument("--max-config-fields", type=int, default=None,
+                        help="fail if FlockConfig has more fields than this")
+    args = parser.parse_args(argv)
+
+    r = report(args.root)
+    for rel, n in r["lines"].items():
+        print(f"lines {rel:<22} {n:>6}")
+    fields = r["config_fields"]
+    print(f"FlockConfig fields {len(fields):>13}  ({', '.join(fields)})")
+    sites = r["touchnode_sites"]
+    detail = ", ".join(f"{p} {n}" for p, n in sorted(sites.items()))
+    print(f"TouchNode call sites {sum(sites.values()):>11}  ({detail})")
+
+    if args.max_config_fields is not None and len(fields) > args.max_config_fields:
+        print(f"FAIL: FlockConfig has {len(fields)} fields, more than "
+              f"--max-config-fields {args.max_config_fields}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -80,25 +80,24 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   const uint32_t len = payload.size();
   FLOCK_CHECK_LE(len, config.max_payload);
 
-  // Lazy lane bring-up (DESIGN.md §13): the condition object exists only on
-  // ConnectAsync handles, so setup-phase handles pay one null check here and
-  // nothing else.
-  if (conn.setup_cond != nullptr) {
+  // Lazy lane bring-up (DESIGN.md §13): only a ConnectAsync handle short of
+  // its target lane count grows, so every other call pays one compare here.
+  if (conn.lanes.size() < conn.target_lanes) {
     co_await EnsureLaneSetup(conn, thread);
-    if (conn.closed) {
-      // The handle was closed while we waited: fail the RPC immediately
-      // instead of parking it on a lane that will never be granted credits.
-      PendingRpc* failed = conn.client->rpc_pool.New();
-      failed->rpc_id = rpc_id;
-      failed->seq = thread.NextSeq();
-      failed->thread_id = thread.id();
-      failed->submitted_at = conn.env->sim().Now();
-      failed->completed_at = failed->submitted_at;
-      failed->ok = false;
-      conn.client->stats.failed_rpcs += 1;
-      failed->done_event.Fire(conn.env->sim());
-      co_return failed;
-    }
+  }
+  if (conn.closed) {
+    // Fail the RPC immediately instead of parking it on a released lane that
+    // will never be granted credits (and that no watchdog scans).
+    PendingRpc* failed = conn.client->rpc_pool.New();
+    failed->rpc_id = rpc_id;
+    failed->seq = thread.NextSeq();
+    failed->thread_id = thread.id();
+    failed->submitted_at = conn.env->sim().Now();
+    failed->completed_at = failed->submitted_at;
+    failed->ok = false;
+    conn.client->stats.failed_rpcs += 1;
+    failed->done_event.Fire(conn.env->sim());
+    co_return failed;
   }
 
   ClientLane& lane = LaneFor(conn, thread);
@@ -251,6 +250,16 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
         ++batch_n;
       }
     };
+    // Puts the batch back in front of the lane's combining queue.
+    auto unadmit = [&]() {
+      if (batch_tail != nullptr) {
+        batch_tail->next = lane.combine_head;
+        lane.combine_head = batch_head;
+        if (lane.combine_tail == nullptr) {
+          lane.combine_tail = batch_tail;
+        }
+      }
+    };
     auto all_copied = [&]() {
       for (const PendingSend* ps = batch_head; ps != nullptr; ps = ps->next) {
         if (!ps->copied) {
@@ -299,13 +308,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
         if (target != nullptr && target != &lane) {
           // Put the batch back in front of the remaining queue, then splice
           // the whole queue onto the target lane.
-          if (batch_tail != nullptr) {
-            batch_tail->next = lane.combine_head;
-            lane.combine_head = batch_head;
-            if (lane.combine_tail == nullptr) {
-              lane.combine_tail = batch_tail;
-            }
-          }
+          unadmit();
           size_t moved = 0;
           for (PendingSend* ps = lane.combine_head; ps != nullptr; ps = ps->next) {
             ++moved;
@@ -328,13 +331,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
           // Quarantined with nowhere to migrate: drop the queued sends and
           // release their waiters. The RPCs stay pending — the retry watchdog
           // retransmits them (or fails them) on whatever lane survives.
-          if (batch_tail != nullptr) {
-            batch_tail->next = lane.combine_head;
-            lane.combine_head = batch_head;
-            if (lane.combine_tail == nullptr) {
-              lane.combine_tail = batch_tail;
-            }
-          }
+          unadmit();
           for (PendingSend* ps = lane.combine_head; ps != nullptr;) {
             PendingSend* next = ps->next;
             ps->next = nullptr;
@@ -443,11 +440,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
       // the lane and push the batch back in front of the queue: the migration
       // branch above re-routes everything to a surviving lane next iteration.
       QuarantineLane(conn, lane);
-      batch_tail->next = lane.combine_head;
-      lane.combine_head = batch_head;
-      if (lane.combine_tail == nullptr) {
-        lane.combine_tail = batch_tail;
-      }
+      unadmit();
       continue;
     }
 
@@ -475,13 +468,12 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
 sim::Co<verbs::WcStatus> SubmitMemOp(ClientConnState& conn, FlockThread& thread,
                                      verbs::SendWr wr) {
   const sim::CostModel& cost = conn.env->cost();
-  // Deferred connection setup (DESIGN.md §13); see StageRpc.
-  if (conn.setup_cond != nullptr) {
+  // Lazy lane bring-up and the closed-handle fail-fast; see StageRpc.
+  if (conn.lanes.size() < conn.target_lanes) {
     co_await EnsureLaneSetup(conn, thread);
-    if (conn.closed) {
-      // Handle closed while we waited: fail fast.
-      co_return verbs::WcStatus::kQpError;
-    }
+  }
+  if (conn.closed) {
+    co_return verbs::WcStatus::kQpError;
   }
   ClientLane& lane = LaneFor(conn, thread);
 

@@ -134,110 +134,90 @@ void HandleSendError(const verbs::Completion& wc, ServerStats& stats) {
   }
 }
 
-void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index) {
-  const Nanos now = conn.env->sim().Now();
-  for (auto& map : conn.pending) {
-    map.ForEach([&](uint32_t, PendingRpc* rpc) {
-      if (rpc->lane_index == lane_index) {
-        rpc->deadline = std::min(rpc->deadline, now);
-      }
-    });
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Building and wiring lane halves (fl_connect, reconnect, lazy add-lane)
+// Lane resources: build, ring reset, release, wiring
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
-                                            uint32_t index,
-                                            ctrl::wire::ClientLaneInfo* info) {
-  fabric::MemorySpace& cmem = env.mem();
-  const uint32_t ring_bytes = env.config->ring_bytes;
-  ClientState& client = *conn.client;
+namespace {
 
-  auto cl = std::make_unique<ClientLane>(env.sim(), ring_bytes);
-  cl->copy_done = std::make_unique<sim::Condition>(env.sim());
-  cl->sent_cond = std::make_unique<sim::Condition>(env.sim());
-  cl->index = index;
-  cl->conn = &conn;
+namespace cw = ctrl::wire;
 
-  // Recycling (DESIGN.md §13): draw the most recently harvested shell of
-  // matching geometry — LIFO keeps the hot shell hot. The reset QP and the
-  // existing MRs come back as-is; the rings are zeroed so the fresh
-  // RingConsumer sees no ghost canaries from the previous incarnation, and
-  // the control slot is zeroed so a dispatcher polling the still-unwired lane
-  // reads grant_cumulative == grants_seen == 0 (a no-op).
-  bool recycled = false;
-  for (size_t i = client.lane_pool.size(); i-- > 0;) {
-    if (client.lane_pool[i].ring_bytes != ring_bytes) {
-      continue;
+// Draws the most recently released resources of matching geometry: LIFO
+// keeps the hot ones hot. False when none are pooled.
+template <typename Res>
+bool DrawPooled(std::vector<Res>& pool, uint32_t ring_bytes, Res* out) {
+  for (size_t i = pool.size(); i-- > 0;) {
+    if (pool[i].ring_bytes == ring_bytes) {
+      *out = pool[i];
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+      return true;
     }
-    const ClientLaneShell shell = client.lane_pool[i];
-    client.lane_pool.erase(client.lane_pool.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-    cl->qp = shell.qp;
-    cl->staging_addr = shell.staging_addr;
-    cl->staging = cmem.At(shell.staging_addr);
-    cl->head_src_addr = shell.head_src_addr;
-    cl->head_src_ptr = cmem.At(shell.head_src_addr);
-    cl->ctrl_slot_addr = shell.ctrl_slot_addr;
-    cl->ctrl_slot_ptr = cmem.At(shell.ctrl_slot_addr);
-    cl->resp_ring_addr = shell.resp_ring_addr;
-    cl->resp_ring_rkey = shell.resp_ring_rkey;
-    cl->ctrl_slot_rkey = shell.ctrl_slot_rkey;
-    std::memset(cmem.At(cl->resp_ring_addr), 0, ring_bytes);
-    std::memset(cmem.At(cl->ctrl_slot_addr), 0, 8);
-    cl->resp_consumer = std::make_unique<RingConsumer>(
-        cmem.At(cl->resp_ring_addr), ring_bytes);
-    client.stats.qps_recycled += 1;
-    recycled = true;
-    break;
   }
-  if (!recycled) {
-    cl->qp =
-        env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
-
-    // Client-local memory: staging mirror for the request ring, head-slot
-    // write source, the control slot the server RDMA-writes, and the
-    // response ring.
-    cl->staging_addr = cmem.Alloc(ring_bytes);
-    cl->staging = cmem.At(cl->staging_addr);
-    cl->head_src_addr = cmem.Alloc(8, 8);
-    cl->head_src_ptr = cmem.At(cl->head_src_addr);
-    cl->ctrl_slot_addr = cmem.Alloc(8, 8);
-    cl->ctrl_slot_ptr = cmem.At(cl->ctrl_slot_addr);
-    verbs::Mr ctrl_mr = env.device().RegisterMr(cl->ctrl_slot_addr, 8);
-    cl->resp_ring_addr = cmem.Alloc(ring_bytes);
-    verbs::Mr resp_mr = env.device().RegisterMr(cl->resp_ring_addr, ring_bytes);
-    cl->resp_consumer = std::make_unique<RingConsumer>(
-        cmem.At(cl->resp_ring_addr), ring_bytes);
-    cl->resp_ring_rkey = resp_mr.rkey;
-    cl->ctrl_slot_rkey = ctrl_mr.rkey;
-    client.stats.qps_created += 1;
-  }
-
-  info->qpn = cl->qp->qpn();
-  info->resp_ring_addr = cl->resp_ring_addr;
-  info->resp_ring_rkey = cl->resp_ring_rkey;
-  info->ctrl_slot_addr = cl->ctrl_slot_addr;
-  info->ctrl_slot_rkey = cl->ctrl_slot_rkey;
-  return cl;
+  return false;
 }
 
-void WireClientLane(NodeEnv& env, ClientLane& lane, int server_node,
-                    const ctrl::wire::ServerLaneInfo& info,
+// The ring reset, one per side (DESIGN.md §10), shared by the pooled-lane
+// draw and the reconnect resync: zeroes the ring this half consumes, so the
+// fresh RingConsumer sees no ghost canaries from the previous incarnation,
+// and its 8-byte slot, then restarts both ring cursors from zero. The
+// client's slot is its control slot, so a dispatcher polling a still-unwired
+// lane reads grant_cumulative == grants_seen == 0 (a no-op); the server's is
+// its head slot, matching the client's zero-based response consumer.
+void ResetRings(fabric::MemorySpace& mem, ClientLane& lane) {
+  std::memset(mem.At(lane.resp_ring_addr), 0, lane.ring_bytes);
+  std::memset(mem.At(lane.ctrl_slot_addr), 0, 8);
+  *lane.resp_consumer = RingConsumer(mem.At(lane.resp_ring_addr), lane.ring_bytes);
+  lane.req_producer = RingProducer(lane.ring_bytes);
+}
+
+void ResetRings(fabric::MemorySpace& mem, ServerLane& lane) {
+  std::memset(mem.At(lane.req_ring_addr), 0, lane.ring_bytes);
+  std::memset(mem.At(lane.head_slot_addr), 0, 8);
+  *lane.req_consumer = RingConsumer(mem.At(lane.req_ring_addr), lane.ring_bytes);
+  lane.resp_producer = RingProducer(lane.ring_bytes);
+}
+
+// Receives for the control write-with-imm messages a lane half takes.
+void PostCtrlRecvs(NodeEnv& env, verbs::Qp& qp, uint64_t wr_id) {
+  for (int r = 0; r < 16; ++r) {
+    env.transport->PostRecv(qp, verbs::RecvWr{wr_id, 0, 0});
+  }
+}
+
+// The wiring a lane half advertises in its side of a handshake.
+cw::ClientLaneInfo Advertise(const ClientLane& lane) {
+  cw::ClientLaneInfo info;
+  info.qpn = lane.qp->qpn();
+  info.resp_ring_addr = lane.resp_ring_addr;
+  info.resp_ring_rkey = lane.resp_ring_rkey;
+  info.ctrl_slot_addr = lane.ctrl_slot_addr;
+  info.ctrl_slot_rkey = lane.ctrl_slot_rkey;
+  return info;
+}
+
+cw::ServerLaneInfo Advertise(const ServerLane& lane) {
+  cw::ServerLaneInfo info;
+  info.qpn = lane.qp->qpn();
+  info.req_ring_addr = lane.req_ring_addr;
+  info.req_ring_rkey = lane.req_ring_rkey;
+  info.head_slot_addr = lane.head_slot_addr;
+  info.head_slot_rkey = lane.head_slot_rkey;
+  info.active = lane.active ? 1 : 0;
+  info.credits = static_cast<uint32_t>(lane.credits_outstanding);
+  return info;
+}
+
+// Applies a (connect/reconnect/add-lane) accept to the client lane: peer QP
+// wiring, remote addresses, posted receives, bootstrap control slot.
+void WireClientLane(ClientLane& lane, const cw::ServerLaneInfo& info,
                     uint32_t grant_cumulative) {
-  lane.qp->ConnectTo(server_node, info.qpn);
+  NodeEnv& env = *lane.conn->env;
+  lane.qp->ConnectTo(lane.conn->server_node, info.qpn);
   lane.remote_ring_addr = info.req_ring_addr;
   lane.remote_ring_rkey = info.req_ring_rkey;
   lane.head_slot_remote_addr = info.head_slot_addr;
   lane.head_slot_rkey = info.head_slot_rkey;
-  // Receives for control write-with-imm messages.
-  for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(*lane.qp,
-                            verbs::RecvWr{TagWrId(WrTag::kRecv, &lane), 0, 0});
-  }
+  PostCtrlRecvs(env, *lane.qp, TagWrId(WrTag::kRecv, &lane));
   lane.active = info.active != 0;
   lane.credits = info.credits;
   lane.grants_seen = grant_cumulative;
@@ -247,117 +227,182 @@ void WireClientLane(NodeEnv& env, ClientLane& lane, int server_node,
   env.mem().Write(lane.ctrl_slot_addr, &bootstrap, sizeof(bootstrap));
 }
 
-std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
-                                            uint32_t index,
-                                            int client_node, uint32_t sender_key,
-                                            uint32_t ring_bytes,
-                                            const ctrl::wire::ClientLaneInfo& in,
-                                            bool active,
-                                            ctrl::wire::ServerLaneInfo* out) {
+// Builds the server half of the next lane of sender `sender_key`, wired to
+// the advertised client QP, and installs it in the sender's lanes, on a
+// dispatcher (round robin over the live lanes) and in server.lanes. Pooled
+// resources of matching geometry are reused (the QP was ResetQp'd at
+// release, so anything still in flight from its previous incarnation
+// epoch-drops in the fabric); otherwise fresh ones are created. Tenants
+// (§15): the ServerLane object itself is always new, so tenant_id comes from
+// the sender and deferred_grant starts at zero — no quota debt crosses a
+// recycle (see tests/tenant_test.cc RecyclingNoDebt).
+void AddServerLane(NodeEnv& env, ServerState& server, uint32_t sender_key,
+                   uint32_t ring_bytes, const cw::ClientLaneInfo& in,
+                   bool active, cw::ServerLaneInfo* out) {
   fabric::MemorySpace& smem = env.mem();
-
-  auto sl = std::make_unique<ServerLane>(ring_bytes);
-  sl->index = index;
-  sl->client_node = client_node;
-  sl->sender_key = sender_key;
-
-  // Recycling (DESIGN.md §13): reuse the most recently harvested shell of
-  // matching geometry. The request ring is zeroed (no ghost canaries for the
-  // fresh RingConsumer) and the head slot cleared to match the new client's
-  // zero-based response consumer; the QP was reset at harvest, so anything
-  // still in flight from its previous incarnation epoch-drops in the fabric.
-  // Tenants (§15): the ServerLane object itself is always freshly
-  // constructed — shells carry no tenant state, so tenant_id and
-  // deferred_grant start zeroed and no quota debt crosses a recycle (see
-  // tests/tenant_test.cc RecyclingNoDebt).
-  bool recycled = false;
-  for (size_t i = server.lane_pool.size(); i-- > 0;) {
-    if (server.lane_pool[i].ring_bytes != ring_bytes) {
-      continue;
-    }
-    const ServerLaneShell shell = server.lane_pool[i];
-    server.lane_pool.erase(server.lane_pool.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-    sl->qp = shell.qp;
-    sl->req_ring_addr = shell.req_ring_addr;
-    sl->req_ring_rkey = shell.req_ring_rkey;
-    sl->head_slot_addr = shell.head_slot_addr;
-    sl->head_slot_ptr = smem.At(shell.head_slot_addr);
-    sl->head_slot_rkey = shell.head_slot_rkey;
-    sl->ctrl_src_addr = shell.ctrl_src_addr;
-    sl->ctrl_src_ptr = smem.At(shell.ctrl_src_addr);
-    sl->staging_addr = shell.staging_addr;
-    sl->staging = smem.At(shell.staging_addr);
-    std::memset(smem.At(sl->req_ring_addr), 0, ring_bytes);
-    std::memset(smem.At(sl->head_slot_addr), 0, 8);
-    sl->req_consumer = std::make_unique<RingConsumer>(
-        smem.At(sl->req_ring_addr), ring_bytes);
-    server.stats.qps_recycled += 1;
-    recycled = true;
-    break;
-  }
+  SenderState& sender = server.senders[sender_key];
+  ServerLaneRes res;
+  const bool recycled = DrawPooled(server.lane_pool, ring_bytes, &res);
   if (!recycled) {
-    sl->qp =
-        env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
-
-    // Request ring lives here; the client advertised its response-side
-    // memory.
-    sl->req_ring_addr = smem.Alloc(ring_bytes);
-    verbs::Mr req_mr = env.device().RegisterMr(sl->req_ring_addr, ring_bytes);
-    sl->req_consumer =
-        std::make_unique<RingConsumer>(smem.At(sl->req_ring_addr), ring_bytes);
-    sl->req_ring_rkey = req_mr.rkey;
-    sl->head_slot_addr = smem.Alloc(8, 8);
-    sl->head_slot_ptr = smem.At(sl->head_slot_addr);
-    verbs::Mr slot_mr = env.device().RegisterMr(sl->head_slot_addr, 8);
-    sl->head_slot_rkey = slot_mr.rkey;
-    sl->ctrl_src_addr = smem.Alloc(8, 8);
-    sl->ctrl_src_ptr = smem.At(sl->ctrl_src_addr);
-    sl->staging_addr = smem.Alloc(ring_bytes);
-    sl->staging = smem.At(sl->staging_addr);
+    res.qp = env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
+    res.ring_bytes = ring_bytes;
+    // Server-local memory: the request ring and head slot the client
+    // writes, the control-slot write source and the response staging
+    // mirror. Fresh memory is zero, so nothing is reset.
+    res.req_ring_addr = smem.Alloc(ring_bytes);
+    res.req_ring_rkey = env.device().RegisterMr(res.req_ring_addr, ring_bytes).rkey;
+    res.head_slot_addr = smem.Alloc(8, 8);
+    res.head_slot_ptr = smem.At(res.head_slot_addr);
+    res.head_slot_rkey = env.device().RegisterMr(res.head_slot_addr, 8).rkey;
+    res.ctrl_src_addr = smem.Alloc(8, 8);
+    res.ctrl_src_ptr = smem.At(res.ctrl_src_addr);
+    res.staging_addr = smem.Alloc(ring_bytes);
+    res.staging = smem.At(res.staging_addr);
+  }
+  auto sl = std::make_unique<ServerLane>(smem, res);
+  if (recycled) {
+    ResetRings(smem, *sl);
+    server.stats.qps_recycled += 1;
+  } else {
     server.stats.qps_created += 1;
   }
-  sl->qp->ConnectTo(client_node, in.qpn);
+  sl->index = static_cast<uint32_t>(sender.lanes.size());
+  sl->client_node = sender.client_node;
+  sl->sender_key = sender_key;
+  sl->tenant_id = sender.tenant_id;
+  sl->qp->ConnectTo(sl->client_node, in.qpn);
   sl->ctrl_slot_remote_addr = in.ctrl_slot_addr;
   sl->ctrl_slot_rkey = in.ctrl_slot_rkey;
   sl->remote_ring_addr = in.resp_ring_addr;
   sl->remote_ring_rkey = in.resp_ring_rkey;
-
-  for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(
-        *sl->qp, verbs::RecvWr{TagWrId(WrTag::kServerRecv, sl.get()), 0, 0});
-  }
-
+  PostCtrlRecvs(env, *sl->qp, TagWrId(WrTag::kServerRecv, sl.get()));
   sl->active = active;
   sl->credits_outstanding = active ? env.config->credits : 0;
+  *out = Advertise(*sl);
 
-  out->qpn = sl->qp->qpn();
-  out->req_ring_addr = sl->req_ring_addr;
-  out->req_ring_rkey = sl->req_ring_rkey;
-  out->head_slot_addr = sl->head_slot_addr;
-  out->head_slot_rkey = sl->head_slot_rkey;
-  out->active = active ? 1 : 0;
-  out->credits = active ? env.config->credits : 0;
-  return sl;
+  sender.lanes.push_back(sl.get());
+  server
+      .dispatcher_lanes[server.lanes.size() %
+                        static_cast<size_t>(server.dispatcher_count)]
+      .push_back(sl.get());
+  server.lanes.push_back(std::move(sl));
+}
+
+// The server twin of ReleaseClientLane: resets the lane's QP, parks its
+// resources whole in the pool, and moves the lane object from the live set
+// to the graveyard. Graveyard objects are never destroyed or reused: the
+// CQEs a teardown flushes (sends plus ~16 posted receives per lane) still
+// carry wr_id pointers to them, and their qp == nullptr is what marks those
+// completions stale.
+void ReleaseServerLane(NodeEnv& env, ServerState& server, ServerLane* lane) {
+  env.device().ResetQp(*lane->qp);
+  server.lane_pool.push_back(static_cast<const ServerLaneRes&>(*lane));
+  lane->qp = nullptr;
+  for (auto& dlanes : server.dispatcher_lanes) {
+    for (size_t i = 0; i < dlanes.size(); ++i) {
+      if (dlanes[i] == lane) {
+        dlanes.erase(dlanes.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+  }
+  for (size_t i = 0; i < server.lanes.size(); ++i) {
+    if (server.lanes[i].get() == lane) {
+      server.graveyard.push_back(std::move(server.lanes[i]));
+      server.lanes.erase(server.lanes.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
+    }
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<ClientLane> BuildClientLane(ClientConnState& conn,
+                                            uint32_t index) {
+  NodeEnv& env = *conn.env;
+  fabric::MemorySpace& cmem = env.mem();
+  ClientState& client = *conn.client;
+  ClientLaneRes res;
+  const bool recycled =
+      DrawPooled(client.lane_pool, env.config->ring_bytes, &res);
+  if (!recycled) {
+    res.qp = env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
+    res.ring_bytes = env.config->ring_bytes;
+    // Client-local memory: staging mirror for the request ring, head-slot
+    // write source, the control slot the server RDMA-writes, and the
+    // response ring. Fresh memory is zero, so nothing is reset.
+    res.staging_addr = cmem.Alloc(res.ring_bytes);
+    res.staging = cmem.At(res.staging_addr);
+    res.head_src_addr = cmem.Alloc(8, 8);
+    res.head_src_ptr = cmem.At(res.head_src_addr);
+    res.ctrl_slot_addr = cmem.Alloc(8, 8);
+    res.ctrl_slot_ptr = cmem.At(res.ctrl_slot_addr);
+    res.ctrl_slot_rkey = env.device().RegisterMr(res.ctrl_slot_addr, 8).rkey;
+    res.resp_ring_addr = cmem.Alloc(res.ring_bytes);
+    res.resp_ring_rkey =
+        env.device().RegisterMr(res.resp_ring_addr, res.ring_bytes).rkey;
+  }
+  auto cl = std::make_unique<ClientLane>(env.sim(), cmem, res);
+  cl->index = index;
+  cl->conn = &conn;
+  if (recycled) {
+    ResetRings(cmem, *cl);
+    client.stats.qps_recycled += 1;
+  } else {
+    client.stats.qps_created += 1;
+  }
+  return cl;
+}
+
+void ReleaseClientLane(ClientLane& lane) {
+  lane.conn->env->device().ResetQp(*lane.qp);
+  lane.conn->client->lane_pool.push_back(
+      static_cast<const ClientLaneRes&>(lane));
+  lane.qp = nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // Control-plane message handlers (server side, DESIGN.md §10)
 // ---------------------------------------------------------------------------
 
-uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
-                              const ctrl::wire::MsgHeader& header,
-                              const uint8_t* msg, uint8_t* resp,
-                              uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+namespace {
+
+// Where a handler writes its one answer, under the request's nonce.
+struct CtrlReply {
+  uint8_t* buf;
+  uint32_t cap;
+  uint64_t nonce;
+
+  uint32_t Reject(cw::RejectReason reason) const {
+    return cw::EncodeReject(buf, cap, nonce, reason);
+  }
+  template <typename Body>
+  uint32_t Accept(cw::MsgType type, const Body& body,
+                  uint32_t len = sizeof(Body)) const {
+    return cw::EncodeMessage(buf, cap, type, nonce, &body, len);
+  }
+};
+
+// The sender a per-handle request (reconnect, add-lane, disconnect) names by
+// conn_id, or nullptr when this node serves none by that id (kBadConnId).
+// Whether it belongs to the requesting client node is each handler's check:
+// they answer a mismatch with different reasons.
+SenderState* FindSender(ServerState& server, uint32_t conn_id) {
+  if (!server.started || conn_id >= server.senders.size()) {
+    return nullptr;
+  }
+  return &server.senders[conn_id];
+}
+
+uint32_t HandleConnect(NodeEnv& env, ServerState& server,
+                       const cw::MsgHeader& header, const uint8_t* msg,
+                       const CtrlReply& reply) {
   cw::ConnectRequest req;
   if (!cw::DecodeConnectRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+    return reply.Reject(cw::RejectReason::kUnknown);
   }
   if (!server.started) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kServerNotStarted);
+    return reply.Reject(cw::RejectReason::kServerNotStarted);
   }
 
   // Tenant admission (DESIGN.md §15), before any server state is touched:
@@ -369,18 +414,15 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
   if (req.tenant_id != tenant::kDefaultTenant &&
       !reg.Registered(req.tenant_id)) {
     reg.NoteUnknownTenant();
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknownTenant);
+    return reply.Reject(cw::RejectReason::kUnknownTenant);
   }
   const tenant::Admission verdict =
       reg.AdmitConnect(req.tenant_id, req.num_lanes);
   if (verdict.verdict == tenant::Admission::Verdict::kOverConnections) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kTenantOverConnections);
+    return reply.Reject(cw::RejectReason::kTenantOverConnections);
   }
   if (verdict.verdict == tenant::Admission::Verdict::kOverLanes) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kTenantOverLanes);
+    return reply.Reject(cw::RejectReason::kTenantOverLanes);
   }
   const uint32_t granted_lanes = verdict.lanes;
 
@@ -427,16 +469,8 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
   accept.conn_id = sender_key;
   accept.num_lanes = granted_lanes;
   for (uint32_t i = 0; i < granted_lanes; ++i) {
-    auto sl = BuildServerLane(env, server, i, req.client_node, sender_key,
-                              req.ring_bytes, req.lanes[i],
-                              i < initially_active, &accept.lanes[i]);
-    sl->tenant_id = req.tenant_id;
-    sender.lanes.push_back(sl.get());
-    server
-        .dispatcher_lanes[server.lanes.size() %
-                          static_cast<size_t>(server.dispatcher_count)]
-        .push_back(sl.get());
-    server.lanes.push_back(std::move(sl));
+    AddServerLane(env, server, sender_key, req.ring_bytes, req.lanes[i],
+                  i < initially_active, &accept.lanes[i]);
   }
   // Provenance so the async client charges the right setup cost (qp_create
   // vs qp_reset) for the server-side bring-up it just caused.
@@ -444,32 +478,26 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
       static_cast<uint32_t>(server.stats.qps_created - created_before);
   accept.recycled_qps =
       static_cast<uint32_t>(server.stats.qps_recycled - recycled_before);
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kConnectAccept,
-                           header.nonce, &accept,
-                           cw::ConnectAcceptBytes(granted_lanes));
+  return reply.Accept(cw::MsgType::kConnectAccept, accept,
+                      cw::ConnectAcceptBytes(granted_lanes));
 }
 
-uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
-                                const ctrl::wire::MsgHeader& header,
-                                const uint8_t* msg, uint8_t* resp,
-                                uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+uint32_t HandleReconnect(NodeEnv& env, ServerState& server,
+                         const cw::MsgHeader& header, const uint8_t* msg,
+                         const CtrlReply& reply) {
   cw::ReconnectRequest req;
   if (!cw::DecodeReconnectRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+    return reply.Reject(cw::RejectReason::kUnknown);
   }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
+  SenderState* sender = FindSender(server, req.conn_id);
+  if (sender == nullptr) {
+    return reply.Reject(cw::RejectReason::kBadConnId);
   }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node ||
-      req.lane_index >= sender.lanes.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
+  if (sender->client_node != req.client_node ||
+      req.lane_index >= sender->lanes.size()) {
+    return reply.Reject(cw::RejectReason::kBadLane);
   }
-  ServerLane& lane = *sender.lanes[req.lane_index];
+  ServerLane& lane = *sender->lanes[req.lane_index];
   // The client-side rings survive a reconnect, so a genuine request
   // re-advertises exactly the addresses this lane was wired to. A mismatch is
   // a stale handle: its sender slot was torn down at Leave and reused by the
@@ -477,14 +505,12 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   // lane onto the old handle's QP.
   if (req.lane.resp_ring_addr != lane.remote_ring_addr ||
       req.lane.ctrl_slot_addr != lane.ctrl_slot_remote_addr) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
+    return reply.Reject(cw::RejectReason::kBadLane);
   }
   if (lane.in_service) {
     // Mid-dispatch: the client retries after backoff rather than having its
     // rings re-based under the dispatcher.
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kLaneBusy);
+    return reply.Reject(cw::RejectReason::kLaneBusy);
   }
   // The client is authoritative about its half being dead. If this side has
   // not noticed yet (no send completed in error), condemn it now so the
@@ -493,9 +519,6 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
     QuarantineServerLane(lane, server.stats);
   }
 
-  fabric::MemorySpace& smem = env.mem();
-  const uint32_t ring_bytes = lane.resp_producer.size();
-
   // Fresh server QP wired to the client's fresh QP. The dead QP is abandoned
   // in place — qpns are never reused, so its late flushes are recognizably
   // stale (Completion::qpn) and ignored by the CQ pollers.
@@ -503,23 +526,13 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
       env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
   fresh->ConnectTo(req.client_node, req.lane.qpn);
 
-  // Ring resync: both directions restart from sequence zero. The request ring
-  // is zeroed (its canary-framed contents died with the old QP) and re-based;
-  // the response producer restarts; the head slot is cleared to match the
-  // client's fresh consumer. The client mirrors this before any sim event
-  // runs (ControlPlane::Call is synchronous), so neither side can observe the
-  // other half-resynced.
-  std::memset(smem.At(lane.req_ring_addr), 0, ring_bytes);
-  lane.req_consumer =
-      std::make_unique<RingConsumer>(smem.At(lane.req_ring_addr), ring_bytes);
-  lane.resp_producer = RingProducer(ring_bytes);
-  const uint64_t zero = 0;
-  smem.Write(lane.head_slot_addr, &zero, sizeof(zero));
+  // Ring resync: both directions restart from sequence zero; the request
+  // ring's canary-framed contents died with the old QP. The client mirrors
+  // this before any sim event runs (ControlPlane::Call is synchronous), so
+  // neither side can observe the other half-resynced.
+  ResetRings(env.mem(), lane);
   lane.qp = fresh;
-  for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(
-        *fresh, verbs::RecvWr{TagWrId(WrTag::kServerRecv, &lane), 0, 0});
-  }
+  PostCtrlRecvs(env, *fresh, TagWrId(WrTag::kServerRecv, &lane));
 
   lane.failed = false;
   lane.active = true;
@@ -528,12 +541,12 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   lane.utilization = 0;
   lane.messages_at_last_sweep = lane.messages_handled;
   server.stats.lane_reconnects += 1;
-  sender.dead = false;
-  sender.functioning = true;
+  sender->dead = false;
+  sender->functioning = true;
   // Shield the revived lane from dead-sender reclamation for two sweeps; it
   // has zero utilization by construction (the double-reclaim bug).
-  sender.revive_grace = 2;
-  sender.quiet_since = env.sim().Now();
+  sender->revive_grace = 2;
+  sender->quiet_since = env.sim().Now();
 
   cw::ReconnectAccept accept;
   accept.lane_index = req.lane_index;
@@ -541,69 +554,51 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   // The grant counter is cumulative and survives the reconnect; the client
   // resyncs grants_seen to it so the delta stream stays consistent.
   accept.grant_cumulative = lane.grant_cumulative;
-  accept.lane.qpn = fresh->qpn();
-  accept.lane.req_ring_addr = lane.req_ring_addr;
-  accept.lane.req_ring_rkey = lane.req_ring_rkey;
-  accept.lane.head_slot_addr = lane.head_slot_addr;
-  accept.lane.head_slot_rkey = lane.head_slot_rkey;
-  accept.lane.active = 1;
-  accept.lane.credits = env.config->credits;
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kReconnectAccept,
-                           header.nonce, &accept, sizeof(accept));
+  accept.lane = Advertise(lane);
+  return reply.Accept(cw::MsgType::kReconnectAccept, accept);
 }
 
-uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
-                              const ctrl::wire::MsgHeader& header,
-                              const uint8_t* msg, uint8_t* resp,
-                              uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+uint32_t HandleAddLane(NodeEnv& env, ServerState& server,
+                       const cw::MsgHeader& header, const uint8_t* msg,
+                       const CtrlReply& reply) {
   cw::AddLaneRequest req;
   if (!cw::DecodeAddLaneRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+    return reply.Reject(cw::RejectReason::kUnknown);
   }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
+  SenderState* sender = FindSender(server, req.conn_id);
+  if (sender == nullptr) {
+    return reply.Reject(cw::RejectReason::kBadConnId);
   }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node ||
-      req.lane_index != sender.lanes.size() ||
+  if (sender->client_node != req.client_node ||
+      req.lane_index != sender->lanes.size() ||
       req.lane_index >= cw::kMaxLanesPerMsg) {
     // Lane indexes must stay aligned across both sides; out-of-sequence adds
     // (e.g. a replayed or reordered request) are refused.
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
+    return reply.Reject(cw::RejectReason::kBadLane);
   }
 
   // Lane growth is charged against the same tenant ceiling as the connect
   // handshake, so a tenant cannot route around admission via AddLane.
   if (!ctrl::ControlPlane::For(*env.cluster).tenants().AdmitLane(
-          sender.tenant_id)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kTenantOverLanes);
+          sender->tenant_id)) {
+    return reply.Reject(cw::RejectReason::kTenantOverLanes);
   }
-  sender.tenant_lanes_charged += 1;
+  sender->tenant_lanes_charged += 1;
 
   cw::AddLaneAccept accept;
   accept.lane_index = req.lane_index;
   const uint64_t recycled_before = server.stats.qps_recycled;
-  auto sl = BuildServerLane(env, server, req.lane_index, req.client_node,
-                            req.conn_id, req.ring_bytes, req.lane,
-                            /*active=*/true, &accept.lane);
-  sl->tenant_id = sender.tenant_id;
+  AddServerLane(env, server, req.conn_id, req.ring_bytes, req.lane,
+                /*active=*/true, &accept.lane);
   accept.recycled = server.stats.qps_recycled != recycled_before ? 1 : 0;
-  sender.lanes.push_back(sl.get());
-  server
-      .dispatcher_lanes[server.lanes.size() %
-                        static_cast<size_t>(server.dispatcher_count)]
-      .push_back(sl.get());
-  server.lanes.push_back(std::move(sl));
   server.stats.lanes_added += 1;
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kAddLaneAccept,
-                           header.nonce, &accept, sizeof(accept));
+  return reply.Accept(cw::MsgType::kAddLaneAccept, accept);
 }
 
+// Tears down one live sender: quarantines its lanes, marks it dead, releases
+// tenant admission accounting, and releases each lane's resources into the
+// pool (a lane mid-service stays quarantined in place). Shared by the
+// membership-leave sweep and the Disconnect handler.
 void TearDownOneSender(NodeEnv& env, ServerState& server,
                        SenderState& sender) {
   for (ServerLane* lane : sender.lanes) {
@@ -630,50 +625,65 @@ void TearDownOneSender(NodeEnv& env, ServerState& server,
     sender.tenant_lanes_charged = 0;
   }
 
-  // Harvest (DESIGN.md §13): strip each lane that is not mid-dispatch down
-  // to its shell — reset QP, ring/slot addresses, rkeys — for the next
-  // connect to reuse, and park the lane object in the graveyard. Graveyard
-  // objects are never destroyed or reused: the CQEs just flushed (sends
-  // plus ~16 posted receives per lane) still carry wr_id pointers to them,
-  // and their qp == nullptr is what marks those completions stale. A lane
+  // Release every lane that is not mid-dispatch (DESIGN.md §13). A lane
   // handed to an RPC worker (in_service) stays quarantined in place; its
-  // slot-blocking is why the dead-sender scan above requires lanes.empty().
+  // slot-blocking is why the connect handler's free-slot scan requires
+  // lanes.empty().
   std::vector<ServerLane*> kept;
   for (ServerLane* lane : sender.lanes) {
     if (lane->in_service) {
       kept.push_back(lane);
-      continue;
-    }
-    env.device().ResetQp(*lane->qp);
-    ServerLaneShell shell;
-    shell.qp = lane->qp;
-    shell.ring_bytes = lane->resp_producer.size();
-    shell.req_ring_addr = lane->req_ring_addr;
-    shell.head_slot_addr = lane->head_slot_addr;
-    shell.ctrl_src_addr = lane->ctrl_src_addr;
-    shell.staging_addr = lane->staging_addr;
-    shell.req_ring_rkey = lane->req_ring_rkey;
-    shell.head_slot_rkey = lane->head_slot_rkey;
-    server.lane_pool.push_back(shell);
-    lane->qp = nullptr;
-    for (auto& dlanes : server.dispatcher_lanes) {
-      for (size_t i = 0; i < dlanes.size(); ++i) {
-        if (dlanes[i] == lane) {
-          dlanes.erase(dlanes.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
-    for (size_t i = 0; i < server.lanes.size(); ++i) {
-      if (server.lanes[i].get() == lane) {
-        server.graveyard.push_back(std::move(server.lanes[i]));
-        server.lanes.erase(server.lanes.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        break;
-      }
+    } else {
+      ReleaseServerLane(env, server, lane);
     }
   }
   sender.lanes = std::move(kept);
+}
+
+// Orderly whole-handle close (DESIGN.md §15): tears down the named sender
+// exactly like a membership leave would, so sender-slot and tenant admission
+// accounting are reclaimed immediately.
+uint32_t HandleDisconnect(NodeEnv& env, ServerState& server,
+                          const cw::MsgHeader& header, const uint8_t* msg,
+                          const CtrlReply& reply) {
+  cw::DisconnectRequest req;
+  if (!cw::DecodeDisconnectRequest(header, msg, &req)) {
+    return reply.Reject(cw::RejectReason::kUnknown);
+  }
+  SenderState* sender = FindSender(server, req.conn_id);
+  if (sender == nullptr || sender->client_node != req.client_node) {
+    return reply.Reject(cw::RejectReason::kBadConnId);
+  }
+  cw::DisconnectAccept accept;
+  accept.lanes_torn = static_cast<uint32_t>(sender->lanes.size());
+  if (!sender->dead) {  // idempotent: a duplicate disconnect just re-acks
+    TearDownOneSender(env, server, *sender);
+  }
+  return reply.Accept(cw::MsgType::kDisconnectAccept, accept);
+}
+
+}  // namespace
+
+uint32_t HandleCtrlMessage(NodeEnv& env, ServerState& server,
+                           const uint8_t* msg, uint32_t len, uint8_t* resp,
+                           uint32_t resp_cap) {
+  cw::MsgHeader header;
+  if (!cw::DecodeHeader(msg, len, &header)) {
+    return 0;  // ControlPlane::Call validated framing; belt and braces
+  }
+  const CtrlReply reply{resp, resp_cap, header.nonce};
+  switch (static_cast<cw::MsgType>(header.type)) {
+    case cw::MsgType::kConnectRequest:
+      return HandleConnect(env, server, header, msg, reply);
+    case cw::MsgType::kReconnectRequest:
+      return HandleReconnect(env, server, header, msg, reply);
+    case cw::MsgType::kAddLaneRequest:
+      return HandleAddLane(env, server, header, msg, reply);
+    case cw::MsgType::kDisconnectRequest:
+      return HandleDisconnect(env, server, header, msg, reply);
+    default:
+      return reply.Reject(cw::RejectReason::kUnknown);
+  }
 }
 
 bool TearDownSenders(NodeEnv& env, ServerState& server, int node) {
@@ -694,37 +704,60 @@ bool TearDownSenders(NodeEnv& env, ServerState& server, int node) {
   return touched;
 }
 
-uint32_t HandleDisconnectRequest(NodeEnv& env, ServerState& server,
-                                 const ctrl::wire::MsgHeader& header,
-                                 const uint8_t* msg, uint8_t* resp,
-                                 uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
-  cw::DisconnectRequest req;
-  if (!cw::DecodeDisconnectRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+// ---------------------------------------------------------------------------
+// Client side of the control plane: one exchange, its four uses
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The one client control exchange (DESIGN.md §10): encodes `req` under
+// `nonce`, Calls the handle's server and decodes the answer. True when it
+// decodes (through `decode`) as the expected accept, filled into *accept;
+// otherwise false, with *reason the server's reject reason — kUnknown when
+// there is no answer or it is not a reject. Callers draw `nonce` where their
+// exchange takes its place in the cluster's nonce order: right before the
+// exchange, or for AddLane before its kCtrlRtt delay.
+template <typename Req, typename Accept>
+bool CtrlExchange(const ClientConnState& conn, cw::MsgType type,
+                  uint64_t nonce, const Req& req, uint32_t req_len,
+                  bool (*decode)(const cw::MsgHeader&, const uint8_t*, Accept*),
+                  Accept* accept, cw::RejectReason* reason) {
+  uint8_t msg[cw::kMaxMessageBytes];
+  uint8_t resp[cw::kMaxMessageBytes];
+  const uint32_t msg_len =
+      cw::EncodeMessage(msg, sizeof(msg), type, nonce, &req, req_len);
+  const uint32_t resp_len = ctrl::ControlPlane::For(*conn.env->cluster)
+                                .Call(conn.server_node, msg, msg_len, resp,
+                                      sizeof(resp));
+  *reason = cw::RejectReason::kUnknown;
+  cw::MsgHeader header;
+  if (!cw::DecodeHeader(resp, resp_len, &header)) {
+    return false;
   }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
+  if (decode(header, resp, accept)) {
+    return true;
   }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
+  cw::Reject rej;
+  if (cw::DecodeReject(header, resp, &rej)) {
+    *reason = static_cast<cw::RejectReason>(rej.reason);
   }
-  cw::DisconnectAccept accept;
-  accept.lanes_torn = static_cast<uint32_t>(sender.lanes.size());
-  if (!sender.dead) {  // idempotent: a duplicate disconnect just re-acks
-    TearDownOneSender(env, server, sender);
-  }
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kDisconnectAccept,
-                           header.nonce, &accept, sizeof(accept));
+  return false;
 }
 
-// ---------------------------------------------------------------------------
-// Client control-plane daemon: lane reconnection
-// ---------------------------------------------------------------------------
+// Accelerates watchdog recovery of the RPCs accounted to a just-revived
+// lane: their deadlines collapse to "now" so the next tick retransmits.
+void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index) {
+  const Nanos now = conn.env->sim().Now();
+  for (auto& map : conn.pending) {
+    map.ForEach([&](uint32_t, PendingRpc* rpc) {
+      if (rpc->lane_index == lane_index) {
+        rpc->deadline = std::min(rpc->deadline, now);
+      }
+    });
+  }
+}
+
+}  // namespace
 
 sim::Proc ReconnectDaemon(ClientConnState& conn) {
   ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*conn.env->cluster);
@@ -776,7 +809,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
       victim->reconnecting = false;
       co_return;
     }
-    ctrl::wire::ReconnectRequest req;
+    cw::ReconnectRequest req;
     req.client_node = conn.env->node;
     req.conn_id = conn.conn_id;
     req.lane_index = victim->index;
@@ -786,31 +819,16 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     // tell this handle from a newer one that reused its sender slot.
     req.lane.resp_ring_addr = victim->resp_ring_addr;
     req.lane.ctrl_slot_addr = victim->ctrl_slot_addr;
-
-    uint8_t msg[ctrl::wire::kMaxMessageBytes];
-    uint8_t resp[ctrl::wire::kMaxMessageBytes];
-    const uint32_t msg_len = ctrl::wire::EncodeMessage(
-        msg, sizeof(msg), ctrl::wire::MsgType::kReconnectRequest,
-        cp.NextNonce(), &req, sizeof(req));
-    const uint32_t resp_len =
-        cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-
-    ctrl::wire::MsgHeader resp_header;
-    ctrl::wire::ReconnectAccept accept;
-    if (resp_len == 0 ||
-        !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-        !ctrl::wire::DecodeReconnectAccept(resp_header, resp, &accept)) {
+    cw::ReconnectAccept accept;
+    cw::RejectReason reason;
+    if (!CtrlExchange(conn, cw::MsgType::kReconnectRequest, cp.NextNonce(),
+                      req, sizeof(req), cw::DecodeReconnectAccept, &accept,
+                      &reason)) {
       victim->reconnecting = false;
       // The server no longer knows this handle (its slot was torn down, or
       // names another handle now): no retry can succeed, so stop for good.
-      ctrl::wire::Reject rej;
-      if (resp_len != 0 &&
-          ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) &&
-          ctrl::wire::DecodeReject(resp_header, resp, &rej) &&
-          (rej.reason ==
-               static_cast<uint32_t>(ctrl::wire::RejectReason::kBadConnId) ||
-           rej.reason ==
-               static_cast<uint32_t>(ctrl::wire::RejectReason::kBadLane))) {
+      if (reason == cw::RejectReason::kBadConnId ||
+          reason == cw::RejectReason::kBadLane) {
         co_return;
       }
       // Otherwise (busy, membership, malformed) retry after backoff. The
@@ -820,20 +838,14 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     }
 
     // Client-side resync, mirroring the server's handler before any sim
-    // event can run: fresh response ring/consumer, request sequence state
-    // from zero, credits and cumulative-grant resync from the accept.
-    fabric::MemorySpace& cmem = conn.env->mem();
-    const uint32_t ring_bytes = victim->req_producer.size();
-    std::memset(cmem.At(victim->resp_ring_addr), 0, ring_bytes);
-    victim->resp_consumer = std::make_unique<RingConsumer>(
-        cmem.At(victim->resp_ring_addr), ring_bytes);
-    victim->req_producer = RingProducer(ring_bytes);
+    // event can run: the ring reset, then credits and the cumulative-grant
+    // resync from the accept.
+    ResetRings(conn.env->mem(), *victim);
     victim->qp = fresh;
     victim->failed = false;
     victim->renew_in_flight = false;
     victim->resp_bytes_since_send = 0;
-    WireClientLane(*conn.env, *victim, conn.server_node, accept.lane,
-                   accept.grant_cumulative);
+    WireClientLane(*victim, accept.lane, accept.grant_cumulative);
     victim->reconnecting = false;
     victim->reconnects += 1;
     conn.client->stats.lane_reconnects += 1;
@@ -858,91 +870,41 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Connection-storm path: deferred handshake, lazy lanes, close (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Strips an unreferenced client lane to its shell — ResetQp'd QP, ring/slot
-// addresses, rkeys — and pools it for the next BuildClientLane. The lane
-// object lives on with qp == nullptr, which marks its late CQEs stale.
-void PoolClientShell(NodeEnv& env, ClientState& client, ClientLane& lane) {
-  env.device().ResetQp(*lane.qp);
-  client.lane_pool.push_back(
-      ClientLaneShell{.qp = lane.qp,
-                      .ring_bytes = lane.req_producer.size(),
-                      .staging_addr = lane.staging_addr,
-                      .head_src_addr = lane.head_src_addr,
-                      .ctrl_slot_addr = lane.ctrl_slot_addr,
-                      .resp_ring_addr = lane.resp_ring_addr,
-                      .resp_ring_rkey = lane.resp_ring_rkey,
-                      .ctrl_slot_rkey = lane.ctrl_slot_rkey});
-  lane.qp = nullptr;
-}
-
-}  // namespace
-
 bool ConnectHandshake(ClientConnState& conn, Nanos* server_bringup,
-                      ctrl::wire::RejectReason* reject_reason) {
+                      cw::RejectReason* reject_reason) {
   NodeEnv& env = *conn.env;
-  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*env.cluster);
   const uint32_t num_lanes = static_cast<uint32_t>(conn.lanes.size());
 
-  ctrl::wire::ConnectRequest req;
+  cw::ConnectRequest req;
   req.client_node = env.node;
   req.num_lanes = num_lanes;
   req.ring_bytes = env.config->ring_bytes;
   req.tenant_id = conn.tenant_id;
   for (uint32_t i = 0; i < num_lanes; ++i) {
-    const ClientLane& lane = *conn.lanes[i];
-    req.lanes[i].qpn = lane.qp->qpn();
-    req.lanes[i].resp_ring_addr = lane.resp_ring_addr;
-    req.lanes[i].resp_ring_rkey = lane.resp_ring_rkey;
-    req.lanes[i].ctrl_slot_addr = lane.ctrl_slot_addr;
-    req.lanes[i].ctrl_slot_rkey = lane.ctrl_slot_rkey;
+    req.lanes[i] = Advertise(*conn.lanes[i]);
   }
-
-  uint8_t msg[ctrl::wire::kMaxMessageBytes];
-  uint8_t resp[ctrl::wire::kMaxMessageBytes];
-  const uint32_t msg_len = ctrl::wire::EncodeMessage(
-      msg, sizeof(msg), ctrl::wire::MsgType::kConnectRequest, cp.NextNonce(),
-      &req, ctrl::wire::ConnectRequestBytes(num_lanes));
-  const uint32_t resp_len =
-      cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-
-  ctrl::wire::MsgHeader resp_header;
-  ctrl::wire::ConnectAccept accept;
-  if (resp_len == 0 ||
-      !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-      !ctrl::wire::DecodeConnectAccept(resp_header, resp, &accept) ||
-      accept.num_lanes == 0 || accept.num_lanes > num_lanes) {
-    // Surface the server's reject reason (if the response decodes as one) so
-    // callers can tell a tenant admission reject from a hard failure.
-    *reject_reason = ctrl::wire::RejectReason::kUnknown;
-    ctrl::wire::Reject rej;
-    if (resp_len != 0 &&
-        ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) &&
-        ctrl::wire::DecodeReject(resp_header, resp, &rej)) {
-      *reject_reason = static_cast<ctrl::wire::RejectReason>(rej.reason);
-    }
+  cw::ConnectAccept accept;
+  if (!CtrlExchange(conn, cw::MsgType::kConnectRequest,
+                    ctrl::ControlPlane::For(*env.cluster).NextNonce(), req,
+                    cw::ConnectRequestBytes(num_lanes), cw::DecodeConnectAccept,
+                    &accept, reject_reason) ||
+      accept.num_lanes > num_lanes) {
     return false;
   }
   conn.conn_id = accept.conn_id;
   conn.leaves_at_handshake = conn.client->leaves;
   if (accept.num_lanes < num_lanes) {
-    // Degraded accept (tenant near its lane ceiling): drop the surplus client
-    // halves. They were never wired — no peer, no posted receives, nothing in
-    // flight — so their shells go straight back to the pool.
+    // Degraded accept (tenant near its lane ceiling): release the surplus
+    // client halves. They were never wired — no peer, no posted receives,
+    // nothing in flight.
     for (uint32_t i = accept.num_lanes; i < num_lanes; ++i) {
-      PoolClientShell(env, *conn.client, *conn.lanes[i]);
+      ReleaseClientLane(*conn.lanes[i]);
     }
     conn.lanes.resize(accept.num_lanes);
     conn.target_lanes = accept.num_lanes;
   }
   for (uint32_t i = 0; i < accept.num_lanes; ++i) {
-    WireClientLane(env, *conn.lanes[i], conn.server_node, accept.lanes[i],
-                   /*grant_cumulative=*/0);
+    WireClientLane(*conn.lanes[i], accept.lanes[i], /*grant_cumulative=*/0);
   }
   *server_bringup = accept.fresh_qps * env.cost().qp_create +
                     accept.recycled_qps * env.cost().qp_reset;
@@ -987,56 +949,63 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
   // departed handle never grows: its conn_id may name a newer handle.
   while (!conn.closed && !conn.departed() && short_of_goal()) {
     const uint32_t index = static_cast<uint32_t>(conn.lanes.size());
-    ctrl::wire::AddLaneRequest req;
+    const uint64_t created_before = conn.client->stats.qps_created;
+    auto lane = BuildClientLane(conn, index);
+    co_await sim::Delay(sim, conn.client->stats.qps_created != created_before
+                                 ? cost.qp_create
+                                 : cost.qp_reset);
+    cw::AddLaneRequest req;
     req.client_node = env.node;
     req.conn_id = conn.conn_id;
     req.lane_index = index;
     req.ring_bytes = env.config->ring_bytes;
-    const uint64_t created_before = conn.client->stats.qps_created;
-    auto lane = BuildClientLane(env, conn, index, &req.lane);
-    co_await sim::Delay(sim, conn.client->stats.qps_created != created_before
-                                 ? cost.qp_create
-                                 : cost.qp_reset);
-
-    uint8_t msg[ctrl::wire::kMaxMessageBytes];
-    uint8_t resp[ctrl::wire::kMaxMessageBytes];
-    const uint32_t msg_len = ctrl::wire::EncodeMessage(
-        msg, sizeof(msg), ctrl::wire::MsgType::kAddLaneRequest, cp.NextNonce(),
-        &req, sizeof(req));
+    req.lane = Advertise(*lane);
+    const uint64_t nonce = cp.NextNonce();
     co_await sim::Delay(sim, kCtrlRtt);
-    if (conn.closed || conn.departed()) {
-      break;  // ended under the delays: the unwired client half is abandoned
+    cw::AddLaneAccept accept;
+    cw::RejectReason reason;
+    bool wired = false;
+    if (!conn.closed && !conn.departed() &&
+        CtrlExchange(conn, cw::MsgType::kAddLaneRequest, nonce, req,
+                     sizeof(req), cw::DecodeAddLaneAccept, &accept, &reason)) {
+      co_await sim::Delay(
+          sim, accept.recycled != 0 ? cost.qp_reset : cost.qp_create);
+      wired = !conn.closed;
     }
-    const uint32_t resp_len =
-        cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-    ctrl::wire::MsgHeader resp_header;
-    ctrl::wire::AddLaneAccept accept;
-    if (resp_len == 0 ||
-        !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-        !ctrl::wire::DecodeAddLaneAccept(resp_header, resp, &accept)) {
-      // Refused (e.g. the tenant's lane ceiling): the handle keeps serving on
-      // the lanes it has and stops asking. The unwired client half goes back
-      // to the pool, like a degraded accept's surplus.
-      PoolClientShell(env, *conn.client, *lane);
+    if (!wired) {
+      // Ended under the delays or the handshake, or refused (e.g. the
+      // tenant's lane ceiling): the handle keeps serving on the lanes it has
+      // and stops asking, and the client half goes back to the pool.
+      ReleaseClientLane(*lane);
       conn.target_lanes = static_cast<uint32_t>(conn.lanes.size());
       break;
-    }
-    co_await sim::Delay(sim,
-                        accept.recycled != 0 ? cost.qp_reset : cost.qp_create);
-    if (conn.closed) {
-      break;  // closed under the handshake: the wired lane is abandoned
     }
     // Runs in the calling thread's event, which may belong to another node:
     // the response dispatchers are about to see one more lane.
     env.sim().TouchNode(env.node);
-    WireClientLane(env, *lane, conn.server_node, accept.lane,
-                   /*grant_cumulative=*/0);
+    WireClientLane(*lane, accept.lane, /*grant_cumulative=*/0);
     conn.lanes.push_back(std::move(lane));
     conn.client->stats.lanes_added += 1;
   }
 
   conn.setup_in_progress = false;
   conn.setup_cond->NotifyAll();
+}
+
+void SendDisconnect(ClientConnState& conn) {
+  if (conn.departed()) {
+    return;  // torn down at Leave; its conn_id may name a newer handle now
+  }
+  cw::DisconnectRequest req;
+  req.client_node = conn.env->node;
+  req.conn_id = conn.conn_id;
+  cw::DisconnectAccept accept;
+  cw::RejectReason reason;
+  // Best effort: a reject (server gone, already dead) leaves reclamation to
+  // the dead-sender path, which TearDownOneSender guards for.
+  CtrlExchange(conn, cw::MsgType::kDisconnectRequest,
+               ctrl::ControlPlane::For(*conn.env->cluster).NextNonce(), req,
+               sizeof(req), cw::DecodeDisconnectAccept, &accept, &reason);
 }
 
 void CloseClientConn(ClientConnState& conn) {
@@ -1048,7 +1017,7 @@ void CloseClientConn(ClientConnState& conn) {
     lane.retired = true;
     lane.active = false;
     lane.credits = 0;
-    // Harvestable only when nothing still references the transport half: no
+    // Releasable only when nothing still references the transport half: no
     // pump mid-batch, no dispatcher mid-probe, nothing combined or in flight.
     // (Callers quiesce their threads before closing; a non-quiescent lane is
     // abandoned in place exactly like a quarantined one.)
@@ -1058,7 +1027,7 @@ void CloseClientConn(ClientConnState& conn) {
                            lane.memop_head == nullptr && !lane.failed &&
                            lane.qp != nullptr;
     if (quiescent) {
-      PoolClientShell(env, *conn.client, lane);
+      ReleaseClientLane(lane);
     } else if (lane.qp != nullptr && !lane.failed) {
       // Not recyclable: error the QP so the server side sees the departure
       // (kRemoteInvalidQp on its next write) instead of a silent ghost.
@@ -1084,9 +1053,7 @@ void CloseClientConn(ClientConnState& conn) {
     }
   }
 
-  if (conn.setup_cond != nullptr) {
-    conn.setup_cond->NotifyAll();
-  }
+  conn.setup_cond->NotifyAll();
   conn.reconnect_cond->NotifyAll();
 }
 

@@ -37,7 +37,7 @@ namespace flock {
 // Receiver-side (server-role) counters.
 struct ServerStats {
   uint64_t qps_created = 0;   // server-half lanes built on a fresh QP
-  uint64_t qps_recycled = 0;  // server-half lanes drawn from the shell pool
+  uint64_t qps_recycled = 0;  // server-half lanes drawn from the recycling pool
   uint64_t requests = 0;
   uint64_t messages = 0;
   uint64_t responses_sent = 0;
@@ -55,7 +55,7 @@ struct ServerStats {
 // Client-side failure-handling counters.
 struct ClientStats {
   uint64_t qps_created = 0;   // client-half lanes built on a fresh QP
-  uint64_t qps_recycled = 0;  // client-half lanes drawn from the shell pool
+  uint64_t qps_recycled = 0;  // client-half lanes drawn from the recycling pool
   uint64_t lane_failures = 0;       // client lanes quarantined
   uint64_t retries = 0;             // RPC retransmissions staged
   uint64_t failed_rpcs = 0;         // RPCs surfaced with ok=false
@@ -189,39 +189,79 @@ T* WrIdPtr(uint64_t wr_id) {
   return reinterpret_cast<T*>(wr_id & ~0x7ull);
 }
 
+// ---- lane resources (DESIGN.md §13) ----
+//
+// The transport resources of one lane half: its QP, the ring geometry, the
+// node-local ring/slot/staging memory with cached At() pointers, and the MR
+// rkeys covering it. A lane holds them as its base; teardown releases them
+// whole into a per-node recycling pool, the QP reset via Device::ResetQp so
+// anything in flight from the old incarnation is epoch-dropped. MemorySpace
+// never frees, so under churn they must be reused or the footprint grows
+// without bound. Pools are LIFO stacks matched by ring_bytes: resources of
+// another geometry stay pooled for a later matching build.
+
+// Client half: the request ring's staging mirror, the head-slot write
+// source, the control slot the server RDMA-writes, and the response ring.
+struct ClientLaneRes {
+  verbs::Qp* qp = nullptr;
+  uint32_t ring_bytes = 0;
+  uint8_t* staging = nullptr;
+  uint64_t staging_addr = 0;
+  // Out-of-band head reporting: the dispatcher RDMA-writes the cumulative
+  // consumed count of the response ring from here into a server-side slot.
+  uint64_t head_src_addr = 0;
+  uint8_t* head_src_ptr = nullptr;
+  uint64_t ctrl_slot_addr = 0;
+  const uint8_t* ctrl_slot_ptr = nullptr;  // the dispatcher polls this every pass
+  uint64_t resp_ring_addr = 0;
+  uint32_t resp_ring_rkey = 0;
+  uint32_t ctrl_slot_rkey = 0;
+};
+
+// Server half: the request ring, the head slot the client's dispatcher
+// writes, the control-slot write source, and the response staging mirror.
+struct ServerLaneRes {
+  verbs::Qp* qp = nullptr;
+  uint32_t ring_bytes = 0;
+  uint64_t req_ring_addr = 0;
+  uint64_t head_slot_addr = 0;
+  const uint8_t* head_slot_ptr = nullptr;
+  uint64_t ctrl_src_addr = 0;
+  uint8_t* ctrl_src_ptr = nullptr;
+  uint8_t* staging = nullptr;
+  uint64_t staging_addr = 0;
+  uint32_t req_ring_rkey = 0;
+  uint32_t head_slot_rkey = 0;
+};
+
 struct ClientConnState;
 
 // ---- client side of one QP lane ----
-struct ClientLane {
-  ClientLane(sim::Simulator& sim, uint32_t ring_bytes)
-      : req_producer(ring_bytes), send_ready(sim) {}
+struct ClientLane : ClientLaneRes {
+  ClientLane(sim::Simulator& sim, fabric::MemorySpace& mem,
+             const ClientLaneRes& res)
+      : ClientLaneRes(res),
+        req_producer(res.ring_bytes),
+        resp_consumer(std::make_unique<RingConsumer>(mem.At(res.resp_ring_addr),
+                                                     res.ring_bytes)),
+        send_ready(sim),
+        copy_done(std::make_unique<sim::Condition>(sim)),
+        sent_cond(std::make_unique<sim::Condition>(sim)) {}
 
   uint32_t index = 0;
   ClientConnState* conn = nullptr;
-  verbs::Qp* qp = nullptr;
 
   // Request path: local staging mirror → RDMA write → server request ring.
   RingProducer req_producer;
-  uint8_t* staging = nullptr;
-  uint64_t staging_addr = 0;
   uint64_t remote_ring_addr = 0;
   uint32_t remote_ring_rkey = 0;
 
-  // Out-of-band head reporting: the dispatcher RDMA-writes the cumulative
-  // consumed count of the response ring into this server-side slot.
+  // The server-side slot the head reports land in.
   uint64_t head_slot_remote_addr = 0;
   uint32_t head_slot_rkey = 0;
-  uint64_t head_src_addr = 0;   // client-local 8B staging for the slot write
-  uint8_t* head_src_ptr = nullptr;  // cached At(head_src_addr)
 
   // Response path: server writes into this client-local ring.
   std::unique_ptr<RingConsumer> resp_consumer;
-  uint64_t resp_ring_addr = 0;
-  // Client-side copies of the rkeys it advertised at build time: a deferred
-  // (piggybacked) connect handshake and the shell-harvest path both need to
-  // re-advertise them after the ClientLaneInfo from BuildClientLane is gone.
-  uint32_t resp_ring_rkey = 0;
-  uint32_t ctrl_slot_rkey = 0;
 
   // Credits and activation (receiver-side QP scheduling, §5.1).
   uint64_t credits = 0;
@@ -250,10 +290,6 @@ struct ClientLane {
   // retry lands here and re-sends the renewal (RetryPendingRpc).
   bool renew_in_flight = false;
   sim::Condition send_ready;  // credits or ring space became available
-  // Client-local control slot the server RDMA-writes (grants + activation).
-  uint64_t ctrl_slot_addr = 0;
-  const uint8_t* ctrl_slot_ptr = nullptr;  // cached At(ctrl_slot_addr): the
-                                           // dispatcher polls this every pass
   uint32_t grants_seen = 0;  // cumulative grants already applied
 
   // Flock synchronization state (§4.2). The combining queue is an intrusive
@@ -298,38 +334,28 @@ struct ClientLane {
 };
 
 // ---- server side of one QP lane ----
-struct ServerLane {
-  explicit ServerLane(uint32_t ring_bytes) : resp_producer(ring_bytes) {}
+struct ServerLane : ServerLaneRes {
+  ServerLane(fabric::MemorySpace& mem, const ServerLaneRes& res)
+      : ServerLaneRes(res),
+        req_consumer(std::make_unique<RingConsumer>(mem.At(res.req_ring_addr),
+                                                    res.ring_bytes)),
+        resp_producer(res.ring_bytes) {}
 
   uint32_t index = 0;       // lane index within its connection
   int client_node = -1;
   uint32_t sender_key = 0;  // index into ServerState::senders
-  verbs::Qp* qp = nullptr;
 
   // Request ring (server-local memory, written by the client).
   std::unique_ptr<RingConsumer> req_consumer;
-  uint64_t req_ring_addr = 0;
 
   // Response path: server staging mirror → RDMA write → client response ring.
   RingProducer resp_producer;
-  uint8_t* staging = nullptr;
-  uint64_t staging_addr = 0;
   uint64_t remote_ring_addr = 0;
   uint32_t remote_ring_rkey = 0;
-
-  // Server-side head slot the client's dispatcher writes into.
-  uint64_t head_slot_addr = 0;
-  const uint8_t* head_slot_ptr = nullptr;  // cached At(head_slot_addr)
-  // rkeys advertised to the client at connect, kept for re-advertisement in
-  // the reconnect accept (the MRs themselves survive a QP replacement).
-  uint32_t req_ring_rkey = 0;
-  uint32_t head_slot_rkey = 0;
 
   // Control slot on the client that this server lane writes.
   uint64_t ctrl_slot_remote_addr = 0;
   uint32_t ctrl_slot_rkey = 0;
-  uint64_t ctrl_src_addr = 0;     // server-local staging for the slot write
-  uint8_t* ctrl_src_ptr = nullptr;  // cached At(ctrl_src_addr)
   uint32_t grant_cumulative = 0;  // total credits ever granted on this lane
 
   // Receiver-side scheduling state (§5.1).
@@ -356,7 +382,7 @@ struct ServerLane {
   // ---- tenants (DESIGN.md §15) ----
   // Identity registered at handshake time; authoritative over the data-plane
   // stamp. Always set fresh by the connect/reconnect/add-lane paths — lane
-  // shells drawn from the recycling pool carry no tenant state.
+  // resources drawn from the recycling pool carry no tenant state.
   tenant::TenantId tenant_id = tenant::kDefaultTenant;
   // Credits the weighted-fair layer withheld from renewals on this lane
   // (tenant over its window budget); paid out of fresh budget at the next
@@ -390,38 +416,6 @@ struct SenderState {
   tenant::TenantId tenant_id = tenant::kDefaultTenant;
   uint32_t tenant_lanes_charged = 0;
   bool tenant_charged = false;
-};
-
-// ---- lane recycling shells (DESIGN.md §13) ----
-//
-// The transport resources of a torn-down lane: its QP (reset via
-// Device::ResetQp, so anything in flight from the old incarnation is
-// epoch-dropped) plus the ring/slot memory and the MR rkeys covering it.
-// MemorySpace never frees, so under churn these must be reused or the
-// footprint grows without bound. Pools are per-node LIFO stacks, matched by
-// ring_bytes; a shell whose geometry differs from the next connect's request
-// is skipped (it stays pooled for a later matching connect).
-
-struct ClientLaneShell {
-  verbs::Qp* qp = nullptr;
-  uint32_t ring_bytes = 0;
-  uint64_t staging_addr = 0;
-  uint64_t head_src_addr = 0;
-  uint64_t ctrl_slot_addr = 0;
-  uint64_t resp_ring_addr = 0;
-  uint32_t resp_ring_rkey = 0;
-  uint32_t ctrl_slot_rkey = 0;
-};
-
-struct ServerLaneShell {
-  verbs::Qp* qp = nullptr;
-  uint32_t ring_bytes = 0;
-  uint64_t req_ring_addr = 0;
-  uint64_t head_slot_addr = 0;
-  uint64_t ctrl_src_addr = 0;
-  uint64_t staging_addr = 0;
-  uint32_t req_ring_rkey = 0;
-  uint32_t head_slot_rkey = 0;
 };
 
 // ---- per-node / per-connection state containers ----
@@ -466,9 +460,9 @@ struct ClientState {
   // Heap blocks of retained requests above the inline bytes: a PendingRpc's
   // destructor would free its block every call, so FreeRpc parks it here.
   SmallBufFreeList<128> request_bufs;
-  // Recycling pool (DESIGN.md §13): shells harvested by CloseClientConn,
-  // drawn by BuildClientLane.
-  std::vector<ClientLaneShell> lane_pool;
+  // Recycling pool (DESIGN.md §13): filled by ReleaseClientLane, drawn by
+  // BuildClientLane.
+  std::vector<ClientLaneRes> lane_pool;
 };
 
 // The per-connection state behind one Connection handle: one per
@@ -483,17 +477,18 @@ struct ClientConnState {
   std::unique_ptr<sim::Condition> reconnect_cond;
   std::vector<std::unique_ptr<ClientLane>> lanes;
   // ---- connection-storm fields (DESIGN.md §13) ----
-  // Lane count the handle ultimately wants. ConnectAsync builds only lane 0
-  // and EnsureLaneSetup grows toward this on first use; a refused AddLane
-  // clamps it to the lanes the handle has.
+  // Lane count the handle ultimately wants. Connect builds them all;
+  // ConnectAsync builds only lane 0, and EnsureLaneSetup grows toward this
+  // on first use while lanes.size() < target_lanes (the lazy-lane gate). A
+  // growth step that ends without a new lane clamps it to the lanes the
+  // handle has.
   uint32_t target_lanes = 0;
   // An EnsureLaneSetup handshake is in flight; later callers park on
   // setup_cond instead of racing a second handshake.
   bool setup_in_progress = false;
-  // Allocated only by ConnectAsync — its nullness is the hot-path gate, so
-  // handles from the setup-phase Connect never touch any of this.
   std::unique_ptr<sim::Condition> setup_cond;
-  // Closed by CloseConnection: lanes harvested, detached from client procs.
+  // Closed by CloseConnection: lanes released, detached from client procs.
+  // Calls and one-sided ops staged on a closed handle fail at once.
   bool closed = false;
   // ClientState::leaves when the handshake succeeded.
   uint64_t leaves_at_handshake = 0;
@@ -548,15 +543,15 @@ struct ServerState {
   // when segment_threshold > 0, untouched otherwise.
   ReassemblyPool reassembly;
   // ---- recycling (DESIGN.md §13) ----
-  // Shells harvested from departed clients' lanes (TearDownOneSender),
-  // drawn by BuildServerLane.
-  std::vector<ServerLaneShell> lane_pool;
-  // Harvested ServerLane objects. Never destroyed and never reused: CQEs
+  // Resources released from departed clients' lanes (TearDownOneSender),
+  // drawn by the connect and add-lane handlers.
+  std::vector<ServerLaneRes> lane_pool;
+  // Released ServerLane objects. Never destroyed and never reused: CQEs
   // flushed at teardown (ErrorQp always delivers error completions, and each
   // lane holds ~16 posted receives) still route through wr_id pointers into
   // these objects, and a reused object wired to its recycled QP would match
-  // the stale CQE's qpn and be falsely re-quarantined. The object shell is a
-  // few hundred bytes; the expensive parts (QP, rings, MRs) live on in
+  // the stale CQE's qpn and be falsely re-quarantined. The object is a few
+  // hundred bytes; the expensive parts (QP, rings, MRs) live on in
   // lane_pool.
   std::vector<std::unique_ptr<ServerLane>> graveyard;
 };
@@ -579,96 +574,68 @@ void QuarantineServerLane(ServerLane& lane, ServerStats& stats);
 // node-shared CQs are drained by whichever poller gets there first).
 void HandleSendError(const verbs::Completion& wc, ServerStats& stats);
 
-// Accelerates watchdog recovery of the RPCs accounted to a just-revived
-// lane: their deadlines collapse to "now" so the next tick retransmits.
-void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index);
+// Client half of one lane at `index`: QP + client-local memory + MRs, drawn
+// from the client's recycling pool when resources of matching geometry are
+// pooled (rings reset), else created fresh. Connect, ConnectAsync and lazy
+// add-lane all build through it; the handshake's accept wires it.
+std::unique_ptr<ClientLane> BuildClientLane(ClientConnState& conn,
+                                            uint32_t index);
 
-// Client half of one lane: QP + client-local memory + MRs, advertised in
-// `info`. The accept completes it via WireClientLane. Shared by the connect
-// handshake and lazy add-lane. A pooled shell of matching geometry is reused
-// when one exists.
-std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
-                                            uint32_t index,
-                                            ctrl::wire::ClientLaneInfo* info);
+// The one release of a client half (DESIGN.md §13): resets its QP and parks
+// its resources whole in the client's recycling pool. The lane's qp becomes
+// nullptr, which marks its late CQEs stale (a closed handle's lanes are
+// never destroyed). Every client half that is not kept comes here:
+// close-time harvest, a degraded accept's surplus, and a lazy growth step
+// that ends without a lane.
+void ReleaseClientLane(ClientLane& lane);
 
-// Applies a (connect/reconnect/add-lane) accept to the client lane: peer QP
-// wiring, remote addresses, posted receives, bootstrap control slot.
-void WireClientLane(NodeEnv& env, ClientLane& lane, int server_node,
-                    const ctrl::wire::ServerLaneInfo& info,
-                    uint32_t grant_cumulative);
+// Answers one framing-validated control-plane message (the server side of
+// the handshakes, DESIGN.md §10) with an accept or a reject; behind
+// FlockRuntime::OnCtrlMessage.
+uint32_t HandleCtrlMessage(NodeEnv& env, ServerState& server,
+                           const uint8_t* msg, uint32_t len, uint8_t* resp,
+                           uint32_t resp_cap);
 
-// Server half of one lane, wired to the advertised client QP. A pooled shell
-// of matching geometry is reused (ResetQp'd QP, zeroed rings) when one
-// exists, else fresh resources are created; `server` carries the pool and the
-// created/recycled counters.
-std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
-                                            uint32_t index,
-                                            int client_node, uint32_t sender_key,
-                                            uint32_t ring_bytes,
-                                            const ctrl::wire::ClientLaneInfo& in,
-                                            bool active,
-                                            ctrl::wire::ServerLaneInfo* out);
-
-// Message handlers behind FlockRuntime::OnCtrlMessage (server side of the
-// control-plane handshakes, DESIGN.md §10).
-uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
-                              const ctrl::wire::MsgHeader& header,
-                              const uint8_t* msg, uint8_t* resp,
-                              uint32_t resp_cap);
-uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
-                                const ctrl::wire::MsgHeader& header,
-                                const uint8_t* msg, uint8_t* resp,
-                                uint32_t resp_cap);
-uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
-                              const ctrl::wire::MsgHeader& header,
-                              const uint8_t* msg, uint8_t* resp,
-                              uint32_t resp_cap);
-// Orderly whole-handle close (DESIGN.md §15): tears down the named sender
-// exactly like a membership leave would, so sender-slot and tenant admission
-// accounting are reclaimed immediately. Sent by CloseConnection.
-uint32_t HandleDisconnectRequest(NodeEnv& env, ServerState& server,
-                                 const ctrl::wire::MsgHeader& header,
-                                 const uint8_t* msg, uint8_t* resp,
-                                 uint32_t resp_cap);
-
-// Tears down one live sender: quarantines its lanes, marks it dead, releases
-// tenant admission accounting, and harvests lane shells into the pool (a lane
-// mid-service stays quarantined in place). Shared by the membership-leave
-// sweep and the Disconnect handler.
-void TearDownOneSender(NodeEnv& env, ServerState& server, SenderState& sender);
-
-// Membership change (server side): tears down a departed client's senders.
-// Returns true if any sender was torn down — the caller must then
-// repartition the AQP budget (sched/receiver.h Redistribute) immediately.
+// Membership change (server side): tears down a departed client's senders —
+// quarantines their lanes, releases tenant admission accounting and the
+// lanes' resources. Returns true if any sender was torn down — the caller
+// must then repartition the AQP budget (sched/receiver.h Redistribute)
+// immediately.
 bool TearDownSenders(NodeEnv& env, ServerState& server, int node);
 
 // ---- connection-storm path (DESIGN.md §13) ----
 
-// Client half of the connect handshake: encodes a ConnectRequest from the
-// already-built lanes in conn.lanes, Calls the server, decodes the accept and
+// Client half of the connect handshake: advertises the already-built lanes
+// in conn.lanes, exchanges ConnectRequest/ConnectAccept with the server and
 // wires every lane. Returns false on rejection, with the server's
 // RejectReason in *reject_reason so the caller can tell a tenant admission
 // reject (ctrl::wire::IsAdmissionReject) from a hard failure. On success,
 // *server_bringup gets the server-side QP bring-up time by provenance
-// (qp_create per fresh QP, qp_reset per recycled shell), which ConnectAsync
+// (qp_create per fresh QP, qp_reset per recycled one), which ConnectAsync
 // charges. A degraded accept (tenant admission granted fewer lanes than
-// requested) succeeds with the surplus client halves dropped and
+// requested) succeeds with the surplus client halves released and
 // conn.target_lanes clamped.
 bool ConnectHandshake(ClientConnState& conn, Nanos* server_bringup,
                       ctrl::wire::RejectReason* reject_reason);
 
-// First-use hook on the staging path (StageRpc / SubmitMemOp), invoked only
-// when conn.setup_cond is non-null (handles from ConnectAsync): materializes
+// First-use hook on the staging path (StageRpc / SubmitMemOp), behind the
+// lazy-lane gate conn.lanes.size() < conn.target_lanes: materializes
 // deferred lanes via the AddLane handshake while more distinct threads use
 // the handle than lanes exist (up to conn.target_lanes). Serialized per
 // connection through setup_in_progress / setup_cond.
 sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread);
 
-// Client half of connection close: retires every lane and harvests the
-// quiescent ones (no pump running, nothing in flight, not mid-dispatch) into
-// the client shell pool — ResetQp'd QP, rings, rkeys. Non-quiescent lanes are
-// merely retired (their resources are abandoned, as a quarantine would).
-// Marks the connection closed; the caller detaches it from the client procs.
+// Orderly whole-handle close, client half (DESIGN.md §15): tells the server
+// through a DisconnectRequest, so its sender slot and the tenant's
+// admission accounting are reclaimed now. Best effort, and skipped for a
+// departed handle, whose conn_id may name a newer handle's sender.
+void SendDisconnect(ClientConnState& conn);
+
+// Client half of connection close: retires every lane and releases the
+// quiescent ones (no pump running, nothing in flight, not mid-dispatch).
+// Non-quiescent lanes are merely retired (their resources are abandoned, as
+// a quarantine would). Marks the connection closed; the caller detaches it
+// from the client procs.
 void CloseClientConn(ClientConnState& conn);
 
 // Simulated round trip of one out-of-band control-plane exchange (the

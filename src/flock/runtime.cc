@@ -203,7 +203,6 @@ sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
   // before the handshake, the server's bring-up after it.
   Nanos bringup = 0;
   auto conn = OpenHandle(server_node, lanes, /*eager=*/1, tenant, &bringup);
-  conn->state_.setup_cond = std::make_unique<sim::Condition>(cluster_.sim());
   co_await sim::Delay(cluster_.sim(), bringup + internal::kCtrlRtt);
   Connection* handle = AdmitHandle(std::move(conn), &bringup);
   if (handle != nullptr) {
@@ -228,15 +227,15 @@ std::unique_ptr<Connection> FlockRuntime::OpenHandle(int server_node,
   st.target_lanes = lanes;
   st.tenant_id = tenant;
   st.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
+  st.setup_cond = std::make_unique<sim::Condition>(cluster_.sim());
 
   // Client halves first: QPs, rings, MRs — their coordinates travel in the
-  // connect request. Bring-up is priced by provenance: a pooled shell is a
+  // connect request. Bring-up is priced by provenance: pooled resources are a
   // cheap ResetQp transition, a fresh QP the full create.
   const uint64_t created_before = client_.stats.qps_created;
   const uint64_t recycled_before = client_.stats.qps_recycled;
-  ctrl::wire::ClientLaneInfo scratch;
   for (uint32_t i = 0; i < std::min(eager, lanes); ++i) {
-    st.lanes.push_back(internal::BuildClientLane(env_, st, i, &scratch));
+    st.lanes.push_back(internal::BuildClientLane(st, i));
   }
   *bringup =
       (client_.stats.qps_created - created_before) * cluster_.cost().qp_create +
@@ -251,7 +250,7 @@ Connection* FlockRuntime::AdmitHandle(std::unique_ptr<Connection> conn,
   if (!internal::ConnectHandshake(st, bringup, &reason)) {
     // Tenant admission control refusing a handle is a legitimate outcome
     // surfaced as nullptr; any other reject is a hard failure. The unwired
-    // lanes have posted nothing, so closing (which harvests their shells) and
+    // lanes have posted nothing, so closing (which releases them) and
     // destroying them is safe.
     FLOCK_CHECK(ctrl::wire::IsAdmissionReject(reason))
         << "fl_connect: node " << st.server_node
@@ -273,30 +272,15 @@ void FlockRuntime::CloseConnection(Connection* conn) {
   if (st.closed) {
     return;
   }
-  // Orderly disconnect (DESIGN.md §15): tell the server so its sender slot
-  // and the tenant's admission accounting are reclaimed now, not whenever
-  // dead-sender detection happens to notice the departed QPs. A departed
-  // handle's sender was torn down at Leave — its conn_id may now name a newer
-  // handle's sender.
-  if (!st.departed()) {
-    ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster_);
-    ctrl::wire::DisconnectRequest req;
-    req.client_node = node_;
-    req.conn_id = st.conn_id;
-    uint8_t msg[ctrl::wire::kMaxMessageBytes];
-    uint8_t resp[ctrl::wire::kMaxMessageBytes];
-    const uint32_t msg_len = ctrl::wire::EncodeMessage(
-        msg, sizeof(msg), ctrl::wire::MsgType::kDisconnectRequest,
-        cp.NextNonce(), &req, sizeof(req));
-    // Best effort: a reject (server gone, already dead) leaves reclamation
-    // to the dead-sender path, which TearDownOneSender guards for.
-    cp.Call(st.server_node, msg, msg_len, resp, sizeof(resp));
-  }
+  // Orderly disconnect (DESIGN.md §15): the server reclaims the sender slot
+  // and the tenant's admission accounting now, not whenever dead-sender
+  // detection happens to notice the departed QPs.
+  internal::SendDisconnect(st);
   cluster_.sim().TouchNode(node_);  // see AdmitHandle
   internal::CloseClientConn(st);
   // Detach from the client procs' iteration set. The handle itself stays in
   // connections_: stale CQEs and parked coroutines may still hold pointers
-  // into its lanes, which are never destroyed (only their shells recycle).
+  // into its lanes, which are never destroyed (only their resources recycle).
   for (size_t i = 0; i < client_.conns.size(); ++i) {
     if (client_.conns[i] == &st) {
       client_.conns.erase(client_.conns.begin() +
@@ -520,27 +504,7 @@ sim::Co<verbs::WcStatus> Connection::CompareAndSwap(FlockThread& thread,
 
 uint32_t FlockRuntime::OnCtrlMessage(const uint8_t* msg, uint32_t len,
                                      uint8_t* resp, uint32_t resp_cap) {
-  ctrl::wire::MsgHeader header;
-  if (!ctrl::wire::DecodeHeader(msg, len, &header)) {
-    return 0;  // ControlPlane::Call validated framing; belt and braces
-  }
-  switch (static_cast<ctrl::wire::MsgType>(header.type)) {
-    case ctrl::wire::MsgType::kConnectRequest:
-      return internal::HandleConnectRequest(env_, server_, header, msg, resp,
-                                            resp_cap);
-    case ctrl::wire::MsgType::kReconnectRequest:
-      return internal::HandleReconnectRequest(env_, server_, header, msg, resp,
-                                              resp_cap);
-    case ctrl::wire::MsgType::kAddLaneRequest:
-      return internal::HandleAddLaneRequest(env_, server_, header, msg, resp,
-                                            resp_cap);
-    case ctrl::wire::MsgType::kDisconnectRequest:
-      return internal::HandleDisconnectRequest(env_, server_, header, msg,
-                                               resp, resp_cap);
-    default:
-      return ctrl::wire::EncodeReject(resp, resp_cap, header.nonce,
-                                      ctrl::wire::RejectReason::kUnknown);
-  }
+  return internal::HandleCtrlMessage(env_, server_, msg, len, resp, resp_cap);
 }
 
 }  // namespace flock

@@ -118,7 +118,9 @@ class Connection {
   int server_node() const { return state_.server_node; }
   // Tenant identity this handle presented at fl_connect (DESIGN.md §15).
   tenant::TenantId tenant_id() const { return state_.tenant_id; }
-  // True once CloseConnection ran; a closed handle must not be used again.
+  // True once CloseConnection ran. Calls and one-sided ops on a closed
+  // handle fail at once: the call resolves with ok == false, the op with
+  // verbs::WcStatus::kQpError.
   bool closed() const { return state_.closed; }
   uint32_t num_lanes() const { return static_cast<uint32_t>(state_.lanes.size()); }
   uint32_t num_active_lanes() const;
@@ -197,10 +199,10 @@ class FlockRuntime : public ctrl::Endpoint {
   sim::Co<Connection*> ConnectAsync(
       int server_node, uint32_t lanes,
       tenant::TenantId tenant = tenant::kDefaultTenant);
-  // Closes a handle: retires every lane, harvests the quiescent ones into
-  // the recycling pool, and detaches the connection from the client procs.
-  // The handle object itself stays alive (stale CQEs may still reference its
-  // lanes) but must not be used again.
+  // Closes a handle: tells the server, retires every lane, releases the
+  // quiescent ones into the recycling pool, and detaches the connection from
+  // the client procs. The handle object itself stays alive (stale CQEs may
+  // still reference its lanes); later calls on it fail at once (closed()).
   void CloseConnection(Connection* conn);
   // Registers an application thread pinned to `core`.
   FlockThread* CreateThread(int core);
@@ -224,9 +226,10 @@ class FlockRuntime : public ctrl::Endpoint {
     return server_.reassembly;
   }
   const Pool<internal::PendingSend>& send_pool() const { return client_.send_pool; }
-  // Connection-storm census (DESIGN.md §13): live server lanes, harvested
-  // lane objects parked in the graveyard, pooled shells on each side, and
-  // sender slots — the churn tests assert all of these stay bounded.
+  // Connection-storm census (DESIGN.md §13): live server lanes, released
+  // lane objects parked in the graveyard, pooled lane resources on each
+  // side, and sender slots — the churn tests assert all of these stay
+  // bounded.
   size_t ServerLiveLanes() const { return server_.lanes.size(); }
   size_t ServerGraveyardLanes() const { return server_.graveyard.size(); }
   size_t ServerLanePool() const { return server_.lane_pool.size(); }

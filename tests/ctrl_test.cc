@@ -112,6 +112,127 @@ TEST(CtrlTest, HandshakeWiresLanesAndServesRpcs) {
   EXPECT_EQ(fail, 0);
 }
 
+// Sends one hand-encoded control request to `node` and returns the reason of
+// the reject it is answered with (UINT32_MAX, and a test failure, if the
+// answer is anything but a reject).
+uint32_t RejectReasonOf(ctrl::ControlPlane& cp, int node, ctrl::wire::MsgType type,
+                        const void* body, uint32_t body_len) {
+  uint8_t msg[ctrl::wire::kMaxMessageBytes];
+  uint8_t resp[ctrl::wire::kMaxMessageBytes];
+  const uint32_t msg_len = ctrl::wire::EncodeMessage(
+      msg, sizeof(msg), type, cp.NextNonce(), body, body_len);
+  const uint32_t resp_len = cp.Call(node, msg, msg_len, resp, sizeof(resp));
+  ctrl::wire::MsgHeader header;
+  ctrl::wire::Reject reject;
+  const bool is_reject = ctrl::wire::DecodeHeader(resp, resp_len, &header) &&
+                         ctrl::wire::DecodeReject(header, resp, &reject);
+  EXPECT_TRUE(is_reject) << "answered with message type " << header.type;
+  return is_reject ? reject.reason : UINT32_MAX;
+}
+
+// Every reject reason the server's four handlers give a malformed or
+// misaddressed request (kLaneBusy needs a lane mid-dispatch; the tenant
+// reasons are tenant_test's). Node 0 serves one 2-lane handle of node 1;
+// node 1 runs a runtime that never called StartServer.
+TEST(CtrlTest, ServerRejectReasonsArePinned) {
+  namespace cw = ctrl::wire;
+  using R = cw::RejectReason;
+  CtrlWorld world;
+  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
+  Connection* conn = world.clients[0]->Connect(*world.server, 2);
+  ASSERT_NE(conn, nullptr);
+  const uint32_t conn_id = conn->conn_id();
+  const auto expect_reject = [&](const char* what, int node, cw::MsgType type,
+                                 const void* body, uint32_t len, R reason) {
+    EXPECT_EQ(RejectReasonOf(cp, node, type, body, len),
+              static_cast<uint32_t>(reason))
+        << what;
+  };
+
+  cw::ConnectRequest connect;
+  connect.client_node = 1;
+  connect.num_lanes = 1;
+  connect.ring_bytes = FlockConfig{}.ring_bytes;
+  expect_reject("connect: not started", 1, cw::MsgType::kConnectRequest,
+                &connect, cw::ConnectRequestBytes(1), R::kServerNotStarted);
+  connect.num_lanes = 0;
+  expect_reject("connect: undecodable", 0, cw::MsgType::kConnectRequest,
+                &connect, cw::ConnectRequestBytes(0), R::kUnknown);
+
+  cw::ReconnectRequest reconnect;
+  reconnect.client_node = 1;
+  reconnect.conn_id = conn_id;
+  expect_reject("reconnect: not started", 1, cw::MsgType::kReconnectRequest,
+                &reconnect, sizeof(reconnect), R::kBadConnId);
+  expect_reject("reconnect: undecodable", 0, cw::MsgType::kReconnectRequest,
+                &reconnect, sizeof(reconnect) - 4, R::kUnknown);
+  reconnect.lane_index = 2;
+  expect_reject("reconnect: no such lane", 0, cw::MsgType::kReconnectRequest,
+                &reconnect, sizeof(reconnect), R::kBadLane);
+  reconnect.lane_index = 0;
+  reconnect.client_node = 0;
+  expect_reject("reconnect: wrong client node", 0,
+                cw::MsgType::kReconnectRequest, &reconnect, sizeof(reconnect),
+                R::kBadLane);
+  reconnect.client_node = 1;
+  reconnect.conn_id = conn_id + 1;
+  expect_reject("reconnect: conn_id out of range", 0,
+                cw::MsgType::kReconnectRequest, &reconnect, sizeof(reconnect),
+                R::kBadConnId);
+
+  cw::AddLaneRequest add;
+  add.client_node = 1;
+  add.conn_id = conn_id;
+  add.lane_index = 2;
+  add.ring_bytes = FlockConfig{}.ring_bytes;
+  expect_reject("add-lane: not started", 1, cw::MsgType::kAddLaneRequest, &add,
+                sizeof(add), R::kBadConnId);
+  add.lane_index = 1;
+  expect_reject("add-lane: out of sequence (taken)", 0,
+                cw::MsgType::kAddLaneRequest, &add, sizeof(add), R::kBadLane);
+  add.lane_index = 3;
+  expect_reject("add-lane: out of sequence (gap)", 0,
+                cw::MsgType::kAddLaneRequest, &add, sizeof(add), R::kBadLane);
+  add.lane_index = 2;
+  add.client_node = 0;
+  expect_reject("add-lane: wrong client node", 0, cw::MsgType::kAddLaneRequest,
+                &add, sizeof(add), R::kBadLane);
+  add.client_node = 1;
+  add.conn_id = conn_id + 1;
+  expect_reject("add-lane: conn_id out of range", 0,
+                cw::MsgType::kAddLaneRequest, &add, sizeof(add), R::kBadConnId);
+  add.conn_id = conn_id;
+  add.ring_bytes = 0;
+  expect_reject("add-lane: undecodable", 0, cw::MsgType::kAddLaneRequest, &add,
+                sizeof(add), R::kUnknown);
+
+  cw::DisconnectRequest disconnect;
+  disconnect.client_node = 1;
+  disconnect.conn_id = conn_id;
+  expect_reject("disconnect: not started", 1, cw::MsgType::kDisconnectRequest,
+                &disconnect, sizeof(disconnect), R::kBadConnId);
+  expect_reject("disconnect: undecodable", 0, cw::MsgType::kDisconnectRequest,
+                &add, sizeof(add), R::kUnknown);
+  disconnect.client_node = 0;
+  expect_reject("disconnect: wrong client node", 0,
+                cw::MsgType::kDisconnectRequest, &disconnect,
+                sizeof(disconnect), R::kBadConnId);
+  disconnect.client_node = 1;
+  disconnect.conn_id = conn_id + 1;
+  expect_reject("disconnect: conn_id out of range", 0,
+                cw::MsgType::kDisconnectRequest, &disconnect,
+                sizeof(disconnect), R::kBadConnId);
+
+  expect_reject("unknown type", 0, cw::MsgType::kConnectAccept, &disconnect,
+                sizeof(disconnect), R::kUnknown);
+
+  // None of it touched the live handle.
+  EXPECT_EQ(world.server->ServerLiveLanes(), 2u);
+  EXPECT_EQ(world.server->server_stats().dead_senders, 0u);
+  EXPECT_EQ(world.server->server_stats().lanes_added, 0u);
+  EXPECT_EQ(world.server->server_stats().lane_reconnects, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // QP kill → reconnect → full recovery
 // ---------------------------------------------------------------------------
@@ -402,6 +523,101 @@ TEST(CtrlTest, AsyncHandleAtTenantLaneCeilingKeepsServing) {
   EXPECT_EQ(issued, 4 * 200);
   EXPECT_EQ(ok, 4 * 200) << "a call hung or failed at the lane ceiling";
   EXPECT_EQ(fail, 0);
+}
+
+// A 2-lane ConnectAsync handle: thread A's call runs on lane 0, then thread B
+// starts growing lane 1 and the handle is closed `close_after` later. The
+// AddLane exchange runs at +17 us (client qp_create, then kCtrlRtt) and the
+// lane would be wired at +29 us (server qp_create).
+struct CloseDuringGrowthResult {
+  uint64_t qps_created = 0;
+  size_t client_pool = 0;
+  uint64_t server_lanes_added = 0;
+  int ok = 0;
+  int fail = 0;
+};
+
+CloseDuringGrowthResult RunCloseDuringGrowth(Nanos close_after) {
+  CtrlWorld world;
+  FlockRuntime* client = world.clients[0].get();
+  Connection* conn = nullptr;
+  world.cluster.sim().Spawn(ConnectAsyncInto(client, 0, 2, &conn));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  CloseDuringGrowthResult r;
+  EXPECT_NE(conn, nullptr);
+  if (conn == nullptr) {
+    return r;
+  }
+  world.cluster.sim().Spawn(
+      EchoLoop(conn, client->CreateThread(0), 1, &r.ok, &r.fail));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  world.cluster.sim().Spawn(
+      EchoLoop(conn, client->CreateThread(1), 1, &r.ok, &r.fail));
+  world.cluster.sim().RunFor(close_after);
+  client->CloseConnection(conn);
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  r.qps_created = client->client_stats().qps_created;
+  r.client_pool = client->ClientLanePool();
+  r.server_lanes_added = world.server->server_stats().lanes_added;
+  return r;
+}
+
+TEST(CtrlTest, CloseBeforeAddLanePoolsTheClientHalf) {
+  const CloseDuringGrowthResult r = RunCloseDuringGrowth(1 * kMicrosecond);
+  EXPECT_EQ(r.server_lanes_added, 0u) << "closed before the AddLane exchange";
+  EXPECT_EQ(r.qps_created, 2u);
+  EXPECT_EQ(r.client_pool, 2u) << "the half-built lane's client half leaked";
+  EXPECT_EQ(r.ok, 1);
+  EXPECT_EQ(r.fail, 1) << "thread B's call must fail on the closed handle";
+}
+
+TEST(CtrlTest, CloseAfterAddLanePoolsTheClientHalf) {
+  const CloseDuringGrowthResult r = RunCloseDuringGrowth(20 * kMicrosecond);
+  EXPECT_EQ(r.server_lanes_added, 1u) << "closed after the AddLane exchange";
+  EXPECT_EQ(r.qps_created, 2u);
+  EXPECT_EQ(r.client_pool, 2u) << "the accepted lane's client half leaked";
+  EXPECT_EQ(r.ok, 1);
+  EXPECT_EQ(r.fail, 1) << "thread B's call must fail on the closed handle";
+}
+
+// A closed handle's lanes are pooled (their QPs gone) and detached from the
+// watchdog, so nothing would ever resolve a call staged on one: every handle,
+// eager or lazy, must fail it at once.
+TEST(CtrlTest, CallOnClosedHandleFailsAtOnce) {
+  CtrlWorld world;
+  FlockRuntime* client = world.clients[0].get();
+  Connection* conn = client->Connect(*world.server, 2);
+  ASSERT_NE(conn, nullptr);
+  client->CloseConnection(conn);
+  int ok = 0, fail = 0;
+  world.cluster.sim().Spawn(
+      EchoLoop(conn, client->CreateThread(0), 1, &ok, &fail));
+  world.cluster.sim().RunFor(1 * kMicrosecond);
+  EXPECT_EQ(ok, 0);
+  EXPECT_EQ(fail, 1) << "a call on a closed handle did not resolve at once";
+}
+
+sim::Proc ReadOnce(Connection* conn, FlockThread* thread, uint64_t local_addr,
+                   RemoteMr mr, verbs::WcStatus* status, bool* done) {
+  *status = co_await conn->Read(*thread, local_addr, mr.addr, 8, mr);
+  *done = true;
+}
+
+TEST(CtrlTest, OneSidedOpOnClosedHandleFailsAtOnce) {
+  CtrlWorld world;
+  FlockRuntime* client = world.clients[0].get();
+  Connection* conn = client->Connect(*world.server, 2);
+  ASSERT_NE(conn, nullptr);
+  const RemoteMr mr = conn->AttachMreg(world.cluster.mem(0).Alloc(64), 64);
+  const uint64_t local = world.cluster.mem(1).Alloc(64);
+  client->CloseConnection(conn);
+  verbs::WcStatus status = verbs::WcStatus::kSuccess;
+  bool done = false;
+  world.cluster.sim().Spawn(
+      ReadOnce(conn, client->CreateThread(0), local, mr, &status, &done));
+  world.cluster.sim().RunFor(1 * kMicrosecond);
+  EXPECT_TRUE(done) << "a read on a closed handle did not resolve at once";
+  EXPECT_EQ(status, verbs::WcStatus::kQpError);
 }
 
 TEST(CtrlTest, StaleLazyHandleCannotGrowIntoNewHandle) {
