@@ -7,12 +7,18 @@ aim is measured by.
   - the number of FlockConfig fields (src/flock/config.h): every field is an
     independently settable knob the tests and benches must cover;
   - the Simulator::TouchNode call sites under src/ (each marks code that
-    mutates another node's state from inside an event).
+    mutates another node's state from inside an event);
+  - the send_pool.New( call sites under src/flock: each is a distinct path
+    that stages a request for the wire (DESIGN.md §16 has one, the chunk
+    builder).
 
 Usage: python3 scripts/size_report.py [--root DIR] [--max-config-fields N]
+                                      [--max-send-paths N]
 
 With --max-config-fields, exits 1 if FlockConfig has more than N fields, so
-CI fails when a change adds a knob.
+CI fails when a change adds a knob. With --max-send-paths, exits 1 if there
+are more than N send_pool.New( call sites, so CI fails when a change adds a
+second way to stage a request.
 """
 
 import argparse
@@ -75,17 +81,29 @@ def config_fields(path):
     return fields
 
 
-def touchnode_sites(root):
-    """{relative path: call count} for TouchNode calls under src/ (comments
-    and the definition itself excluded)."""
+def call_sites(root, rel, pattern):
+    """{relative path: count} of `pattern` matches in the C++ files under
+    `rel`, comments excluded."""
     sites = {}
-    for path in cxx_files(root, "src"):
+    for path in cxx_files(root, rel):
         with open(path, encoding="utf-8") as f:
             text = strip_comments(f.read())
-        calls = len(re.findall(r"(?<!void )\bTouchNode\(", text))
+        calls = len(re.findall(pattern, text))
         if calls:
             sites[os.path.relpath(path, root)] = calls
     return sites
+
+
+def touchnode_sites(root):
+    """{relative path: call count} for TouchNode calls under src/ (comments
+    and the definition itself excluded)."""
+    return call_sites(root, "src", r"(?<!void )\bTouchNode\(")
+
+
+def send_paths(root):
+    """{relative path: call count} for send_pool.New( calls under src/flock
+    (comments excluded)."""
+    return call_sites(root, "src/flock", r"\bsend_pool\.New\(")
 
 
 def report(root):
@@ -96,6 +114,7 @@ def report(root):
         "lines": lines,
         "config_fields": config_fields(os.path.join(root, CONFIG_H)),
         "touchnode_sites": touchnode_sites(root),
+        "send_paths": send_paths(root),
     }
 
 
@@ -104,6 +123,9 @@ def main(argv=None):
     parser.add_argument("--root", default=REPO, help="repository root")
     parser.add_argument("--max-config-fields", type=int, default=None,
                         help="fail if FlockConfig has more fields than this")
+    parser.add_argument("--max-send-paths", type=int, default=None,
+                        help="fail if src/flock has more send_pool.New( call "
+                             "sites than this")
     args = parser.parse_args(argv)
 
     r = report(args.root)
@@ -111,15 +133,23 @@ def main(argv=None):
         print(f"lines {rel:<22} {n:>6}")
     fields = r["config_fields"]
     print(f"FlockConfig fields {len(fields):>13}  ({', '.join(fields)})")
-    sites = r["touchnode_sites"]
-    detail = ", ".join(f"{p} {n}" for p, n in sorted(sites.items()))
-    print(f"TouchNode call sites {sum(sites.values()):>11}  ({detail})")
+    for label, key in (("TouchNode call sites", "touchnode_sites"),
+                       ("send_pool.New( sites", "send_paths")):
+        sites = r[key]
+        detail = ", ".join(f"{p} {n}" for p, n in sorted(sites.items()))
+        print(f"{label} {sum(sites.values()):>11}  ({detail})")
 
+    rc = 0
     if args.max_config_fields is not None and len(fields) > args.max_config_fields:
         print(f"FAIL: FlockConfig has {len(fields)} fields, more than "
               f"--max-config-fields {args.max_config_fields}")
-        return 1
-    return 0
+        rc = 1
+    paths = sum(r["send_paths"].values())
+    if args.max_send_paths is not None and paths > args.max_send_paths:
+        print(f"FAIL: src/flock has {paths} send_pool.New( call sites, more "
+              f"than --max-send-paths {args.max_send_paths}")
+        rc = 1
+    return rc
 
 
 if __name__ == "__main__":

@@ -46,6 +46,15 @@ void F() {
 }
 """
 
+COMBINE_CC = """\
+PendingSend* StageChunk() {
+  // Only this builder calls send_pool.New( on the data path.
+  PendingSend* ps = conn.client->send_pool.New();
+  /* conn.client->send_pool.New(); in a block comment */
+  return ps;
+}
+"""
+
 
 def write(root, rel, text):
     path = os.path.join(root, rel)
@@ -60,6 +69,7 @@ class SizeReportTest(unittest.TestCase):
         self.root = self.tmp.name
         write(self.root, "src/flock/config.h", CONFIG_H)
         write(self.root, "src/flock/lane.cc", LANE_CC)
+        write(self.root, "src/flock/combine.cc", COMBINE_CC)
         write(self.root, "src/sim/simulator.h", SIMULATOR_H)
         write(self.root, "src/common/notes.txt", "not C++\n" * 50)
         write(self.root, "bench/a.cc", "int a;\nint b;\n")
@@ -76,7 +86,8 @@ class SizeReportTest(unittest.TestCase):
 
     def test_counts_lines_of_cxx_files_only(self):
         lines = size_report.report(self.root)["lines"]
-        flock = CONFIG_H.count("\n") + LANE_CC.count("\n")
+        flock = (CONFIG_H.count("\n") + LANE_CC.count("\n") +
+                 COMBINE_CC.count("\n"))
         self.assertEqual(lines["src/flock"], flock)
         self.assertEqual(lines["src"], flock + SIMULATOR_H.count("\n"))
         self.assertEqual(lines["bench"], 2)
@@ -100,6 +111,21 @@ class SizeReportTest(unittest.TestCase):
         rc, out = self.run_main("--max-config-fields", "2")
         self.assertEqual(rc, 1)
         self.assertIn("FAIL: FlockConfig has 3 fields", out)
+
+    def test_send_paths_skip_comments(self):
+        self.assertEqual(size_report.send_paths(self.root),
+                         {os.path.join("src", "flock", "combine.cc"): 1})
+
+    def test_max_send_paths_fails_only_when_exceeded(self):
+        rc, out = self.run_main("--max-send-paths", "1")
+        self.assertEqual(rc, 0)
+        self.assertIn("send_pool.New( sites", out)
+        self.assertNotIn("FAIL", out)
+        write(self.root, "src/flock/watchdog.cc",
+              "void Retry() { conn.client->send_pool.New(); }\n")
+        rc, out = self.run_main("--max-send-paths", "1")
+        self.assertEqual(rc, 1)
+        self.assertIn("FAIL: src/flock has 2 send_pool.New( call sites", out)
 
     def test_missing_config_struct_is_an_error(self):
         write(self.root, "src/flock/config.h", "struct NotIt {};\n")

@@ -8,69 +8,30 @@
 
 namespace flock {
 namespace internal {
-namespace {
 
-// Stages one oversized payload as a SegMark chunk train (DESIGN.md §16).
-// Every chunk is an ordinary PendingSend through the TCQ: other threads'
-// small requests coalesce between chunks (Alg. 1 packs by the chunk-sized
-// medians), and the per-message credit, byte-quota and tenant accounting
-// charge each chunk like any message. The caller blocks until the final
-// chunk is on the wire — the lane is FIFO, so the earlier chunks are out by
-// then too, and the payload slices (caller memory) stay valid throughout.
-sim::Co<void> StageSegmented(ClientConnState& conn, FlockThread& thread,
-                             ClientLane& lane, PendingRpc* rpc,
-                             PayloadRef payload) {
-  const FlockConfig& config = *conn.env->config;
-  const sim::CostModel& cost = conn.env->cost();
-  const uint32_t chunk = SegmentChunkBytes(config);
-  const uint32_t len = payload.size();
-  bool sent = false;
-  uint32_t offset = 0;
-  while (offset < len) {
-    const uint32_t clen = std::min(chunk, len - offset);
-    const bool last = offset + clen == len;
-    PendingSend* ps = conn.client->send_pool.New();
-    ps->meta.data_len = wire::PackSegLen(
-        offset == 0 ? wire::SegMark::kFirst
-                    : (last ? wire::SegMark::kLast : wire::SegMark::kMiddle),
-        clen);
-    ps->meta.thread_id = thread.id();
-    ps->meta.rpc_id = rpc->rpc_id;
-    ps->meta.seq = rpc->seq;
-    ps->owner_core = &thread.core();
-    ps->payload = payload.Sub(offset, clen);
-    // Chunks are the on-wire unit the sender scheduler sees.
-    thread.req_size_median.Record(clen);
-    co_await thread.core().Work(cost.cpu_atomic_rmw +
-                                cost.cpu_cacheline_transfer);
-    if (lane.combine_tail != nullptr) {
-      lane.combine_tail->next = ps;
-    } else {
-      lane.combine_head = ps;
-    }
-    lane.combine_tail = ps;
-    WakePump(conn, lane);
-    if (last) {
-      ps->sent_flag = &sent;
-      ps->sent_cond = lane.sent_cond.get();
-    }
-    co_await thread.core().Work(cost.MemcpyCost(clen + wire::kMetaBytes));
-    if (ps->dropped) {
-      // Lane quarantined mid-copy (see StageRpc); the watchdog retransmits
-      // the whole extent from rpc->request.
-      conn.client->send_pool.Delete(ps);
-    } else {
-      ps->copied = true;
-      lane.copy_done->NotifyAll();
-    }
-    offset += clen;
+PendingSend* StageChunk(ClientConnState& conn, ClientLane& lane,
+                        const PendingRpc& rpc, sim::Core& core,
+                        const wire::ChunkTrain& chunk, PayloadRef payload,
+                        bool retain) {
+  PendingSend* ps = conn.client->send_pool.New();
+  ps->meta = {chunk.data_len(), rpc.thread_id, rpc.rpc_id, rpc.seq};
+  ps->owner_core = &core;
+  if (retain) {
+    payload.CopyTo(ps->retained.Resize(payload.size()));
+    ps->payload = PayloadRef(ps->retained.data(), payload.size());
+    ps->copied = true;  // staged right here; no follower copy phase
+  } else {
+    ps->payload = payload;
   }
-  while (!sent) {
-    co_await lane.sent_cond->Wait();
+  if (lane.combine_tail != nullptr) {
+    lane.combine_tail->next = ps;
+  } else {
+    lane.combine_head = ps;
   }
+  lane.combine_tail = ps;
+  WakePump(conn, lane);
+  return ps;
 }
-
-}  // namespace
 
 sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
                               uint16_t rpc_id, PayloadRef payload,
@@ -85,34 +46,22 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   if (conn.lanes.size() < conn.target_lanes) {
     co_await EnsureLaneSetup(conn, thread);
   }
-  if (conn.closed) {
-    // Fail the RPC immediately instead of parking it on a released lane that
-    // will never be granted credits (and that no watchdog scans).
-    PendingRpc* failed = conn.client->rpc_pool.New();
-    failed->rpc_id = rpc_id;
-    failed->seq = thread.NextSeq();
-    failed->thread_id = thread.id();
-    failed->submitted_at = conn.env->sim().Now();
-    failed->completed_at = failed->submitted_at;
-    failed->ok = false;
-    conn.client->stats.failed_rpcs += 1;
-    failed->done_event.Fire(conn.env->sim());
-    co_return failed;
-  }
-
-  ClientLane& lane = LaneFor(conn, thread);
-
   PendingRpc* rpc = conn.client->rpc_pool.New();
   rpc->rpc_id = rpc_id;
   rpc->seq = thread.NextSeq();
   rpc->thread_id = thread.id();
   rpc->submitted_at = conn.env->sim().Now();
-  rpc->lane_index = lane.index;
   rpc->response_dst = response_dst;
   rpc->response_cap = response_cap;
-  rpc->response_len = 0;
-  rpc->resp_assembled = 0;
-  rpc->resp_src = nullptr;
+  if (conn.closed) {
+    // Fail the RPC immediately instead of parking it on a released lane that
+    // will never be granted credits (and that no watchdog scans).
+    ResolveRpc(conn, rpc, /*ok=*/false);
+    co_return rpc;
+  }
+
+  ClientLane& lane = LaneFor(conn, thread);
+  rpc->lane_index = lane.index;
   // Retain the payload for retransmission and set the first deadline. A
   // payload past the inline bytes reuses a recycled heap block (FreeRpc).
   rpc->deadline = rpc->submitted_at + config.rpc_timeout;
@@ -130,49 +79,40 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   thread.reqs_sent.Add(1);
   thread.bytes_sent.Add(len);
 
-  // Oversized payloads travel as a SegMark chunk train (DESIGN.md §16);
-  // everything below the threshold stays on the unchanged inline path.
-  if (config.segment_threshold > 0 && len > config.segment_threshold) {
-    co_await StageSegmented(conn, thread, lane, rpc, payload);
-    co_return rpc;
-  }
-  thread.req_size_median.Record(len);
-
-  PendingSend* ps = conn.client->send_pool.New();
-  ps->meta.data_len = len;
-  ps->meta.thread_id = thread.id();
-  ps->meta.rpc_id = rpc_id;
-  ps->meta.seq = rpc->seq;
-  ps->owner_core = &thread.core();
-  // Zero-copy: the slices point at caller memory, which outlives the gather
-  // because this coroutine blocks on sent_flag below.
-  ps->payload = payload;
-
-  // TCQ enqueue: one atomic swap + a cacheline transfer makes the request
-  // visible to the (current or future) leader...
-  co_await thread.core().Work(cost.cpu_atomic_rmw + cost.cpu_cacheline_transfer);
-  PendingSend* handle = ps;
-  if (lane.combine_tail != nullptr) {
-    lane.combine_tail->next = ps;
-  } else {
-    lane.combine_head = ps;
-  }
-  lane.combine_tail = ps;
-  WakePump(conn, lane);
-  // ...then the thread copies its payload into the combining buffer and
-  // raises its copy-completion flag, which the leader polls (§4.2).
+  // The request travels as a chunk train (DESIGN.md §16), each chunk an
+  // ordinary trip through the TCQ, so other threads' requests coalesce
+  // between chunks. Zero-copy: the chunks point at caller memory, which
+  // outlives the gather because this coroutine blocks on `sent` below (the
+  // lane is FIFO, so the earlier chunks are out once the last one is).
   bool sent = false;
-  handle->sent_flag = &sent;
-  handle->sent_cond = lane.sent_cond.get();
-  co_await thread.core().Work(cost.MemcpyCost(len + wire::kMetaBytes));
-  if (handle->dropped) {
-    // The lane was quarantined mid-copy and the pump unlinked this request,
-    // releasing the waiter (`sent` is already true) and handing the handle
-    // back to us. The RPC itself stays pending for the retry watchdog.
-    conn.client->send_pool.Delete(handle);
-  } else {
-    handle->copied = true;
-    lane.copy_done->NotifyAll();
+  for (wire::ChunkTrain chunk = ChunkTrainFor(config, len); !chunk.done();
+       chunk.Next()) {
+    // Chunks are the on-wire unit the sender scheduler sees.
+    thread.req_size_median.Record(chunk.size());
+    // TCQ enqueue: one atomic swap + a cacheline transfer makes the request
+    // visible to the (current or future) leader...
+    co_await thread.core().Work(cost.cpu_atomic_rmw +
+                                cost.cpu_cacheline_transfer);
+    PendingSend* ps =
+        StageChunk(conn, lane, *rpc, thread.core(), chunk,
+                   payload.Sub(chunk.offset(), chunk.size()), /*retain=*/false);
+    if (chunk.last()) {
+      ps->sent_flag = &sent;
+      ps->sent_cond = lane.sent_cond.get();
+    }
+    // ...then the thread copies its payload into the combining buffer and
+    // raises its copy-completion flag, which the leader polls (§4.2).
+    co_await thread.core().Work(
+        cost.MemcpyCost(chunk.size() + wire::kMetaBytes));
+    if (ps->dropped) {
+      // The lane was quarantined mid-copy and the pump unlinked this chunk,
+      // releasing the waiter and handing the handle back to us. The RPC
+      // stays pending: the watchdog retransmits it from rpc->request.
+      conn.client->send_pool.Delete(ps);
+    } else {
+      ps->copied = true;
+      lane.copy_done->NotifyAll();
+    }
   }
   // fl_send_rpc completes when the combined message is on the wire: a leader
   // posts it itself; a follower waits for the (transient) leader to do so.
@@ -181,6 +121,53 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   }
   co_return rpc;
 }
+
+void ResolveRpc(ClientConnState& conn, PendingRpc* rpc, bool ok) {
+  FLOCK_CHECK(!rpc->done()) << "RPC " << rpc->thread_id << "/" << rpc->seq
+                            << " resolved twice";
+  if (ok) {
+    // The response landed clamped to a caller-owned buffer: a longer one is
+    // a failed transfer, not a truncated success.
+    rpc->response_len = rpc->resp_assembled;
+    ok = rpc->response_dst == nullptr || rpc->response_len <= rpc->response_cap;
+  }
+  rpc->ok = ok;
+  if (!ok) {
+    conn.client->stats.failed_rpcs += 1;
+  }
+  rpc->completed_at = conn.env->sim().Now();
+  rpc->done_event.Fire(conn.env->sim());
+}
+
+namespace {
+
+// Releases the waiters of the sends listed from `head` — the message
+// carrying them was posted, or the lane dropped them — and frees the sends.
+// A send whose submitter is still mid-copy (`copied == false`) would be
+// written through when that coroutine resumes, so it is handed back
+// (`dropped`) instead: StageRpc frees it after its copy work.
+void ReleaseSends(ClientConnState& conn, ClientLane& lane, PendingSend* head) {
+  for (PendingSend* ps = head; ps != nullptr;) {
+    PendingSend* next = ps->next;
+    ps->next = nullptr;
+    if (ps->sent_flag != nullptr) {
+      *ps->sent_flag = true;
+    }
+    // Requests migrated from a quarantined lane carry that lane's waker.
+    if (ps->sent_cond != nullptr && ps->sent_cond != lane.sent_cond.get()) {
+      ps->sent_cond->NotifyAll();
+    }
+    if (ps->copied) {
+      conn.client->send_pool.Delete(ps);
+    } else {
+      ps->dropped = true;
+    }
+    ps = next;
+  }
+  lane.sent_cond->NotifyAll();
+}
+
+}  // namespace
 
 void WakePump(ClientConnState& conn, ClientLane& lane) {
   if (lane.pump_running) {
@@ -332,30 +319,10 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
           // release their waiters. The RPCs stay pending — the retry watchdog
           // retransmits them (or fails them) on whatever lane survives.
           unadmit();
-          for (PendingSend* ps = lane.combine_head; ps != nullptr;) {
-            PendingSend* next = ps->next;
-            ps->next = nullptr;
-            if (ps->sent_flag != nullptr) {
-              *ps->sent_flag = true;
-            }
-            if (ps->sent_cond != nullptr && ps->sent_cond != lane.sent_cond.get()) {
-              ps->sent_cond->NotifyAll();
-            }
-            if (ps->copied) {
-              conn.client->send_pool.Delete(ps);
-            } else {
-              // The submitting coroutine is still mid-copy and will write
-              // `copied` through this pointer when it resumes; freeing the
-              // slot here would be a use-after-free (a recycled slot would
-              // get another RPC's copy flag raised early). Hand ownership
-              // back: StageRpc frees a dropped handle after its copy work.
-              ps->dropped = true;
-            }
-            ps = next;
-          }
+          PendingSend* dropped = lane.combine_head;
           lane.combine_head = nullptr;
           lane.combine_tail = nullptr;
-          lane.sent_cond->NotifyAll();
+          ReleaseSends(conn, lane, dropped);
           requeued = true;  // queue dropped: park at the loop top
           break;
         }
@@ -449,19 +416,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
     tenants.ChargeSent(conn.tenant_id, msg_len);
     lane.coalesce_degree.Record(n);
     lane.batch_histogram[n < 33 ? n : 32] += 1;
-    for (PendingSend* ps = batch_head; ps != nullptr;) {
-      PendingSend* next = ps->next;
-      if (ps->sent_flag != nullptr) {
-        *ps->sent_flag = true;
-      }
-      // Requests migrated from a quarantined lane carry that lane's waker.
-      if (ps->sent_cond != nullptr && ps->sent_cond != lane.sent_cond.get()) {
-        ps->sent_cond->NotifyAll();
-      }
-      conn.client->send_pool.Delete(ps);
-      ps = next;
-    }
-    lane.sent_cond->NotifyAll();
+    ReleaseSends(conn, lane, batch_head);
   }
 }
 
@@ -515,26 +470,23 @@ sim::Proc MemPump(ClientConnState& conn, ClientLane& lane) {
   const FlockConfig& config = *conn.env->config;
   const sim::CostModel& cost = conn.env->cost();
   while (lane.memop_head != nullptr) {
-    // Splice up to `bound` ops off the queue into an intrusive batch.
+    // Cut up to `bound` ops off the front of the queue; their WRs are the
+    // batch, in an array the lane keeps across batches.
     const size_t bound = config.coalescing ? config.max_coalesce : 1;
-    PendingMemOp* batch_head = nullptr;
+    std::vector<verbs::SendWr>& wrs = lane.memop_wrs;
+    wrs.clear();
+    PendingMemOp* batch_head = lane.memop_head;
     PendingMemOp* batch_tail = nullptr;
-    size_t batch_n = 0;
-    while (batch_n < bound && lane.memop_head != nullptr) {
-      PendingMemOp* op = lane.memop_head;
-      lane.memop_head = op->next;
-      if (lane.memop_head == nullptr) {
-        lane.memop_tail = nullptr;
-      }
-      op->next = nullptr;
-      if (batch_tail != nullptr) {
-        batch_tail->next = op;
-      } else {
-        batch_head = op;
-      }
-      batch_tail = op;
-      ++batch_n;
+    while (wrs.size() < bound && lane.memop_head != nullptr) {
+      batch_tail = lane.memop_head;
+      wrs.push_back(batch_tail->wr);
+      lane.memop_head = batch_tail->next;
     }
+    batch_tail->next = nullptr;
+    if (lane.memop_head == nullptr) {
+      lane.memop_tail = nullptr;
+    }
+    const size_t batch_n = wrs.size();
     sim::Core& core = *batch_head->owner_core;
     // The leader links the WRs and rings one doorbell for the whole chain.
     co_await core.Work(cost.cpu_mmio_doorbell +
@@ -543,11 +495,6 @@ sim::Proc MemPump(ClientConnState& conn, ClientLane& lane) {
     // above covers every WR (PostSendBatch is all-or-nothing, so a rejected
     // batch falls back to per-op posts — each op then learns its own status
     // instead of inheriting whichever WR poisoned the chain).
-    std::vector<verbs::SendWr> wrs;
-    wrs.reserve(batch_n);
-    for (PendingMemOp* op = batch_head; op != nullptr; op = op->next) {
-      wrs.push_back(op->wr);
-    }
     if (conn.env->transport->PostBatch(*lane.qp, wrs.data(), wrs.size()) !=
         verbs::WcStatus::kSuccess) {
       for (PendingMemOp* op = batch_head; op != nullptr; op = op->next) {

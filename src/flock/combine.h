@@ -133,20 +133,42 @@ class CombiningQueue {
 
 namespace internal {
 
-// fl_send_rpc staging: allocates the RPC handle, enqueues a PendingSend onto
-// the thread's lane (one atomic swap, §4.2) and returns once the message
-// carrying it is on the wire — the leader gathers the payload straight from
-// the caller's slices into the staging ring (DESIGN.md §16). Payloads above
-// FlockConfig::segment_threshold are staged as a SegMark chunk train
-// instead. `response_dst`/`response_cap`, when non-null, give the dispatcher
-// a caller-owned buffer to land the response in (mandatory for responses too
-// large for reassembly into the inline SmallBuf to stay allocation-free).
-// Lazily-started Co: the public Connection::SendRpc forwards here without
-// adding a coroutine frame.
+// fl_send_rpc staging: allocates the RPC handle, stages its request on the
+// thread's lane as a chunk train (one TCQ enqueue per chunk, §4.2) and
+// returns once the message carrying the last chunk is on the wire — the
+// leader gathers the payload straight from the caller's slices into the
+// staging ring (DESIGN.md §16). A request at or below
+// FlockConfig::segment_threshold is a one-chunk train. `response_dst` /
+// `response_cap`, when non-null, give the dispatcher a caller-owned buffer
+// to land the response in (mandatory for responses too large for the
+// inline SmallBuf to stay allocation-free); a longer response fails the
+// RPC. Lazily-started Co: the public Connection::SendRpc forwards here
+// without adding a coroutine frame.
 sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
                               uint16_t rpc_id, PayloadRef payload,
                               uint8_t* response_dst = nullptr,
                               uint32_t response_cap = 0);
+
+// The one place an RPC gets its outcome (DESIGN.md §8): sets ok, counts a
+// failure in ClientStats::failed_rpcs, stamps completed_at and fires
+// done_event. With `ok`, the response assembled so far is the result: its
+// length goes to response_len, and a response longer than a caller-owned
+// response_cap fails the RPC. Aborts if `rpc` was already resolved.
+// Callers take the RPC off the pending map and its thread's and lane's
+// in-flight counts.
+void ResolveRpc(ClientConnState& conn, PendingRpc* rpc, bool ok);
+
+// The one chunk builder (DESIGN.md §16): makes the PendingSend for `chunk`
+// of `rpc`'s request, appends it to `lane`'s combining queue and wakes the
+// lane's pump; the leader's work is charged to `core`. `payload` holds the
+// chunk's bytes. StageRpc gathers from them in place and raises `copied`
+// after its copy work. With `retain` — a watchdog restage, whose source may
+// be freed while the chunk is queued — the bytes are copied into the send's
+// own buffer and the chunk is staged already copied.
+PendingSend* StageChunk(ClientConnState& conn, ClientLane& lane,
+                        const PendingRpc& rpc, sim::Core& core,
+                        const wire::ChunkTrain& chunk, PayloadRef payload,
+                        bool retain);
 
 // Starts pumping `lane` if it is not already being pumped: first use spawns
 // the persistent pump proc, later uses wake it from its parked state.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/ctrl/control_plane.h"
+#include "src/flock/combine.h"
 #include "src/flock/sched/receiver.h"
 
 namespace flock {
@@ -148,37 +149,6 @@ sim::Co<bool> PostResponse(NodeEnv& env, ServerState& server, ServerLane& lane,
   co_return true;
 }
 
-// Streams one above-threshold handler response as a SegMark chunk train on
-// `lane`'s response ring (DESIGN.md §16). Large responses never enter the
-// accumulation buffer: each chunk is posted as its own single-request
-// message, so the coalesced metadata responses gathered alongside are not
-// held hostage to ring space for the whole extent. Returns false when the
-// lane died mid-stream (the caller abandons the rest of the gather).
-sim::Co<bool> StreamSegmentedResponse(NodeEnv& env, ServerState& server,
-                                      ServerLane& lane, sim::Core& core,
-                                      wire::ReqMeta meta, const uint8_t* data,
-                                      uint32_t len) {
-  const uint32_t chunk = SegmentChunkBytes(*env.config);
-  for (uint32_t offset = 0; offset < len;) {
-    const uint32_t clen = std::min(chunk, len - offset);
-    const bool last = offset + clen == len;
-    DispatchScratch::RespEntry entry;
-    entry.meta = meta;
-    entry.meta.data_len = wire::PackSegLen(
-        offset == 0 ? wire::SegMark::kFirst
-                    : (last ? wire::SegMark::kLast : wire::SegMark::kMiddle),
-        clen);
-    entry.offset = offset;
-    if (!co_await PostResponse(env, server, lane, core, &entry, 1, data, clen,
-                               wire::kFlagSegment)) {
-      co_return false;
-    }
-    offset += clen;
-  }
-  server.stats.responses_sent += 1;
-  co_return true;
-}
-
 }  // namespace
 
 sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
@@ -246,15 +216,24 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
       FLOCK_CHECK_LE(resp_len, config.max_payload);
       work += handler_cpu + cost.cpu_msg_per_req;
       if (seg_on && resp_len > config.segment_threshold) {
-        // Stream it now; `offset` stays put, so the buffer slot is reused.
+        // Stream it now as a chunk train (DESIGN.md §16), one message per
+        // chunk: a large response never enters the accumulation buffer, so
+        // the coalesced responses gathered alongside are not held hostage to
+        // ring space for the whole extent. `offset` stays put, so the buffer
+        // slot is reused.
         co_await core.Work(work);
         work = 0;
-        if (!co_await StreamSegmentedResponse(env, server, lane, core,
-                                              req.meta,
-                                              scratch.data.data() + offset,
-                                              resp_len)) {
-          co_return;  // lane died mid-stream
+        for (wire::ChunkTrain chunk = ChunkTrainFor(config, resp_len);
+             !chunk.done(); chunk.Next()) {
+          DispatchScratch::RespEntry entry{req.meta, chunk.offset()};
+          entry.meta.data_len = chunk.data_len();
+          if (!co_await PostResponse(env, server, lane, core, &entry, 1,
+                                     scratch.data.data() + offset, chunk.size(),
+                                     wire::kFlagSegment)) {
+            co_return;  // lane died mid-stream
+          }
         }
+        server.stats.responses_sent += 1;
         continue;
       }
       // One message must fit a ring_bytes / 2 reservation: flush what has
@@ -461,80 +440,49 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
           const wire::ReqView& resp = views[i];
           const wire::SegMark mark = wire::SegOf(resp.meta.data_len);
           const uint32_t len = wire::SegLen(resp.meta.data_len);
-          if (mark != wire::SegMark::kNone) {
-            // Segmented response chunk: accumulate on the pending RPC; it
-            // stays in the map until the final chunk lands.
-            PendingRpc* rpc = resp.meta.thread_id < conn->pending.size()
-                                  ? conn->pending[resp.meta.thread_id].Find(
-                                        resp.meta.seq)
-                                  : nullptr;
-            if (rpc == nullptr) {
-              client.stats.spurious_responses += 1;
-              continue;
-            }
-            if (mark == wire::SegMark::kFirst) {
-              rpc->resp_assembled = 0;
-              rpc->resp_src = &lane;  // this train's arrival lane
-              rpc->response.clear();
-            } else if (rpc->resp_src != &lane) {
-              // Mid-train chunk from another lane: a duplicate train from a
-              // pre-retry incarnation. Per-lane delivery is FIFO, so only
-              // the adopted lane's train accumulates.
-              client.stats.spurious_responses += 1;
-              continue;
-            }
-            if (rpc->response_dst != nullptr) {
-              const uint32_t room =
-                  rpc->response_cap > rpc->resp_assembled
-                      ? rpc->response_cap - rpc->resp_assembled
-                      : 0;
-              std::memcpy(rpc->response_dst + rpc->resp_assembled, resp.data,
-                          std::min(len, room));
-            } else {
-              rpc->response.Append(resp.data, len);
-            }
-            rpc->resp_assembled += len;
-            work += cost.MemcpyCost(len);
-            if (mark != wire::SegMark::kLast) {
-              continue;
-            }
-            conn->pending[resp.meta.thread_id].Take(resp.meta.seq);
-            rpc->response_len =
-                rpc->response_dst != nullptr
-                    ? std::min(rpc->resp_assembled, rpc->response_cap)
-                    : rpc->resp_assembled;
-            rpc->ok = true;
-            rpc->deadline = 0;
-            rpc->completed_at = env.sim().Now();
-            rpc->done_event.Fire(env.sim());
-            client.threads[resp.meta.thread_id]->outstanding -= 1;
-            ++matched;
-            continue;
+          // An inline response is a one-chunk train. A chunk train's RPC
+          // stays in the pending map until its last chunk lands.
+          PendingRpc* rpc = nullptr;
+          if (resp.meta.thread_id < conn->pending.size()) {
+            SeqSlotMap<PendingRpc>& pending = conn->pending[resp.meta.thread_id];
+            rpc = mark == wire::SegMark::kNone ? pending.Take(resp.meta.seq)
+                                               : pending.Find(resp.meta.seq);
           }
-          PendingRpc* rpc = resp.meta.thread_id < conn->pending.size()
-                                ? conn->pending[resp.meta.thread_id].Take(
-                                      resp.meta.seq)
-                                : nullptr;
           if (rpc == nullptr) {
             // A retransmitted request can yield two responses (at-least-once
             // under retry); the second finds nothing outstanding.
             client.stats.spurious_responses += 1;
             continue;
           }
-          if (rpc->response_dst != nullptr) {
-            rpc->response_len = std::min(len, rpc->response_cap);
-            std::memcpy(rpc->response_dst, resp.data, rpc->response_len);
-          } else {
-            rpc->response.Assign(resp.data, resp.meta.data_len);
-            rpc->response_len = resp.meta.data_len;
+          if (mark == wire::SegMark::kNone || mark == wire::SegMark::kFirst) {
+            rpc->resp_assembled = 0;
+            rpc->resp_src = &lane;  // this train's arrival lane
+            rpc->response.clear();
+          } else if (rpc->resp_src != &lane) {
+            // Mid-train chunk from another lane: a duplicate train from a
+            // pre-retry incarnation. Per-lane delivery is FIFO, so only the
+            // adopted lane's train accumulates.
+            client.stats.spurious_responses += 1;
+            continue;
           }
-          work += cost.MemcpyCost(resp.meta.data_len);
-          rpc->ok = true;
-          rpc->deadline = 0;
-          rpc->completed_at = env.sim().Now();
-          rpc->done_event.Fire(env.sim());
-          FlockThread& thread = *client.threads[resp.meta.thread_id];
-          thread.outstanding -= 1;
+          if (rpc->response_dst != nullptr) {
+            // Clamped to the caller's buffer; ResolveRpc fails an overflow.
+            const uint32_t room =
+                rpc->response_cap - std::min(rpc->response_cap, rpc->resp_assembled);
+            std::memcpy(rpc->response_dst + rpc->resp_assembled, resp.data,
+                        std::min(len, room));
+          } else {
+            rpc->response.Append(resp.data, len);
+          }
+          rpc->resp_assembled += len;
+          work += cost.MemcpyCost(len);
+          if (mark == wire::SegMark::kLast) {
+            conn->pending[resp.meta.thread_id].Take(resp.meta.seq);
+          } else if (mark != wire::SegMark::kNone) {
+            continue;  // mid-train: the RPC stays pending
+          }
+          ResolveRpc(*conn, rpc, /*ok=*/true);
+          client.threads[resp.meta.thread_id]->outstanding -= 1;
           ++matched;
         }
         // Clamped: watchdog retries move in-flight accounting between lanes,

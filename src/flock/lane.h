@@ -66,40 +66,39 @@ struct ClientStats {
 
 namespace internal {
 
-// A request staged in a lane's combining queue. Mirrors the TCQ protocol:
-// a thread first *enqueues* (one atomic swap), then copies its payload into
-// the combining buffer and raises `copied`; the leader polls these
-// copy-completion flags before sealing the message (§4.2). Pool-allocated by
-// SendRpc, released by the posting leader; `next` threads it into the lane's
-// combining queue and the leader's batch.
+// One chunk of a request, staged in a lane's combining queue (an unsegmented
+// request is a one-chunk train). Mirrors the TCQ protocol: a thread first
+// *enqueues* (one atomic swap), then copies its payload into the combining
+// buffer and raises `copied`; the leader polls these copy-completion flags
+// before sealing the message (§4.2). Made only by StageChunk and freed by
+// the pump's ReleaseSends; `next` threads it into the lane's combining
+// queue and the leader's batch.
 struct PendingSend {
   wire::ReqMeta meta;
-  // Scatter-gather view of the payload (DESIGN.md §16). On the submit path
-  // it references caller-owned memory — the submitting coroutine blocks on
-  // sent_flag until the leader has gathered the bytes into the staging ring,
-  // so the single copy of the payload is that gather. Watchdog
-  // retransmissions have no blocked caller to keep the source alive, so
-  // they copy into `retained` and point the slices there.
+  // Scatter-gather view of the chunk's bytes (DESIGN.md §16). On the submit
+  // path it references caller-owned memory — the submitting coroutine blocks
+  // on sent_flag until the leader has gathered the bytes into the staging
+  // ring, so the single copy of the payload is that gather. A watchdog
+  // restage has no blocked caller to keep the source alive, so it copies
+  // into `retained` and points the slices there.
   PayloadRef payload;
   SmallBuf<128> retained;
   sim::Core* owner_core = nullptr;  // leader work is charged here
   bool copied = false;
-  // Set by the quarantine drop in Pump when it unlinks a request whose
-  // submitting coroutine is still mid-copy (`copied == false`). Ownership
-  // transfers back to that coroutine, which frees the handle after its copy
-  // completes; the pump must not Delete it (the coroutine still writes
-  // through the pointer).
+  // Set when the pump drops a chunk whose submitting coroutine is still
+  // mid-copy (`copied == false`): that coroutine still writes through the
+  // pointer, so it frees the handle after its copy work instead.
   bool dropped = false;
   // Raised (and signalled through the lane's sent_cond) once the message
-  // containing this request has been posted. fl_send_rpc returns only then:
-  // a lone thread is always its own leader and posts synchronously, so its
-  // back-to-back requests never coalesce with each other (§8.5.2:
-  // "coroutines of a single thread do not coalesce").
+  // containing the request's last chunk has been posted. fl_send_rpc returns
+  // only then: a lone thread is always its own leader and posts
+  // synchronously, so its back-to-back requests never coalesce with each
+  // other (§8.5.2: "coroutines of a single thread do not coalesce").
   bool* sent_flag = nullptr;
   // Condition to notify alongside sent_flag. Normally the staging lane's
   // sent_cond, but after a failed-lane migration the posting lane differs
   // from the one the submitting coroutine is parked on, so the waker travels
-  // with the request. nullptr for watchdog retransmissions (no waiter).
+  // with the request. nullptr when no one waits (earlier chunks, restages).
   sim::Condition* sent_cond = nullptr;
   PendingSend* next = nullptr;
 };
@@ -317,6 +316,9 @@ struct ClientLane : ClientLaneRes {
   PendingMemOp* memop_head = nullptr;
   PendingMemOp* memop_tail = nullptr;
   bool mem_pump_running = false;
+  // The memop pump's batch of WRs: capacity persists across batches, so
+  // steady-state one-sided ops allocate nothing.
+  std::vector<verbs::SendWr> memop_wrs;
 
   // Bytes of responses consumed since we last sent anything on this lane;
   // beyond a threshold the dispatcher pushes a head update out of band so the

@@ -61,10 +61,11 @@ class Connection {
 
   // Scatter-gather form (DESIGN.md §16): the request is a PayloadRef over
   // caller-owned slices (valid until SendRpc's Co completes). When
-  // `response_dst` is non-null the response lands directly in it (up to
-  // `response_cap` bytes; final length in rpc->response_len) instead of the
-  // handle's inline buffer — required for MB-range responses to stay
-  // allocation-free.
+  // `response_dst` is non-null the response lands directly in it instead of
+  // the handle's inline buffer — required for MB-range responses to stay
+  // allocation-free — and its length goes to rpc->response_len. A response
+  // longer than `response_cap` fails the RPC: it lands clamped to the
+  // buffer and AwaitResponse returns false.
   sim::Co<PendingRpc*> SendRpc(FlockThread& thread, uint16_t rpc_id,
                                const PayloadRef& payload,
                                uint8_t* response_dst = nullptr,
@@ -85,7 +86,8 @@ class Connection {
 
   // Scatter-gather Call (DESIGN.md §16): request slices from caller memory,
   // response into a caller buffer. `*response_len` (if non-null) receives
-  // the response size; bytes beyond `response_cap` would fail the transfer.
+  // the response size, or 0 if the call failed. A response longer than
+  // `response_cap` fails the call (counted in failed_rpcs).
   sim::Co<bool> Call(FlockThread& thread, uint16_t rpc_id,
                      const PayloadRef& request, uint8_t* response_dst,
                      uint32_t response_cap, uint32_t* response_len);

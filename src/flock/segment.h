@@ -50,6 +50,15 @@ inline uint32_t SegmentChunkBytes(const FlockConfig& config) {
   return config.segment_threshold < 64 ? 64 : config.segment_threshold;
 }
 
+// The chunk train a `len`-byte payload travels in: one unsegmented chunk at
+// or below the threshold (or with segmentation off), else SegmentChunkBytes
+// chunks.
+inline wire::ChunkTrain ChunkTrainFor(const FlockConfig& config, uint32_t len) {
+  const bool segmented =
+      config.segment_threshold > 0 && len > config.segment_threshold;
+  return wire::ChunkTrain(len, segmented ? SegmentChunkBytes(config) : 0);
+}
+
 struct ReassemblyKey {
   const void* lane = nullptr;  // arrival lane: per-lane delivery is FIFO
   uint16_t thread_id = 0;

@@ -72,7 +72,8 @@ struct PendingRpc {
   // Scatter-gather path (DESIGN.md §16): optional caller-owned response
   // destination. When set, the dispatcher writes response bytes straight
   // into it (no SmallBuf heap block for MB responses) and records the final
-  // length in response_len. Segmented responses additionally track the
+  // length in response_len; a response longer than response_cap lands
+  // clamped and fails the RPC. Segmented responses additionally track the
   // accumulation cursor and the lane the current chunk train arrives on, so
   // a duplicate train from a pre-retry incarnation on another lane is
   // ignored rather than interleaved.

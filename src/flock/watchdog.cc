@@ -79,58 +79,28 @@ void RetryPendingRpc(ClientConnState& conn, PendingRpc* rpc) {
   }
 
   // The caller's original buffer is long gone; restage from the retained
-  // copy. Each PendingSend owns its bytes (`retained`) so the watchdog never
-  // aliases the PendingRpc, which may itself be retried again or freed while
-  // chunks are still queued.
-  const FlockConfig& config = *conn.env->config;
+  // copy through the one chunk builder. Each chunk retains its own bytes so
+  // the watchdog never aliases the PendingRpc, which may itself be retried
+  // again or freed while chunks are still queued.
   const uint32_t len = rpc->request.size();
-  const bool segmented =
-      config.segment_threshold > 0 && len > config.segment_threshold;
-  const uint32_t chunk = segmented ? SegmentChunkBytes(config) : len;
-  uint32_t offset = 0;
-  do {
-    const uint32_t clen = segmented ? std::min(chunk, len - offset) : len;
-    PendingSend* ps = conn.client->send_pool.New();
-    if (segmented) {
-      const wire::SegMark mark =
-          offset == 0 ? wire::SegMark::kFirst
-                      : (offset + clen == len ? wire::SegMark::kLast
-                                              : wire::SegMark::kMiddle);
-      ps->meta.data_len = wire::PackSegLen(mark, clen);
-    } else {
-      ps->meta.data_len = len;
-    }
-    ps->meta.thread_id = rpc->thread_id;
-    ps->meta.rpc_id = rpc->rpc_id;
-    ps->meta.seq = rpc->seq;
-    ps->owner_core = &thread.core();
-    ps->retained.Assign(rpc->request.data() + offset, clen);
-    ps->payload = PayloadRef(ps->retained.data(), clen);
-    ps->copied = true;  // payload staged right here; no follower copy phase
-    if (lane.combine_tail != nullptr) {
-      lane.combine_tail->next = ps;
-    } else {
-      lane.combine_head = ps;
-    }
-    lane.combine_tail = ps;
-    offset += clen;
-  } while (offset < len);
-  WakePump(conn, lane);
+  for (wire::ChunkTrain chunk = ChunkTrainFor(*conn.env->config, len);
+       !chunk.done(); chunk.Next()) {
+    StageChunk(conn, lane, *rpc, thread.core(), chunk,
+               PayloadRef(rpc->request.data() + chunk.offset(), chunk.size()),
+               /*retain=*/true);
+  }
 }
 
 void FailPendingRpc(ClientConnState& conn, PendingRpc* rpc) {
   PendingRpc* taken = conn.pending[rpc->thread_id].Take(rpc->seq);
   FLOCK_CHECK(taken == rpc);
-  conn.client->stats.failed_rpcs += 1;
   ClientLane& lane = *conn.lanes[rpc->lane_index];
   lane.inflight -= std::min<uint64_t>(lane.inflight, 1);
   FlockThread& thread = *conn.client->threads[rpc->thread_id];
   if (thread.outstanding > 0) {
     thread.outstanding -= 1;
   }
-  rpc->ok = false;
-  rpc->completed_at = conn.env->sim().Now();
-  rpc->done_event.Fire(conn.env->sim());
+  ResolveRpc(conn, rpc, /*ok=*/false);
 }
 
 }  // namespace internal

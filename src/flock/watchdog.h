@@ -36,7 +36,7 @@ Nanos RetryBackoff(Nanos rpc_timeout, uint32_t retries);
 void RetryPendingRpc(ClientConnState& conn, PendingRpc* rpc);
 
 // Terminal failure after kMaxRetries: removes the RPC from the pending map
-// and completes it with ok == false.
+// and resolves it with ok == false (ResolveRpc).
 void FailPendingRpc(ClientConnState& conn, PendingRpc* rpc);
 
 // The periodic deadline scanner. Scratch persists across ticks so the scan

@@ -141,6 +141,43 @@ inline constexpr uint32_t SegLen(uint32_t data_len) {
   return data_len & kSegLenMask;
 }
 
+// Walks a `len`-byte payload as the chunk train it travels in, requests and
+// responses alike: with `max_chunk` == 0 one unsegmented chunk (kNone), else
+// chunks of at most `max_chunk` bytes marked kFirst, kMiddle..., kLast. Every
+// train has a first chunk, even an empty payload's.
+//   for (ChunkTrain c(len, max_chunk); !c.done(); c.Next()) { ... }
+class ChunkTrain {
+ public:
+  ChunkTrain(uint32_t len, uint32_t max_chunk) : len_(len), max_chunk_(max_chunk) {}
+
+  bool done() const { return done_; }
+  void Next() {
+    offset_ += size();
+    done_ = offset_ >= len_;
+  }
+  uint32_t offset() const { return offset_; }
+  uint32_t size() const {
+    const uint32_t rest = len_ - offset_;
+    return max_chunk_ == 0 || rest < max_chunk_ ? rest : max_chunk_;
+  }
+  bool last() const { return offset_ + size() == len_; }
+  // The chunk's ReqMeta::data_len: its size, marked by its place in the train.
+  uint32_t data_len() const {
+    if (max_chunk_ == 0) {
+      return size();
+    }
+    return PackSegLen(offset_ == 0 ? SegMark::kFirst
+                                   : (last() ? SegMark::kLast : SegMark::kMiddle),
+                      size());
+  }
+
+ private:
+  uint32_t len_;
+  uint32_t max_chunk_;
+  uint32_t offset_ = 0;
+  bool done_ = false;
+};
+
 // Incremental encoder. Usage:
 //   MessageEncoder enc(buf, cap, canary);
 //   enc.Add(meta1, data1); enc.Add(meta2, data2);

@@ -464,8 +464,10 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
       }
       // NIC fetches the data from the responder's host memory...
       co_await sim::Delay(sim_, cost_.nic_dma_read);
-      PayloadBuf data = peer.payload_freelist_.Acquire(wr.length);
-      peer_mem.Read(wr.remote_addr, data.Resize(wr.length), wr.length);
+      // The data rides back in the WR's own buffer, acquired from this
+      // (requesting) device at post time and recycled into it when Deliver
+      // ends, so neither device's free list drifts.
+      peer_mem.Read(wr.remote_addr, payload.Resize(wr.length), wr.length);
       // ...and streams it back.
       const uint32_t resp_packets = net_.PacketCount(wr.length);
       co_await peer.tx_pipe_.Serve(
@@ -482,10 +484,7 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
       co_await rx_pipe_.Serve(static_cast<Nanos>(resp_packets) * cost_.nic_rx_per_packet);
       co_await sim::Delay(sim_, cost_.nic_dma_write);
       FLOCK_CHECK(cluster_.mem(node_id_).Contains(wr.local_addr, wr.length));
-      cluster_.mem(node_id_).Write(wr.local_addr, data.data(), data.size());
-      // The response hop above moved execution to the requester's shard:
-      // the buffer (acquired on the responder) retires into this device.
-      payload_freelist_.Recycle(std::move(data));
+      cluster_.mem(node_id_).Write(wr.local_addr, payload.data(), payload.size());
       co_return;
     }
     case Opcode::kFetchAdd:

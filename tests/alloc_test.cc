@@ -41,10 +41,12 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would see std::free() take memory from operator new and
+// warn (-Wmismatched-new-delete), though both replacements use malloc/free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace flock {
 namespace {
@@ -157,6 +159,57 @@ TEST(AllocTest, SteadyStateExtentsAreAllocationFree) {
   EXPECT_EQ(g_allocs - allocs_before, 0u)
       << "heap allocations on the steady-state extent path: "
       << (g_allocs - allocs_before) << " over " << extents << " extents";
+}
+
+sim::Proc MemOpWorker(Connection* conn, FlockThread* thread, uint64_t local,
+                      uint64_t remote, RemoteMr mr, uint64_t* done) {
+  for (uint64_t i = 0;; ++i) {
+    const verbs::WcStatus status =
+        i % 2 == 0 ? co_await conn->Read(*thread, local, remote, 64, mr)
+                   : co_await conn->Write(*thread, local, remote, 64, mr);
+    if (status == verbs::WcStatus::kSuccess) {
+      (*done)++;
+    }
+  }
+}
+
+// One-sided reads and writes (§6) are allocation-free in steady state too:
+// each op lives in its submitter's frame and the memop pump links every
+// batch into a WR array the lane keeps across batches.
+TEST(AllocTest, SteadyStateOneSidedOpsAreAllocationFree) {
+  verbs::Cluster cluster(
+      verbs::Cluster::Config{.num_nodes = 2, .cores_per_node = 34, .cost = {}});
+  FlockConfig config;
+  FlockRuntime server(cluster, 0, config);
+  server.StartServer(4);
+  FlockRuntime client(cluster, 1, config);
+  client.StartClient();
+  Connection* conn = client.Connect(server, 4);
+  constexpr int kThreads = 8;
+  const uint64_t remote = cluster.mem(0).Alloc(kThreads * 64, 64);
+  const uint64_t local = cluster.mem(1).Alloc(kThreads * 64, 64);
+  const RemoteMr mr = conn->AttachMreg(remote, kThreads * 64);
+  uint64_t done = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    cluster.sim().Spawn(MemOpWorker(conn, client.CreateThread(t),
+                                    local + t * 64, remote + t * 64, mr, &done));
+  }
+
+  // Warm-up: pools, the pump's WR array and calendar buckets reach their
+  // steady-state capacities.
+  cluster.sim().RunFor(2 * kMillisecond);
+  ASSERT_GT(done, 0u);
+
+  const uint64_t allocs_before = g_allocs;
+  const uint64_t done_before = done;
+
+  cluster.sim().RunFor(2 * kMillisecond);
+
+  const uint64_t ops = done - done_before;
+  ASSERT_GT(ops, 1000u) << "window too small to be meaningful";
+  EXPECT_EQ(g_allocs - allocs_before, 0u)
+      << "heap allocations on the steady-state one-sided path: "
+      << (g_allocs - allocs_before) << " over " << ops << " ops";
 }
 
 }  // namespace

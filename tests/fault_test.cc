@@ -422,6 +422,7 @@ TEST(FlockFaultTest, NodePauseDelaysButCompletes) {
   // in-flight RPCs into the frozen server, and the duplicates it creates are
   // absorbed as spurious responses once the node thaws.
   EXPECT_GE(world.clients[0]->client_stats().retries, 1u);
+  EXPECT_GE(world.clients[0]->client_stats().spurious_responses, 1u);
   EXPECT_EQ(world.clients[0]->client_stats().failed_rpcs, 0u);
   EXPECT_EQ(world.cluster.fault().stats().node_pauses, 1u);
 }

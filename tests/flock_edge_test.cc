@@ -1,7 +1,8 @@
 // Edge-case and stress tests for the Flock runtime: the §4.3 worker-pool
 // execution mode, ring wrap-around under large payloads, QP
 // activation/deactivation churn, mixed RPC + one-sided traffic on the
-// same lanes, and coalesced responses that outgrow half the ring.
+// same lanes, coalesced responses that outgrow half the ring, and responses
+// that outgrow the caller's buffer.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -266,6 +267,56 @@ TEST(FlockCoalescedResponseTest, FullSizeResponsesSplitAtHalfTheRing) {
     EXPECT_EQ(server.server_stats().responses_sent, response_msgs) << where;
     EXPECT_EQ(client.client_stats().retries, 0u) << where;
   }
+}
+
+// Echoes `len` bytes back into a caller buffer of `cap` bytes, with guard
+// bytes behind it. A response longer than the buffer fails the call: the
+// bytes land clamped, none past `cap`, and the RPC counts as failed.
+void ExpectOverCapFails(const FlockConfig& config, uint32_t len, uint32_t cap) {
+  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 2, .cores_per_node = 8});
+  FlockRuntime server(cluster, 0, config);
+  server.RegisterHandler(kEchoRpc, EchoHandler);
+  server.StartServer(2);
+  FlockRuntime client(cluster, 1, config);
+  client.StartClient();
+  Connection* conn = client.Connect(server, 1);
+  FlockThread* thread = client.CreateThread(0);
+
+  constexpr uint8_t kGuard = 0xEE;
+  std::vector<uint8_t> request(len, 0x5A);
+  std::vector<uint8_t> buf(cap + 64, kGuard);
+  bool done = false, ok = true;
+  uint32_t resp_len = 1;
+  auto app = [&]() -> sim::Co<void> {
+    ok = co_await conn->Call(*thread, kEchoRpc, PayloadRef(request.data(), len),
+                             buf.data(), cap, &resp_len);
+    done = true;
+  };
+  cluster.sim().Spawn(sim::RunClosure(app));
+  cluster.sim().RunFor(10 * kMillisecond);
+
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(ok) << len << " B response into a " << cap << " B buffer";
+  EXPECT_EQ(resp_len, 0u);
+  EXPECT_EQ(client.client_stats().failed_rpcs, 1u);
+  EXPECT_EQ(client.client_stats().retries, 0u);
+  EXPECT_EQ(std::vector<uint8_t>(buf.begin(), buf.begin() + cap),
+            std::vector<uint8_t>(cap, 0x5A));
+  EXPECT_EQ(std::vector<uint8_t>(buf.begin() + cap, buf.end()),
+            std::vector<uint8_t>(64, kGuard))
+      << "response bytes written past response_cap";
+}
+
+TEST(FlockResponseCapTest, OverCapInlineResponseFails) {
+  ExpectOverCapFails(FlockConfig{}, /*len=*/64, /*cap=*/16);
+}
+
+TEST(FlockResponseCapTest, OverCapSegmentedResponseFails) {
+  FlockConfig config;
+  config.max_payload = 64 * 1024;
+  config.segment_threshold = 4 * 1024;
+  // Four chunks back into a buffer that holds a chunk and a half.
+  ExpectOverCapFails(config, /*len=*/16 * 1024, /*cap=*/6 * 1024);
 }
 
 }  // namespace

@@ -23,6 +23,37 @@ std::vector<uint8_t> Payload(size_t n, uint8_t seed) {
   return v;
 }
 
+struct Chunk {
+  uint32_t offset;
+  uint32_t size;
+  wire::SegMark mark;
+  bool operator==(const Chunk&) const = default;
+};
+
+std::vector<Chunk> Walk(uint32_t len, uint32_t max_chunk) {
+  std::vector<Chunk> out;
+  for (wire::ChunkTrain c(len, max_chunk); !c.done(); c.Next()) {
+    EXPECT_EQ(wire::SegLen(c.data_len()), c.size());
+    EXPECT_EQ(c.last(), c.offset() + c.size() == len);
+    out.push_back({c.offset(), c.size(), wire::SegOf(c.data_len())});
+  }
+  return out;
+}
+
+TEST(WireTest, ChunkTrainMarksEveryChunkByItsPlace) {
+  using wire::SegMark;
+  // Unsegmented: one chunk, plain length, even when empty.
+  EXPECT_EQ(Walk(0, 0), (std::vector<Chunk>{{0, 0, SegMark::kNone}}));
+  EXPECT_EQ(Walk(100, 0), (std::vector<Chunk>{{0, 100, SegMark::kNone}}));
+  // Segmented: first, middles, a short last chunk.
+  EXPECT_EQ(Walk(10, 4), (std::vector<Chunk>{{0, 4, SegMark::kFirst},
+                                             {4, 4, SegMark::kMiddle},
+                                             {8, 2, SegMark::kLast}}));
+  // An exact multiple has no empty tail chunk.
+  EXPECT_EQ(Walk(8, 4), (std::vector<Chunk>{{0, 4, SegMark::kFirst},
+                                            {4, 4, SegMark::kLast}}));
+}
+
 TEST(WireTest, MessageBytesIsAligned) {
   for (uint32_t n = 1; n < 20; ++n) {
     for (uint32_t bytes : {0u, 1u, 63u, 64u, 100u, 4096u}) {
