@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <limits>
 
 #include "src/common/logging.h"
@@ -91,14 +90,6 @@ int64_t Histogram::ValueAtQuantile(double q) const {
     }
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "p50=%.1fus p99=%.1fus mean=%.1fus",
-                static_cast<double>(Median()) / 1e3,
-                static_cast<double>(P99()) / 1e3, Mean() / 1e3);
-  return buf;
 }
 
 }  // namespace flock

@@ -8,7 +8,6 @@
 #define FLOCK_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace flock {
@@ -30,9 +29,6 @@ class Histogram {
   int64_t ValueAtQuantile(double q) const;
   int64_t Median() const { return ValueAtQuantile(0.5); }
   int64_t P99() const { return ValueAtQuantile(0.99); }
-
-  // "p50=12.3us p99=45.6us" style one-liner for bench tables.
-  std::string Summary() const;
 
  private:
   static constexpr int kMantissaBits = 6;

@@ -1,55 +1,22 @@
 #include "src/common/logging.h"
 
-#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace flock {
-namespace {
-
-std::atomic<int> g_threshold{static_cast<int>(LogSeverity::kInfo)};
-
-const char* SeverityName(LogSeverity severity) {
-  switch (severity) {
-    case LogSeverity::kDebug:
-      return "D";
-    case LogSeverity::kInfo:
-      return "I";
-    case LogSeverity::kWarning:
-      return "W";
-    case LogSeverity::kError:
-      return "E";
-    case LogSeverity::kFatal:
-      return "F";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogSeverity GetLogThreshold() {
-  return static_cast<LogSeverity>(g_threshold.load(std::memory_order_relaxed));
-}
-
-void SetLogThreshold(LogSeverity severity) {
-  g_threshold.store(static_cast<int>(severity), std::memory_order_relaxed);
-}
-
 namespace internal {
 
-LogMessage::LogMessage(LogSeverity severity, const char* file, int line)
-    : severity_(severity) {
+LogMessage::LogMessage(const char* file, int line) {
   const char* base = std::strrchr(file, '/');
-  stream_ << "[" << SeverityName(severity) << " " << (base ? base + 1 : file)
-          << ":" << line << "] ";
+  stream_ << "[F " << (base ? base + 1 : file) << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
   stream_ << "\n";
   std::fputs(stream_.str().c_str(), stderr);
-  if (severity_ == LogSeverity::kFatal) {
-    std::fflush(stderr);
-    std::abort();
-  }
+  std::fflush(stderr);
+  std::abort();
 }
 
 }  // namespace internal

@@ -1,38 +1,21 @@
-// Minimal logging and assertion facilities shared by every module.
+// Assertion facilities shared by every module.
 //
-// The simulator is performance sensitive, so logging is compiled around a
-// severity threshold: FLOCK_LOG(DEBUG) statements below the threshold cost a
-// single branch. CHECK macros are always on — an invariant violation inside a
+// CHECK macros are always on — an invariant violation inside a
 // discrete-event simulation silently corrupts every downstream result, so we
 // prefer a loud abort.
 #ifndef FLOCK_COMMON_LOGGING_H_
 #define FLOCK_COMMON_LOGGING_H_
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <string>
 
 namespace flock {
-
-enum class LogSeverity : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-// Runtime log threshold; messages below it are dropped. Defaults to kInfo and
-// can be raised by benches that sweep many configurations.
-LogSeverity GetLogThreshold();
-void SetLogThreshold(LogSeverity severity);
-
 namespace internal {
 
+// A failed check: collects the streamed message, then prints it and aborts
+// when destroyed.
 class LogMessage {
  public:
-  LogMessage(LogSeverity severity, const char* file, int line);
+  LogMessage(const char* file, int line);
   ~LogMessage();
 
   LogMessage(const LogMessage&) = delete;
@@ -41,11 +24,10 @@ class LogMessage {
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogSeverity severity_;
   std::ostringstream stream_;
 };
 
-// Swallows a streamed expression when logging is disabled for the statement.
+// Turns the streamed expression into void, so a check is one expression.
 struct LogMessageVoidify {
   void operator&(std::ostream&) {}
 };
@@ -53,32 +35,17 @@ struct LogMessageVoidify {
 }  // namespace internal
 }  // namespace flock
 
-#define FLOCK_LOG_IS_ON(severity) \
-  (::flock::LogSeverity::k##severity >= ::flock::GetLogThreshold())
-
-#define FLOCK_LOG(severity)                                 \
-  !FLOCK_LOG_IS_ON(severity)                                \
-      ? (void)0                                             \
-      : ::flock::internal::LogMessageVoidify() &            \
-            ::flock::internal::LogMessage(                  \
-                ::flock::LogSeverity::k##severity, __FILE__, __LINE__) \
-                .stream()
-
 #define FLOCK_CHECK(cond)                                                     \
   (cond) ? (void)0                                                            \
          : ::flock::internal::LogMessageVoidify() &                           \
-               ::flock::internal::LogMessage(::flock::LogSeverity::kFatal,    \
-                                             __FILE__, __LINE__)              \
-                   .stream()                                                  \
+               ::flock::internal::LogMessage(__FILE__, __LINE__).stream()     \
                << "Check failed: " #cond " "
 
-#define FLOCK_CHECK_OP(op, a, b)                                          \
-  ((a)op(b)) ? (void)0                                                    \
-             : ::flock::internal::LogMessageVoidify() &                   \
-                   ::flock::internal::LogMessage(                         \
-                       ::flock::LogSeverity::kFatal, __FILE__, __LINE__)  \
-                       .stream()                                          \
-                   << "Check failed: " #a " " #op " " #b " (" << (a)      \
+#define FLOCK_CHECK_OP(op, a, b)                                              \
+  ((a)op(b)) ? (void)0                                                        \
+             : ::flock::internal::LogMessageVoidify() &                       \
+                   ::flock::internal::LogMessage(__FILE__, __LINE__).stream() \
+                   << "Check failed: " #a " " #op " " #b " (" << (a)          \
                    << " vs " << (b) << ") "
 
 #define FLOCK_CHECK_EQ(a, b) FLOCK_CHECK_OP(==, a, b)

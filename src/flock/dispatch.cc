@@ -174,7 +174,7 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
   // What a not-yet-seen request may add to the coalesced response: with
   // segmentation on, anything bigger streams out as its own chunk train.
   const uint32_t resp_cap_est =
-      seg_on ? config.segment_threshold : config.max_payload;
+      seg_on ? SegmentChunkBytes(config) : config.max_payload;
   scratch.resp.clear();
   uint32_t total_reqs = 0;
   uint32_t resp_bytes = 0;
@@ -215,7 +215,7 @@ sim::Co<void> HandleRequestMessage(NodeEnv& env, ServerState& server,
                      config.max_payload, &handler_cpu);
       FLOCK_CHECK_LE(resp_len, config.max_payload);
       work += handler_cpu + cost.cpu_msg_per_req;
-      if (seg_on && resp_len > config.segment_threshold) {
+      if (Segmented(config, resp_len)) {
         // Stream it now as a chunk train (DESIGN.md §16), one message per
         // chunk: a large response never enters the accumulation buffer, so
         // the coalesced responses gathered alongside are not held hostage to

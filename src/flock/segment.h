@@ -50,13 +50,17 @@ inline uint32_t SegmentChunkBytes(const FlockConfig& config) {
   return config.segment_threshold < 64 ? 64 : config.segment_threshold;
 }
 
-// The chunk train a `len`-byte payload travels in: one unsegmented chunk at
-// or below the threshold (or with segmentation off), else SegmentChunkBytes
-// chunks.
+// Whether a `len`-byte payload is segmented: only when it spans two chunks
+// or more. Below a 64 B threshold, a payload above it that fits one chunk
+// travels whole (a one-chunk train would be marked kFirst and never end).
+inline bool Segmented(const FlockConfig& config, uint32_t len) {
+  return config.segment_threshold > 0 && len > SegmentChunkBytes(config);
+}
+
+// The chunk train a `len`-byte payload travels in: one unsegmented chunk
+// unless Segmented, else SegmentChunkBytes chunks.
 inline wire::ChunkTrain ChunkTrainFor(const FlockConfig& config, uint32_t len) {
-  const bool segmented =
-      config.segment_threshold > 0 && len > config.segment_threshold;
-  return wire::ChunkTrain(len, segmented ? SegmentChunkBytes(config) : 0);
+  return wire::ChunkTrain(len, Segmented(config, len) ? SegmentChunkBytes(config) : 0);
 }
 
 struct ReassemblyKey {

@@ -216,7 +216,7 @@ class Simulator {
   // Schedules `handle` to resume now, behind the events already queued, as
   // the continuation of the executing event: the resume of a parked pass's
   // completion is still that pass, so it leaves the node's other parked
-  // pollers parked (FifoServer::Done).
+  // pollers parked unless one has a pass due now (FifoServer::Done).
   void ScheduleContinuation(std::coroutine_handle<> handle) {
     Shard& s = CurrentShard();
     s.PushNew(0, handle.address(), nullptr, s.current_node_,
@@ -407,15 +407,7 @@ class Simulator {
   bool SameTimePending() const {
     const Shard& s = CurrentShard();
     const Shard::NodeSlot& slot = s.node_slots_[static_cast<size_t>(s.current_node_)];
-    if (slot.fifo_pending > 0) {
-      return true;
-    }
-    for (const IdlePark* p : slot.parked) {
-      if (p->PassAt(s.now_)) {
-        return true;
-      }
-    }
-    return false;
+    return slot.fifo_pending > 0 || s.PassDueNow(s.current_node_);
   }
 
   // Destroys every live process frame and drops pending events. Safe to call
@@ -667,11 +659,14 @@ class Simulator {
     // A push by simulated code (or setup code between runs): the target
     // node's parked pollers are re-queued first — the unparked kernel queued
     // their next completions before anything pushed now — and the event
-    // records its push time. The event is built in one piece: setting seq
-    // and meta on a copy the caller built slowed every push measurably.
+    // records its push time. A pass's own continuation (kPassBit) is ordered
+    // only against a parked pass due now, so only then does it re-queue. The
+    // event is built in one piece: setting seq and meta on a copy the caller
+    // built slowed every push measurably.
     void PushNew(Nanos delay, void* ctx, void (*fn)(void*), int32_t node,
                  uint32_t flags = 0) {
-      if (parked_total_ != 0 && HasParked(node)) {
+      if (parked_total_ != 0 && HasParked(node) &&
+          ((flags & kPassBit) == 0 || PassDueNow(node))) {
         Touch(node, /*scan=*/false);
       }
       Push(Event{now_ + delay, next_seq_++, ctx, fn, node, Lag(delay) | flags});
@@ -1094,6 +1089,11 @@ class Simulator {
     bool HasParked(int32_t node) const {
       const auto n = static_cast<size_t>(node);
       return n < node_slots_.size() && !node_slots_[n].parked.empty();
+    }
+    bool PassDueNow(int32_t node) const {
+      const std::vector<IdlePark*>& list = node_slots_[static_cast<size_t>(node)].parked;
+      return std::any_of(list.begin(), list.end(),
+                         [this](const IdlePark* p) { return p->PassAt(now_); });
     }
     // Push time of the executing event.
     Nanos CurPushedAt() const {

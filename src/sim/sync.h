@@ -321,7 +321,8 @@ class FifoServer {
     } else {
       // Same-time events of this node are pending; an inline resume would
       // run `finished` ahead of them. Keep the order the unbatched kernel
-      // had.
+      // had. The resume is still this pass: pushing it re-queues the node's
+      // parked pollers only if one has a pass due now (DESIGN.md §7).
       sim_.ScheduleContinuation(finished);
     }
   }

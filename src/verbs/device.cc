@@ -68,8 +68,6 @@ sim::Co<void> ServeSerialized(sim::FifoServer& link, const fabric::Network& net,
 
 }  // namespace
 
-int Qp::node() const { return device_.node_id(); }
-
 WcStatus Qp::Validate(const SendWr& wr) const {
   switch (type_) {
     case QpType::kRc:
@@ -607,13 +605,6 @@ void Device::ResetQp(Qp& qp) {
   qp.reset_epoch_ += 1;
   qp.peer_node_ = -1;
   qp.peer_qpn_ = 0;
-}
-
-void Device::KillQp(uint32_t qpn) {
-  Qp* qp = FindQp(qpn);
-  if (qp != nullptr) {
-    ErrorQp(*qp);
-  }
 }
 
 void Device::Pause() { paused_ = true; }

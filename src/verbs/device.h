@@ -79,7 +79,6 @@ class Device {
   Mr RegisterMr(uint64_t addr, uint64_t length);
 
   Qp* FindQp(uint32_t qpn);
-  int node_id() const { return node_id_; }
   const sim::CostModel& cluster_cost() const { return cost_; }
   rnic::QpCache& qp_cache() { return qp_cache_; }
   MrTable& mrs() { return mrs_; }
@@ -93,7 +92,6 @@ class Device {
   // flush as kFlushError completions (error CQEs are always delivered, even
   // for unsignaled WRs), and later posts fail with kQpError.
   void ErrorQp(Qp& qp);
-  void KillQp(uint32_t qpn);
   // Node kill: the NIC never comes back, so a QP created or reset on it
   // afterwards starts in the error state instead of reviving the node.
   void MarkKilled() { killed_ = true; }

@@ -29,7 +29,6 @@ class Qp {
   QpType type() const { return type_; }
   Cq* send_cq() const { return send_cq_; }
   Cq* recv_cq() const { return recv_cq_; }
-  int node() const;
 
   // RC/UC: establish the one-to-one connection.
   void ConnectTo(int peer_node, uint32_t peer_qpn) {

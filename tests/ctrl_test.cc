@@ -291,6 +291,41 @@ TEST(CtrlTest, RepeatedKillsOnSameLaneKeepRecovering) {
   EXPECT_GE(world.server->server_stats().lane_reconnects, 2u);
 }
 
+// Kernel events spent by 10 ms of idle simulated time once 2 threads have made
+// 16,000 echo calls on a 2-lane handle; with `kill`, the calls ride out the
+// two kills of RepeatedKillsOnSameLaneKeepRecovering. Idle dispatchers park
+// (DESIGN.md §7), so what is left is mostly watchdog and liveness ticks.
+// Event counts are deterministic.
+uint64_t IdleEventsAfterEcho(bool kill) {
+  CtrlWorld world;
+  Connection* conn = world.clients[0]->Connect(*world.server, 2);
+  int ok = 0, fail = 0;
+  for (int t = 0; t < 2; ++t) {
+    world.cluster.sim().Spawn(
+        EchoLoop(conn, world.clients[0]->CreateThread(t), 8000, &ok, &fail));
+  }
+  if (kill) {
+    world.cluster.fault().KillQpAt(200 * kMicrosecond, /*node=*/1,
+                                   conn->lane(0).qp->qpn());
+  }
+  world.cluster.sim().RunFor(20 * kMillisecond);
+  if (kill) {
+    world.cluster.fault().KillQp(/*node=*/1, conn->lane(1).qp->qpn());
+  }
+  world.cluster.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(ok, 2 * 8000);
+  EXPECT_EQ(conn->lane_reconnects(), kill ? 2u : 0u);
+  EXPECT_EQ(conn->num_failed_lanes(), 0u);
+  const uint64_t before = world.cluster.sim().events_processed();
+  world.cluster.sim().RunFor(10 * kMillisecond);
+  return world.cluster.sim().events_processed() - before;
+}
+
+TEST(CtrlTest, IdleHandleCostsFewEventsBeforeAndAfterKills) {
+  EXPECT_LE(IdleEventsAfterEcho(/*kill=*/false), 200'000u);
+  EXPECT_LE(IdleEventsAfterEcho(/*kill=*/true), 10'000u);
+}
+
 // ---------------------------------------------------------------------------
 // Membership: leave reclaims for good, rejoin opens a new handle
 // ---------------------------------------------------------------------------

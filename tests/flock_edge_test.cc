@@ -319,5 +319,26 @@ TEST(FlockResponseCapTest, OverCapSegmentedResponseFails) {
   ExpectOverCapFails(config, /*len=*/16 * 1024, /*cap=*/6 * 1024);
 }
 
+// With a threshold below the 64 B chunk floor, a 32 B echo fits one chunk
+// and travels unsegmented both ways, so it completes without a retry.
+TEST(FlockSegmentTest, PayloadWithinOneChunkBelowTinyThresholdCompletes) {
+  FlockConfig config;
+  config.segment_threshold = 16;
+  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 2, .cores_per_node = 8});
+  FlockRuntime server(cluster, 0, config);
+  server.RegisterHandler(kEchoRpc, EchoHandler);
+  server.StartServer(2);
+  FlockRuntime client(cluster, 1, config);
+  client.StartClient();
+  Connection* conn = client.Connect(server, 1);
+  int completed = 0;
+  cluster.sim().Spawn(EchoLoop(&cluster, conn, client.CreateThread(0),
+                               /*bytes=*/32, /*ops=*/1, &completed));
+  cluster.sim().RunFor(10 * kMillisecond);
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(client.client_stats().retries, 0u);
+  EXPECT_EQ(client.client_stats().failed_rpcs, 0u);
+}
+
 }  // namespace
 }  // namespace flock

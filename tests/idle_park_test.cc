@@ -276,6 +276,84 @@ TEST(IdleParkTest, RunUntilSlicesAtEveryOffsetWithinAPeriod) {
 }
 
 // ---------------------------------------------------------------------------
+// Equal-period pollers in two phase groups on one node (the server's request
+// dispatchers): a group's passes are due together, so the first completion
+// resumes its poller behind the second, as a continuation. That continuation
+// must leave the other group, whose passes are not due now, parked.
+// ---------------------------------------------------------------------------
+
+constexpr Nanos kPhasePeriod = 22;
+constexpr Nanos kPhaseOffset = 16;
+constexpr Nanos kPhaseEnd = 10 * kMicrosecond;
+// Deposits on a group-A pass instant, on a group-B one, and off both.
+constexpr Nanos kPhaseDeposits[] = {200 * kPhasePeriod,
+                                    kPhaseOffset + 300 * kPhasePeriod, 8003};
+
+struct PhaseWorld {
+  explicit PhaseWorld(bool idle) : idle(idle) {}
+  Simulator sim;
+  Cpu cpu{sim, 4};
+  bool idle;
+  int pending = 0;
+  std::vector<Record> log;
+};
+
+Proc PhasePoller(PhaseWorld* w, int id) {
+  if (id >= 2) {
+    co_await Delay(w->sim, kPhaseOffset);
+  }
+  Core& core = w->cpu.core(id);
+  for (;;) {
+    if (w->pending > 0) {
+      --w->pending;
+      w->log.emplace_back(w->sim.Now(), id, 1, w->pending);
+      co_await core.Work(2 * kPhasePeriod);
+    } else if (w->idle) {
+      co_await core.Idle(kPhasePeriod);
+    } else {
+      co_await core.Work(kPhasePeriod);
+    }
+  }
+}
+
+Proc PhaseDeposit(PhaseWorld* w, Nanos at) {
+  co_await Delay(w->sim, at);
+  w->pending += 2;
+  w->log.emplace_back(w->sim.Now(), -2, 2, w->pending);
+}
+
+Outcome RunPhaseWorld(PhaseWorld& w) {
+  for (int id = 0; id < 4; ++id) {
+    w.sim.Spawn(PhasePoller(&w, id), 0);
+  }
+  for (const Nanos at : kPhaseDeposits) {
+    w.sim.Spawn(PhaseDeposit(&w, at), 0);
+  }
+  w.sim.RunUntil(kPhaseEnd);
+  Outcome out;
+  out.logs.push_back(w.log);
+  for (int c = 0; c < 4; ++c) {
+    out.busy.push_back(w.cpu.core(c).busy_time());
+  }
+  out.events = w.sim.events_processed();
+  out.elided = w.sim.elided_passes();
+  return out;
+}
+
+TEST(IdleParkTest, EqualPeriodPollersInTwoPhasesStayParked) {
+  PhaseWorld work_world(/*idle=*/false);
+  const Outcome work = RunPhaseWorld(work_world);
+  PhaseWorld idle_world(/*idle=*/true);
+  const Outcome idle = RunPhaseWorld(idle_world);
+  ExpectSameSimulation(work, idle);
+  EXPECT_EQ(work.logs[0].size(), 3u + 6u);  // three deposits, six units taken
+  // Every pass is an event when written with Work; parked, each deposit
+  // costs a handful, and the groups do not re-queue each other in between.
+  EXPECT_GT(work.events, 4 * kPhaseEnd / kPhasePeriod);
+  EXPECT_LE(idle.events, 120u);
+}
+
+// ---------------------------------------------------------------------------
 // The two orderings the kernel cannot recover fail a FLOCK_CHECK (DESIGN.md
 // §7). Node 1 runs idle pollers of period 22, parked from their first pass
 // at t=0, so 440 is a pass instant of each; node 0 mutates node 1 directly

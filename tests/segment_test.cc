@@ -15,6 +15,7 @@
 namespace flock {
 namespace {
 
+using internal::ChunkTrainFor;
 using internal::ReassemblyKey;
 using internal::ReassemblyPool;
 using internal::ReassemblyTimeout;
@@ -153,6 +154,28 @@ TEST(SegmentChunkBytesTest, ThresholdFlooredAt64) {
   // Floored: a tiny threshold never degenerates into per-byte messages.
   config.segment_threshold = 1;
   EXPECT_EQ(SegmentChunkBytes(config), 64u);
+}
+
+// Below a 64 B threshold a chunk is still 64 B, so a payload between the
+// threshold and one chunk travels whole: a one-chunk train marked kFirst would
+// never complete on the server.
+TEST(SegmentChunkBytesTest, PayloadWithinOneChunkIsNotSegmented) {
+  FlockConfig config;
+  config.segment_threshold = 16;
+  wire::ChunkTrain small = ChunkTrainFor(config, 32);
+  EXPECT_EQ(small.size(), 32u);
+  EXPECT_EQ(wire::SegOf(small.data_len()), SegMark::kNone);
+  small.Next();
+  EXPECT_TRUE(small.done());
+
+  wire::ChunkTrain large = ChunkTrainFor(config, 100);
+  EXPECT_EQ(large.size(), 64u);
+  EXPECT_EQ(wire::SegOf(large.data_len()), SegMark::kFirst);
+  large.Next();
+  EXPECT_EQ(large.size(), 36u);
+  EXPECT_EQ(wire::SegOf(large.data_len()), SegMark::kLast);
+  large.Next();
+  EXPECT_TRUE(large.done());
 }
 
 TEST(ReassemblyTimeoutTest, DerivedFromWatchdog) {
