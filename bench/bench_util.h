@@ -252,6 +252,8 @@ struct KernelCounters {
   // Idle passes parked pollers skipped (DESIGN.md §7): events +
   // elided_passes is how much polling the run modelled.
   uint64_t elided_passes = 0;
+  // Parked passes put back into the queue as events.
+  uint64_t requeued_passes = 0;
 
   template <typename SimT>
   static KernelCounters Capture(const SimT& sim) {
@@ -261,6 +263,7 @@ struct KernelCounters {
     c.direct_resumes = sim.direct_resumes();
     c.coalesced_wakes = sim.coalesced_wakes();
     c.elided_passes = sim.elided_passes();
+    c.requeued_passes = sim.requeued_passes();
     return c;
   }
 
@@ -271,6 +274,7 @@ struct KernelCounters {
     d.direct_resumes = direct_resumes - before.direct_resumes;
     d.coalesced_wakes = coalesced_wakes - before.coalesced_wakes;
     d.elided_passes = elided_passes - before.elided_passes;
+    d.requeued_passes = requeued_passes - before.requeued_passes;
     return d;
   }
 };

@@ -218,8 +218,9 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long>(best.kernel.resumes),
       static_cast<unsigned long>(best.kernel.direct_resumes),
       static_cast<unsigned long>(best.kernel.coalesced_wakes));
-  std::printf("idle passes elided: %lu\n",
-              static_cast<unsigned long>(best.kernel.elided_passes));
+  std::printf("idle passes elided: %lu, re-queued: %lu\n",
+              static_cast<unsigned long>(best.kernel.elided_passes),
+              static_cast<unsigned long>(best.kernel.requeued_passes));
 
   JsonRow row;
   row.Add("config", "default")
@@ -238,7 +239,8 @@ int Main(int argc, char** argv) {
       .Add("resumes", best.kernel.resumes)
       .Add("direct_resumes", best.kernel.direct_resumes)
       .Add("coalesced_wakes", best.kernel.coalesced_wakes)
-      .Add("elided_passes", best.kernel.elided_passes);
+      .Add("elided_passes", best.kernel.elided_passes)
+      .Add("requeued_passes", best.kernel.requeued_passes);
   best.lanes.AppendTo(&row, /*include_retired=*/false);
   row.Add("trace_hash", std::to_string(best.trace_hash))
       .Add("sim_mops", best.sim_mops)
@@ -281,6 +283,7 @@ int Main(int argc, char** argv) {
           .Add("direct_resumes", r.kernel.direct_resumes)
           .Add("coalesced_wakes", r.kernel.coalesced_wakes)
           .Add("elided_passes", r.kernel.elided_passes)
+          .Add("requeued_passes", r.kernel.requeued_passes)
           .Add("trace_hash", std::to_string(r.trace_hash))
           .Add("sim_mops", r.sim_mops)
           .Add("wall_s", r.wall_s);

@@ -254,12 +254,13 @@ KernelResult RunHopGrid(int nodes, int shards, int workers, uint64_t rounds) {
 void Report(JsonDump& json, const char* name, const KernelResult& best,
             const char* rate_unit) {
   std::printf("%-18s %14.0f %s  (%lu events, %lu resumes, %lu coalesced, "
-              "%lu elided, %.1f ms)\n",
+              "%lu elided, %lu re-queued, %.1f ms)\n",
               name, best.events_per_s, rate_unit,
               static_cast<unsigned long>(best.kernel.events),
               static_cast<unsigned long>(best.kernel.resumes),
               static_cast<unsigned long>(best.kernel.coalesced_wakes),
               static_cast<unsigned long>(best.kernel.elided_passes),
+              static_cast<unsigned long>(best.kernel.requeued_passes),
               best.wall_s * 1e3);
   json.Row({{"case", name},
             {"rate", best.events_per_s},
@@ -268,6 +269,7 @@ void Report(JsonDump& json, const char* name, const KernelResult& best,
             {"resumes", best.kernel.resumes},
             {"coalesced_wakes", best.kernel.coalesced_wakes},
             {"elided_passes", best.kernel.elided_passes},
+            {"requeued_passes", best.kernel.requeued_passes},
             {"wall_s", best.wall_s}});
 }
 

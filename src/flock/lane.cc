@@ -156,22 +156,40 @@ bool DrawPooled(std::vector<Res>& pool, uint32_t ring_bytes, Res* out) {
   return false;
 }
 
+// Zeroes the bytes of the ring registered as `rkey` that the peer wrote
+// since its last reset and returns how many that was. Nothing else makes a
+// ring byte non-zero: the consumer writes only zeros (it zeroes what it
+// consumes), and a previous reset left the ring all zero. A write of the old
+// incarnation that lands later (the QP was reset or killed, not drained)
+// widens the next span, so the next reset zeroes it.
+uint64_t ZeroWritten(NodeEnv& env, uint32_t rkey) {
+  const verbs::WrittenSpan span = env.device().mrs().TakeWritten(rkey);
+  if (span.empty()) {
+    return 0;
+  }
+  std::memset(env.mem().At(span.lo), 0, span.hi - span.lo);
+  return span.hi - span.lo;
+}
+
 // The ring reset, one per side (DESIGN.md §10), shared by the pooled-lane
-// draw and the reconnect resync: zeroes the ring this half consumes, so the
-// fresh RingConsumer sees no ghost canaries from the previous incarnation,
-// and its 8-byte slot, then restarts both ring cursors from zero. The
-// client's slot is its control slot, so a dispatcher polling a still-unwired
-// lane reads grant_cumulative == grants_seen == 0 (a no-op); the server's is
-// its head slot, matching the client's zero-based response consumer.
-void ResetRings(fabric::MemorySpace& mem, ClientLane& lane) {
-  std::memset(mem.At(lane.resp_ring_addr), 0, lane.ring_bytes);
+// draw and the reconnect resync: zeroes what the peer left in the ring this
+// half consumes, so the fresh RingConsumer sees no ghost canaries from the
+// previous incarnation, and its 8-byte slot, then restarts both ring cursors
+// from zero. The client's slot is its control slot, so a dispatcher polling
+// a still-unwired lane reads grant_cumulative == grants_seen == 0 (a no-op);
+// the server's is its head slot, matching the client's zero-based response
+// consumer.
+void ResetRings(NodeEnv& env, ClientLane& lane, ClientStats& stats) {
+  fabric::MemorySpace& mem = env.mem();
+  stats.ring_bytes_zeroed += ZeroWritten(env, lane.resp_ring_rkey);
   std::memset(mem.At(lane.ctrl_slot_addr), 0, 8);
   *lane.resp_consumer = RingConsumer(mem.At(lane.resp_ring_addr), lane.ring_bytes);
   lane.req_producer = RingProducer(lane.ring_bytes);
 }
 
-void ResetRings(fabric::MemorySpace& mem, ServerLane& lane) {
-  std::memset(mem.At(lane.req_ring_addr), 0, lane.ring_bytes);
+void ResetRings(NodeEnv& env, ServerLane& lane, ServerStats& stats) {
+  fabric::MemorySpace& mem = env.mem();
+  stats.ring_bytes_zeroed += ZeroWritten(env, lane.req_ring_rkey);
   std::memset(mem.At(lane.head_slot_addr), 0, 8);
   *lane.req_consumer = RingConsumer(mem.At(lane.req_ring_addr), lane.ring_bytes);
   lane.resp_producer = RingProducer(lane.ring_bytes);
@@ -261,7 +279,7 @@ void AddServerLane(NodeEnv& env, ServerState& server, uint32_t sender_key,
   }
   auto sl = std::make_unique<ServerLane>(smem, res);
   if (recycled) {
-    ResetRings(smem, *sl);
+    ResetRings(env, *sl, server.stats);
     server.stats.qps_recycled += 1;
   } else {
     server.stats.qps_created += 1;
@@ -346,7 +364,7 @@ std::unique_ptr<ClientLane> BuildClientLane(ClientConnState& conn,
   cl->index = index;
   cl->conn = &conn;
   if (recycled) {
-    ResetRings(cmem, *cl);
+    ResetRings(env, *cl, client.stats);
     client.stats.qps_recycled += 1;
   } else {
     client.stats.qps_created += 1;
@@ -530,7 +548,7 @@ uint32_t HandleReconnect(NodeEnv& env, ServerState& server,
   // ring's canary-framed contents died with the old QP. The client mirrors
   // this before any sim event runs (ControlPlane::Call is synchronous), so
   // neither side can observe the other half-resynced.
-  ResetRings(env.mem(), lane);
+  ResetRings(env, lane, server.stats);
   lane.qp = fresh;
   PostCtrlRecvs(env, *fresh, TagWrId(WrTag::kServerRecv, &lane));
 
@@ -840,7 +858,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     // Client-side resync, mirroring the server's handler before any sim
     // event can run: the ring reset, then credits and the cumulative-grant
     // resync from the accept.
-    ResetRings(conn.env->mem(), *victim);
+    ResetRings(*conn.env, *victim, conn.client->stats);
     victim->qp = fresh;
     victim->failed = false;
     victim->renew_in_flight = false;

@@ -50,6 +50,7 @@ struct ServerStats {
   uint64_t responses_dropped = 0;  // responses lost to a dead lane
   uint64_t lane_reconnects = 0;    // server lanes revived via control plane
   uint64_t lanes_added = 0;        // AddLane handshakes accepted
+  uint64_t ring_bytes_zeroed = 0;  // request-ring bytes the ring resets zeroed
 };
 
 // Client-side failure-handling counters.
@@ -62,6 +63,7 @@ struct ClientStats {
   uint64_t spurious_responses = 0;  // responses with no outstanding request
   uint64_t lane_reconnects = 0;     // client lanes revived via control plane
   uint64_t lanes_added = 0;         // lazy lanes grown via AddLane
+  uint64_t ring_bytes_zeroed = 0;   // response-ring bytes the ring resets zeroed
 };
 
 namespace internal {

@@ -326,6 +326,8 @@ class Simulator {
   // Idle passes a parked poller skipped: with events_processed() this is how
   // much polling a run modelled.
   uint64_t elided_passes() const { return Sum(&Shard::elided_passes_); }
+  // Parked passes the kernel put back into the queue as events.
+  uint64_t requeued_passes() const { return Sum(&Shard::requeued_passes_); }
 
   // ---- idle-pass parking (DESIGN.md §7) ----
   //
@@ -996,6 +998,7 @@ class Simulator {
       for (const Requeue& r : rq) {
         IdlePark& p = *r.p;
         elided_passes_ += static_cast<uint64_t>((r.due - p.parked_at) / p.period - 1);
+        ++requeued_passes_;
         p.settle(&p, r.due, r.fired);
         if (r.fired) {
           PushRequeued(Event{now_, next_seq_++, p.handle, nullptr, node, kRequeuedBit});
@@ -1064,6 +1067,7 @@ class Simulator {
     uint64_t direct_resumes_ = 0;
     uint64_t coalesced_wakes_ = 0;
     uint64_t elided_passes_ = 0;
+    uint64_t requeued_passes_ = 0;
     size_t size_ = 0;
     int32_t current_node_ = 0;
     uint32_t cur_meta_ = 0;   // meta of the executing event

@@ -389,13 +389,15 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
   switch (wr.opcode) {
     case Opcode::kWrite:
     case Opcode::kWriteImm: {
-      if (!peer.mrs_.ValidateRemote(wr.rkey, wr.remote_addr, wr.length)) {
+      WrittenSpan* written = peer.mrs_.ValidateWrite(wr.rkey, wr.remote_addr, wr.length);
+      if (written == nullptr) {
         peer.stats_.remote_errors++;
         status = WcStatus::kRemoteAccessError;
         co_return;
       }
       co_await sim::Delay(sim_, cost_.nic_dma_write);
       if (!payload.empty()) {
+        written->Add(wr.remote_addr, payload.size());
         peer_mem.Write(wr.remote_addr, payload.data(), payload.size());
       }
       if (wr.opcode == Opcode::kWriteImm) {
@@ -487,7 +489,8 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
     }
     case Opcode::kFetchAdd:
     case Opcode::kCmpSwap: {
-      if (!peer.mrs_.ValidateRemote(wr.rkey, wr.remote_addr, 8)) {
+      WrittenSpan* written = peer.mrs_.ValidateWrite(wr.rkey, wr.remote_addr, 8);
+      if (written == nullptr) {
         peer.stats_.remote_errors++;
         status = WcStatus::kRemoteAccessError;
         co_return;
@@ -503,6 +506,7 @@ sim::Co<void> Device::ReceiveAtPeer(Device& peer, Qp& src_qp, const SendWr& wr,
       } else if (old_value == wr.compare) {
         new_value = wr.swap_or_add;
       }
+      written->Add(wr.remote_addr, 8);
       peer_mem.Write(wr.remote_addr, &new_value, 8);
       atomic_result = old_value;
       // 8-byte response returns over the wire.

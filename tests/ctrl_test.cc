@@ -831,6 +831,145 @@ TEST(CtrlTest, RenewalQueuedForHarvestedLaneIsDropped) {
   EXPECT_EQ(next_fail, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Ring reset of recycled lanes: only what the peer wrote is zeroed
+// ---------------------------------------------------------------------------
+
+// Bytes of `len` at `addr` on `node` that are not zero.
+size_t NonZeroBytes(CtrlWorld& world, int node, uint64_t addr, uint32_t len) {
+  const uint8_t* bytes = world.cluster.mem(node).At(addr);
+  return static_cast<size_t>(std::count_if(bytes, bytes + len,
+                                           [](uint8_t b) { return b != 0; }));
+}
+
+// Draws every pooled lane half with one eager connect and scans both rings
+// of each drawn lane: the client's response ring and the server's request
+// ring. Returns the handle.
+Connection* DrawPooledAndScan(CtrlWorld& world, const char* after) {
+  FlockRuntime& client = *world.clients[0];
+  const size_t pooled = std::max(client.ClientLanePool(), world.server->ServerLanePool());
+  EXPECT_GT(pooled, 0u) << after << ": nothing was pooled";
+  const uint64_t recycled = client.client_stats().qps_recycled;
+  Connection* conn =
+      client.Connect(*world.server, static_cast<uint32_t>(std::max<size_t>(pooled, 1)));
+  EXPECT_NE(conn, nullptr) << after;
+  if (conn == nullptr) {
+    return nullptr;
+  }
+  EXPECT_GT(client.client_stats().qps_recycled, recycled) << after;
+  const uint32_t ring = client.config().ring_bytes;
+  for (uint32_t i = 0; i < conn->num_lanes(); ++i) {
+    const internal::ClientLane& lane = conn->lane(i);
+    EXPECT_EQ(NonZeroBytes(world, 1, lane.resp_ring_addr, ring), 0u)
+        << after << ": response ring of lane " << i;
+    EXPECT_EQ(NonZeroBytes(world, 0, lane.remote_ring_addr, ring), 0u)
+        << after << ": request ring of lane " << i;
+  }
+  return conn;
+}
+
+// Clean closes, a close with a response and with a request still unconsumed
+// in a ring, a killed QP and its reconnect, and a Leave during lazy growth:
+// after each, every pooled ring reads zero when it is drawn again, and clean
+// closes zero less than a ring per draw.
+TEST(CtrlTest, PooledRingsReadZeroAtEveryDraw) {
+  CtrlWorld world;
+  sim::Simulator& sim = world.cluster.sim();
+  FlockRuntime& client = *world.clients[0];
+  const uint32_t ring = client.config().ring_bytes;
+  int ok = 0, fail = 0;
+
+  // Clean close after echo traffic on two lanes.
+  Connection* conn = client.Connect(*world.server, 2);
+  ASSERT_NE(conn, nullptr);
+  for (int t = 0; t < 2; ++t) {
+    sim.Spawn(EchoLoop(conn, client.CreateThread(t), 50, &ok, &fail));
+  }
+  sim.RunFor(1 * kMillisecond);
+  ASSERT_EQ(ok, 100);
+  client.CloseConnection(conn);
+  const uint64_t client_zeroed = client.client_stats().ring_bytes_zeroed;
+  const uint64_t server_zeroed = world.server->server_stats().ring_bytes_zeroed;
+  conn = DrawPooledAndScan(world, "clean close");
+  ASSERT_NE(conn, nullptr);
+  ASSERT_EQ(conn->num_lanes(), 2u);
+  const uint64_t client_draw = client.client_stats().ring_bytes_zeroed - client_zeroed;
+  const uint64_t server_draw =
+      world.server->server_stats().ring_bytes_zeroed - server_zeroed;
+  EXPECT_GT(client_draw, 0u) << "the responses were not counted";
+  EXPECT_GT(server_draw, 0u) << "the requests were not counted";
+  EXPECT_LT(client_draw, ring) << "clean-close draws zeroed whole rings";
+  EXPECT_LT(server_draw, ring) << "clean-close draws zeroed whole rings";
+
+  // Close with a response unconsumed: the client's response dispatcher
+  // (its top core) is held while the call completes at the server.
+  sim.Spawn(HoldCore(&world.cluster.cpu(1).core(7), 100 * kMicrosecond), 1);
+  sim.Spawn(EchoLoop(conn, client.CreateThread(0), 1, &ok, &fail));
+  sim.RunFor(50 * kMicrosecond);
+  size_t left = 0;
+  for (uint32_t i = 0; i < conn->num_lanes(); ++i) {
+    left += NonZeroBytes(world, 1, conn->lane(i).resp_ring_addr, ring);
+  }
+  ASSERT_GT(left, 0u) << "no response waited in a ring";
+  client.CloseConnection(conn);
+  sim.RunFor(1 * kMillisecond);
+  conn = DrawPooledAndScan(world, "close with a response in the ring");
+  ASSERT_NE(conn, nullptr);
+
+  // Close with a request unconsumed: the server's four request dispatchers
+  // (cores 1-4) are held.
+  for (int core = 1; core <= 4; ++core) {
+    sim.Spawn(HoldCore(&world.cluster.cpu(0).core(core), 100 * kMicrosecond), 0);
+  }
+  sim.Spawn(EchoLoop(conn, client.CreateThread(0), 1, &ok, &fail));
+  sim.RunFor(50 * kMicrosecond);
+  left = 0;
+  for (uint32_t i = 0; i < conn->num_lanes(); ++i) {
+    left += NonZeroBytes(world, 0, conn->lane(i).remote_ring_addr, ring);
+  }
+  ASSERT_GT(left, 0u) << "no request waited in a ring";
+  client.CloseConnection(conn);
+  sim.RunFor(1 * kMillisecond);
+  conn = DrawPooledAndScan(world, "close with a request in the ring");
+  ASSERT_NE(conn, nullptr);
+
+  // A killed QP, its reconnect resync, then a clean close.
+  ok = 0;
+  fail = 0;
+  for (int t = 0; t < 2; ++t) {
+    sim.Spawn(EchoLoop(conn, client.CreateThread(t), 200, &ok, &fail));
+  }
+  world.cluster.fault().KillQpAt(sim.Now() + 50 * kMicrosecond, /*node=*/1,
+                                 conn->lane(0).qp->qpn());
+  sim.RunFor(50 * kMillisecond);
+  ASSERT_EQ(ok, 400);
+  ASSERT_GE(conn->lane_reconnects(), 1u);
+  client.CloseConnection(conn);
+  conn = DrawPooledAndScan(world, "kill and reconnect");
+  ASSERT_NE(conn, nullptr);
+  client.CloseConnection(conn);
+
+  // A Leave while a lazy handle grows its second lane.
+  Connection* lazy = nullptr;
+  sim.Spawn(ConnectAsyncInto(&client, 0, 2, &lazy), 1);
+  sim.RunFor(1 * kMillisecond);
+  ASSERT_NE(lazy, nullptr);
+  ok = 0;
+  fail = 0;
+  sim.Spawn(EchoLoop(lazy, client.CreateThread(0), 1, &ok, &fail));
+  sim.RunFor(1 * kMillisecond);
+  ASSERT_EQ(ok, 1);
+  sim.Spawn(EchoLoop(lazy, client.CreateThread(1), 1, &ok, &fail));
+  sim.RunFor(20 * kMicrosecond);
+  ASSERT_EQ(world.server->server_stats().lanes_added, 1u) << "growth not under way";
+  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
+  cp.Leave(/*node=*/1);
+  cp.Join(/*node=*/1);
+  sim.RunFor(1 * kMillisecond);
+  client.CloseConnection(lazy);  // the departed handle's client halves
+  EXPECT_NE(DrawPooledAndScan(world, "leave during lazy growth"), nullptr);
+}
+
 TEST(CtrlTest, ReconnectScenarioIsDeterministic) {
   KillRunResult a = RunKillScenario();
   KillRunResult b = RunKillScenario();

@@ -242,7 +242,7 @@ TEST(IdleParkTest, IdlePassesMatchWorkPassesAtEveryShardCount) {
   EXPECT_GT(wakes, 1000u);
 
   uint64_t idle_events = 0;
-  for (const int shards : {1, 2, 4}) {
+  for (const int shards : {1, 2, 4, 8}) {
     World work_world(shards, /*idle=*/false);
     const Outcome work = RunWorld(work_world);
     ExpectSameSimulation(ref, work);
@@ -350,7 +350,7 @@ TEST(IdleParkTest, EqualPeriodPollersInTwoPhasesStayParked) {
   // Every pass is an event when written with Work; parked, each deposit
   // costs a handful, and the groups do not re-queue each other in between.
   EXPECT_GT(work.events, 4 * kPhaseEnd / kPhasePeriod);
-  EXPECT_LE(idle.events, 120u);
+  EXPECT_LE(idle.events, 96u);
 }
 
 // ---------------------------------------------------------------------------
