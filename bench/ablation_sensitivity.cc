@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
                   static_cast<long>(pcie), fl.mops, ud.mops,
                   ud.mops > 0 ? fl.mops / ud.mops : 0.0,
                   fl.mops > ud.mops ? "" : "  <-- CONCLUSION FLIPPED");
-      std::printf("CSV,sensitivity,%u,%ld,%.2f,%.2f\n", cache, static_cast<long>(pcie),
-                  fl.mops, ud.mops);
       json.Row({{"qp_cache", cache}, {"pcie_fetch_ns", static_cast<int64_t>(pcie)},
                 {"flock_mops", fl.mops}, {"erpc_mops", ud.mops}});
       std::fflush(stdout);

@@ -1,8 +1,8 @@
 // Shared utilities for the figure-reproduction benches: flag parsing,
 // paper-style table printing, and machine-readable output. Every bench prints
-// a human-readable table (one row per x-value) followed by machine-readable
-// CSV lines prefixed "CSV,"; passing --json=<path> additionally dumps the same
-// rows as a JSON document so tooling never has to scrape stdout.
+// a human-readable table (one row per x-value); --json=<path> writes its rows
+// as a JSON document, the one machine-readable output, so tooling never has
+// to scrape stdout.
 #ifndef FLOCK_BENCH_BENCH_UTIL_H_
 #define FLOCK_BENCH_BENCH_UTIL_H_
 
@@ -333,7 +333,7 @@ auto BestOf(int repeats, Fn&& fn, Key&& key) {
 //   {"bench": "<name>", "rows": [{...}, ...]}
 // Construct from Flags to honor the shared --json=<path> flag (no path → all
 // calls are no-ops, so benches can call Row() unconditionally next to their
-// CSV prints). The path is opened at construction, so an unwritable one exits
+// table prints). The path is opened at construction, so an unwritable one exits
 // 2 before the bench runs. Write() runs in the destructor if not called
 // explicitly.
 class JsonDump {

@@ -261,11 +261,6 @@ void PrintRow(const char* name, const StormResult& r) {
               static_cast<unsigned long>(TotalRejects(r)),
               static_cast<unsigned long>(r.client_lane_failures +
                                          r.unexpected_server_failures));
-  std::printf("CSV,conn_storm,%s,%lu,%.0f,%ld,%ld,%lu,%lu\n", name,
-              static_cast<unsigned long>(r.done), r.handshakes_per_sec,
-              static_cast<long>(r.ttfr_p50), static_cast<long>(r.ttfr_p99),
-              static_cast<unsigned long>(r.qps_created),
-              static_cast<unsigned long>(r.qps_recycled));
 }
 
 void AddRow(JsonDump* json, const char* name, const StormParams& p,

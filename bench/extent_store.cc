@@ -258,8 +258,6 @@ int main(int argc, char** argv) {
   std::printf("meta: %.1f kops, p50 %.1f us, p99 %.1f us (%llu failures)\n",
               solo.meta_kops, solo.meta_p50 / 1e3, solo.meta_p99 / 1e3,
               static_cast<unsigned long long>(solo.failures));
-  std::printf("CSV,extent_store,solo,%.1f,%ld,%ld\n", solo.meta_kops,
-              static_cast<long>(solo.meta_p50), static_cast<long>(solo.meta_p99));
   json.Row({{"config", "solo"}, {"meta_kops", solo.meta_kops},
             {"meta_p50_ns", solo.meta_p50}, {"meta_p99_ns", solo.meta_p99},
             {"failures", solo.failures}});
@@ -276,11 +274,6 @@ int main(int argc, char** argv) {
               "%llu failures)\n",
               bi.meta_kops, bi.meta_p50 / 1e3, bi.meta_p99 / 1e3, p99_ratio,
               static_cast<unsigned long long>(bi.failures));
-  std::printf("CSV,extent_store,bimodal,%u,%.3f,%ld,%ld,%.1f,%ld,%ld,%.3f\n",
-              rc.extent_bytes / 1024, bi.extent_gbps,
-              static_cast<long>(bi.extent_p50), static_cast<long>(bi.extent_p99),
-              bi.meta_kops, static_cast<long>(bi.meta_p50),
-              static_cast<long>(bi.meta_p99), p99_ratio);
   json.Row({{"config", "bimodal"}, {"extent_kb", rc.extent_bytes / 1024},
             {"extent_ops", bi.extent_ops}, {"extent_gbps", bi.extent_gbps},
             {"extent_p50_ns", bi.extent_p50}, {"extent_p99_ns", bi.extent_p99},

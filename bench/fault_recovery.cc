@@ -200,11 +200,6 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long>(base.ok),
               static_cast<unsigned long>(base.fail),
               static_cast<unsigned long>(base.retries));
-  std::printf("CSV,fault_recovery,faulted,%lu,%lu,%lu,%lu\n",
-              static_cast<unsigned long>(faulted.window_rpcs),
-              static_cast<unsigned long>(faulted.ok),
-              static_cast<unsigned long>(faulted.fail),
-              static_cast<unsigned long>(faulted.retries));
 
   JsonRow row;
   row.Add("threads", threads)

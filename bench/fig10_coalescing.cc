@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
 
     std::printf("%12d %14.1f %14.1f %10.2f %10.2f\n", outstanding, off.mops, on.mops,
                 off.mops > 0 ? on.mops / off.mops : 0.0, on.coalescing);
-    std::printf("CSV,fig10,%d,%.2f,%.2f,%.2f\n", outstanding, off.mops, on.mops,
-                on.coalescing);
     json.Row({{"sweep", "coalescing"},
               {"outstanding", outstanding},
               {"off_mops", off.mops},
@@ -63,8 +61,6 @@ int main(int argc, char** argv) {
       config.flock.max_coalesce = bound;
       const RpcBenchResult result = RunFlockRpc(config);
       std::printf("%8u %10.1f %10.2f\n", bound, result.mops, result.coalescing);
-      std::printf("CSV,fig10bound,%u,%.2f,%.2f\n", bound, result.mops,
-                  result.coalescing);
       json.Row({{"sweep", "bound"},
                 {"bound", bound},
                 {"mops", result.mops},

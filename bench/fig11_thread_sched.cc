@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
 
     std::printf("%12u %16.1f %16.1f %10.2f\n", large, off.mops, on.mops,
                 off.mops > 0 ? on.mops / off.mops : 0.0);
-    std::printf("CSV,fig11,%u,%.2f,%.2f\n", large, off.mops, on.mops);
     json.Row({{"large_threads", large},
               {"sched_off_mops", off.mops},
               {"sched_on_mops", on.mops}});

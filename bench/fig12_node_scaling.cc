@@ -63,12 +63,6 @@ int main(int argc, char** argv) {
         clients, one_one.mops, one_one.p50_ns / 1e3, one_one.p99_ns / 1e3,
         two_one.mops, two_one.p50_ns / 1e3, two_one.p99_ns / 1e3, two_two.mops,
         two_two.p50_ns / 1e3, two_two.p99_ns / 1e3);
-    std::printf("CSV,fig12,%d,1t1q,%.2f,%ld,%ld\n", clients, one_one.mops,
-                static_cast<long>(one_one.p50_ns), static_cast<long>(one_one.p99_ns));
-    std::printf("CSV,fig12,%d,2t1q,%.2f,%ld,%ld\n", clients, two_one.mops,
-                static_cast<long>(two_one.p50_ns), static_cast<long>(two_one.p99_ns));
-    std::printf("CSV,fig12,%d,2t2q,%.2f,%ld,%ld\n", clients, two_two.mops,
-                static_cast<long>(two_two.p50_ns), static_cast<long>(two_two.p99_ns));
     json.Row({{"clients", clients}, {"mode", "1t1q"}, {"mops", one_one.mops},
               {"p50_ns", one_one.p50_ns}, {"p99_ns", one_one.p99_ns}});
     json.Row({{"clients", clients}, {"mode", "2t1q"}, {"mops", two_one.mops},

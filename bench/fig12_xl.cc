@@ -134,10 +134,6 @@ int Main(int argc, char** argv) {
   std::printf("%9d %10.1f %10.1f %10.1f %12lu %10.1f\n", num_nodes, mops,
               latency.Median() / 1e3, latency.P99() / 1e3,
               static_cast<unsigned long>(events), wall_s);
-  std::printf("CSV,fig12_xl,%d,%d,%d,%.2f,%ld,%ld,%lu,%.1f\n", num_nodes,
-              clients * threads, shards, mops, static_cast<long>(latency.Median()),
-              static_cast<long>(latency.P99()),
-              static_cast<unsigned long>(events), wall_s);
   json.Row({{"nodes", num_nodes},
             {"servers", servers},
             {"clients", clients},

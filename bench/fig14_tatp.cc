@@ -62,15 +62,6 @@ int main(int argc, char** argv) {
                 threads, fl.mtps, fl.p50_ns / 1e3, fl.p99_ns / 1e3, fl_abort,
                 ud.mtps, ud.p50_ns / 1e3, ud.p99_ns / 1e3,
                 static_cast<unsigned long>(ud.failed));
-    std::printf("CSV,fig14,%d,flocktx,%.3f,%ld,%ld,%lu\n", threads, fl.mtps,
-                static_cast<long>(fl.p50_ns), static_cast<long>(fl.p99_ns),
-                static_cast<unsigned long>(fl.aborts));
-    std::printf("CSV,fig14,%d,flocktx_lock,%.3f,%ld,%ld,%lu\n", threads, lk.mtps,
-                static_cast<long>(lk.p50_ns), static_cast<long>(lk.p99_ns),
-                static_cast<unsigned long>(lk.aborts));
-    std::printf("CSV,fig14,%d,fasst,%.3f,%ld,%ld,%lu\n", threads, ud.mtps,
-                static_cast<long>(ud.p50_ns), static_cast<long>(ud.p99_ns),
-                static_cast<unsigned long>(ud.failed));
     json.Row({{"threads", threads}, {"system", "flocktx"}, {"mtps", fl.mtps},
               {"p50_ns", fl.p50_ns}, {"p99_ns", fl.p99_ns}, {"aborts", fl.aborts}});
     json.Row({{"threads", threads}, {"system", "flocktx_lock"}, {"mtps", lk.mtps},

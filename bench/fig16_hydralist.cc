@@ -384,14 +384,6 @@ int main(int argc, char** argv) {
           threads, fl.mops, fl.get_p50 / 1e3, fl.get_p99 / 1e3, fl.scan_p50 / 1e3,
           fl.scan_p99 / 1e3, ud.mops, ud.get_p50 / 1e3, ud.get_p99 / 1e3,
           ud.scan_p50 / 1e3, ud.scan_p99 / 1e3);
-      std::printf("CSV,fig161718,%d,%d,flock,%.2f,%ld,%ld,%ld,%ld\n", outstanding,
-                  threads, fl.mops, static_cast<long>(fl.get_p50),
-                  static_cast<long>(fl.get_p99), static_cast<long>(fl.scan_p50),
-                  static_cast<long>(fl.scan_p99));
-      std::printf("CSV,fig161718,%d,%d,erpc,%.2f,%ld,%ld,%ld,%ld\n", outstanding,
-                  threads, ud.mops, static_cast<long>(ud.get_p50),
-                  static_cast<long>(ud.get_p99), static_cast<long>(ud.scan_p50),
-                  static_cast<long>(ud.scan_p99));
       json.Row({{"outstanding", outstanding}, {"threads", threads},
                 {"system", "flock"}, {"mops", fl.mops}, {"get_p50_ns", fl.get_p50},
                 {"get_p99_ns", fl.get_p99}, {"scan_p50_ns", fl.scan_p50},
@@ -410,10 +402,6 @@ int main(int argc, char** argv) {
             "%8d | %10.1f %8.1f %8.1f %9.1f %9.1f | (one-sided mirror gets)\n",
             threads, os.mops, os.get_p50 / 1e3, os.get_p99 / 1e3,
             os.scan_p50 / 1e3, os.scan_p99 / 1e3);
-        std::printf("CSV,fig161718,%d,%d,flock_onesided,%.2f,%ld,%ld,%ld,%ld\n",
-                    outstanding, threads, os.mops, static_cast<long>(os.get_p50),
-                    static_cast<long>(os.get_p99), static_cast<long>(os.scan_p50),
-                    static_cast<long>(os.scan_p99));
         json.Row({{"outstanding", outstanding}, {"threads", threads},
                   {"system", "flock_onesided"}, {"mops", os.mops},
                   {"get_p50_ns", os.get_p50}, {"get_p99_ns", os.get_p99},

@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
     double miss = 0;
     const double mops = RunRcReadPoint(qps, warmup, measure, &miss);
     std::printf("%8d %12.1f %12.1f\n", qps, mops, miss * 100.0);
-    std::printf("CSV,fig2a,%d,%.2f,%.3f\n", qps, mops, miss);
     json.Row({{"figure", "2a"}, {"qps", qps}, {"mops", mops}, {"miss_ratio", miss}});
   }
 
@@ -142,8 +141,6 @@ int main(int argc, char** argv) {
     const RpcBenchResult result = RunUdRpc(config);
     std::printf("%8d %12.1f %12.1f %12lu\n", senders, result.mops,
                 result.server_cpu * 100.0, static_cast<unsigned long>(result.timeouts));
-    std::printf("CSV,fig2b,%d,%.2f,%.3f,%lu\n", senders, result.mops, result.server_cpu,
-                static_cast<unsigned long>(result.timeouts));
     json.Row({{"figure", "2b"},
               {"senders", senders},
               {"mops", result.mops},

@@ -50,13 +50,6 @@ int main(int argc, char** argv) {
                   threads, fl.mops, fl.p50_ns / 1e3, fl.p99_ns / 1e3, fl.coalescing,
                   fl.active_qps, ud.mops, ud.p50_ns / 1e3, ud.p99_ns / 1e3,
                   static_cast<unsigned long>(ud.timeouts));
-      std::printf("CSV,fig678,%d,%d,flock,%.2f,%ld,%ld,%.2f,%u\n", outstanding,
-                  threads, fl.mops, static_cast<long>(fl.p50_ns),
-                  static_cast<long>(fl.p99_ns), fl.coalescing, fl.active_qps);
-      std::printf("CSV,fig678,%d,%d,erpc,%.2f,%ld,%ld,%.2f,%lu\n", outstanding,
-                  threads, ud.mops, static_cast<long>(ud.p50_ns),
-                  static_cast<long>(ud.p99_ns), ud.server_cpu,
-                  static_cast<unsigned long>(ud.timeouts));
       json.Row({{"outstanding", outstanding},
                 {"threads", threads},
                 {"system", "flock"},

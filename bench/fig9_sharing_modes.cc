@@ -50,9 +50,6 @@ int main(int argc, char** argv) {
     std::printf("%8d %10.1f %12.1f %12.1f %12.1f | %12.1f %12.1f\n", threads,
                 fl.mops, none.mops, farm2.mops, farm4.mops, fl.p99_ns / 1e3,
                 none.p99_ns / 1e3);
-    std::printf("CSV,fig9,%d,%.2f,%.2f,%.2f,%.2f,%ld,%ld\n", threads, fl.mops,
-                none.mops, farm2.mops, farm4.mops, static_cast<long>(fl.p99_ns),
-                static_cast<long>(none.p99_ns));
     json.Row({{"threads", threads},
               {"flock_mops", fl.mops},
               {"no_sharing_mops", none.mops},

@@ -294,11 +294,6 @@ int main(int argc, char** argv) {
       std::printf("%8u | %9.2f %8.1f %8.1f | %9.2f %8.1f %8.1f %6.0f%% | %6.2fx\n",
                   payload, rpc.mops, rpc.p50 / 1e3, rpc.p99 / 1e3, os.mops,
                   os.p50 / 1e3, os.p99 / 1e3, os.onesided_frac * 100, speedup);
-      std::printf("CSV,crossover,%u,%d,rpc,%.3f,%ld,%ld\n", payload, read_pct,
-                  rpc.mops, static_cast<long>(rpc.p50), static_cast<long>(rpc.p99));
-      std::printf("CSV,crossover,%u,%d,onesided,%.3f,%ld,%ld,%.3f\n", payload,
-                  read_pct, os.mops, static_cast<long>(os.p50),
-                  static_cast<long>(os.p99), os.onesided_frac);
       json.Row({{"payload", payload}, {"read_pct", read_pct}, {"path", "rpc"},
                 {"mops", rpc.mops}, {"p50_ns", rpc.p50}, {"p99_ns", rpc.p99}});
       json.Row({{"payload", payload}, {"read_pct", read_pct}, {"path", "onesided"},
@@ -308,8 +303,6 @@ int main(int argc, char** argv) {
     }
     // The measured crossover: the largest swept payload where the one-sided
     // plane still beats the RPC plane at this read ratio (-1 = never wins).
-    std::printf("CSV,crossover_point,%d,%ld\n", read_pct,
-                static_cast<long>(crossover_payload));
     json.Row({{"read_pct", read_pct}, {"path", "crossover_point"},
               {"crossover_payload", crossover_payload}});
   }

@@ -262,9 +262,6 @@ int Main(int argc, char** argv) {
                   r.events_per_s, r.rpcs_per_s,
                   static_cast<unsigned long>(r.events), r.sim_mops,
                   r.wall_s * 1e3);
-      std::printf("CSV,perf_smoke_scale,%d,%.0f,%.0f,%lu,%.2f\n", shards,
-                  r.events_per_s, r.rpcs_per_s,
-                  static_cast<unsigned long>(r.events), r.sim_mops);
       JsonRow srow;
       srow.Add("config", shards == 1 ? "scale_seq" : "scale_par")
           .Add("clients", big.clients)

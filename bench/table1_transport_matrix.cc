@@ -71,8 +71,6 @@ int main(int argc, char** argv) {
     std::printf("%-10s %6s %8s %7s %10s %12s\n", row.name, can_read ? "yes" : "no",
                 can_atomic ? "yes" : "no", can_write ? "yes" : "no",
                 can_send ? "yes" : "no", big_payload ? "yes (2GB)" : "no (4KB)");
-    std::printf("CSV,table1,%s,%d,%d,%d,%d,%d\n", row.name, can_read, can_atomic,
-                can_write, can_send, big_payload);
     json.Row({{"transport", row.name},
               {"read", can_read},
               {"atomic", can_atomic},

@@ -317,10 +317,6 @@ void PrintRow(const char* name, const IsoResult& r) {
               static_cast<unsigned long>(r.attacker_throttle_events),
               static_cast<unsigned long>(r.attacker_quota_stalls +
                                          r.attacker_credit_stalls));
-  std::printf("CSV,tenant_isolation,%s,%lu,%ld,%ld,%.0f,%lu\n", name,
-              static_cast<unsigned long>(r.victim_ok),
-              static_cast<long>(r.p50), static_cast<long>(r.p99), r.victim_rps,
-              static_cast<unsigned long>(r.attacker_ok));
 }
 
 // rerun is the profile's second run; the ungated open profile runs once.

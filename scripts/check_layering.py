@@ -3,7 +3,7 @@
 
 The mechanism modules under src/flock/ form a strict stack:
 
-    rank 0  transport, thread      (the seam + per-thread state)
+    rank 0  transport, thread      (ring-write builder + per-thread state)
     rank 1  lane                   (lane/conn/node state containers)
     rank 2  sched/receiver, sched/sender
     rank 3  combine

@@ -10,15 +10,21 @@ aim is measured by.
     mutates another node's state from inside an event);
   - the send_pool.New( call sites under src/flock: each is a distinct path
     that stages a request for the wire (DESIGN.md §16 has one, the chunk
-    builder).
+    builder);
+  - the assignments to a lane's or a sender's lifecycle state (a `state` or
+    `dead` member) under src/flock outside src/flock/lane.cc: every change
+    of state is a named transition in lane.cc (DESIGN.md §10), which the
+    other modules call.
 
 Usage: python3 scripts/size_report.py [--root DIR] [--max-config-fields N]
                                       [--max-send-paths N]
+                                      [--max-state-writers N]
 
 With --max-config-fields, exits 1 if FlockConfig has more than N fields, so
 CI fails when a change adds a knob. With --max-send-paths, exits 1 if there
 are more than N send_pool.New( call sites, so CI fails when a change adds a
-second way to stage a request.
+second way to stage a request. With --max-state-writers, exits 1 if more
+than N lifecycle-state assignments sit outside lane.cc.
 """
 
 import argparse
@@ -31,6 +37,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINE_DIRS = ["src", "src/flock", "bench"]
 SIMULATOR_H = "src/sim/simulator.h"
 CONFIG_H = "src/flock/config.h"
+LANE_CC = os.path.join("src", "flock", "lane.cc")
 
 
 def cxx_files(root, rel):
@@ -106,6 +113,15 @@ def send_paths(root):
     return call_sites(root, "src/flock", r"\bsend_pool\.New\(")
 
 
+def state_writers(root):
+    """{relative path: count} of assignments to a `state` or `dead` member
+    (`x.state = ...`, `x->dead = ...`; not `==`) in the C++ files under
+    src/flock other than lane.cc, comments excluded."""
+    sites = call_sites(root, "src/flock", r"(?:\.|->)\s*(?:state|dead)\s*=(?!=)")
+    sites.pop(LANE_CC, None)
+    return sites
+
+
 def report(root):
     lines = {rel: sum(count_lines(p) for p in cxx_files(root, rel))
              for rel in LINE_DIRS}
@@ -115,6 +131,7 @@ def report(root):
         "config_fields": config_fields(os.path.join(root, CONFIG_H)),
         "touchnode_sites": touchnode_sites(root),
         "send_paths": send_paths(root),
+        "state_writers": state_writers(root),
     }
 
 
@@ -126,6 +143,9 @@ def main(argv=None):
     parser.add_argument("--max-send-paths", type=int, default=None,
                         help="fail if src/flock has more send_pool.New( call "
                              "sites than this")
+    parser.add_argument("--max-state-writers", type=int, default=None,
+                        help="fail if more lane/sender lifecycle-state "
+                             "assignments than this sit outside lane.cc")
     args = parser.parse_args(argv)
 
     r = report(args.root)
@@ -134,10 +154,11 @@ def main(argv=None):
     fields = r["config_fields"]
     print(f"FlockConfig fields {len(fields):>13}  ({', '.join(fields)})")
     for label, key in (("TouchNode call sites", "touchnode_sites"),
-                       ("send_pool.New( sites", "send_paths")):
+                       ("send_pool.New( sites", "send_paths"),
+                       ("lane-state writers", "state_writers")):
         sites = r[key]
         detail = ", ".join(f"{p} {n}" for p, n in sorted(sites.items()))
-        print(f"{label} {sum(sites.values()):>11}  ({detail})")
+        print(f"{label:<20} {sum(sites.values()):>11}  ({detail})")
 
     rc = 0
     if args.max_config_fields is not None and len(fields) > args.max_config_fields:
@@ -148,6 +169,12 @@ def main(argv=None):
     if args.max_send_paths is not None and paths > args.max_send_paths:
         print(f"FAIL: src/flock has {paths} send_pool.New( call sites, more "
               f"than --max-send-paths {args.max_send_paths}")
+        rc = 1
+    writers = sum(r["state_writers"].values())
+    if args.max_state_writers is not None and writers > args.max_state_writers:
+        print(f"FAIL: {writers} lane/sender lifecycle-state assignments "
+              f"outside {LANE_CC}, more than --max-state-writers "
+              f"{args.max_state_writers}")
         rc = 1
     return rc
 

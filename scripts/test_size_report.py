@@ -44,6 +44,16 @@ void F() {
   // A comment naming TouchNode(node) is not a call.
   sim().TouchNode(1); sim().TouchNode(2);
 }
+void QuarantineLane(ClientLane& lane) { lane.state = ClientLaneState::kFailed; }
+void MarkSenderDead(SenderState& sender) { sender.dead = true; }
+"""
+
+# Reads of the lifecycle state, and writes inside comments, are not writers.
+RECEIVER_CC = """\
+bool Live(const ServerLane* lane, const SenderState& s) {
+  // lane->state = ServerLaneState::kActive; in a comment
+  return lane->state == ServerLaneState::kActive && !s.dead;
+}
 """
 
 COMBINE_CC = """\
@@ -70,6 +80,7 @@ class SizeReportTest(unittest.TestCase):
         write(self.root, "src/flock/config.h", CONFIG_H)
         write(self.root, "src/flock/lane.cc", LANE_CC)
         write(self.root, "src/flock/combine.cc", COMBINE_CC)
+        write(self.root, "src/flock/sched/receiver.cc", RECEIVER_CC)
         write(self.root, "src/sim/simulator.h", SIMULATOR_H)
         write(self.root, "src/common/notes.txt", "not C++\n" * 50)
         write(self.root, "bench/a.cc", "int a;\nint b;\n")
@@ -87,7 +98,7 @@ class SizeReportTest(unittest.TestCase):
     def test_counts_lines_of_cxx_files_only(self):
         lines = size_report.report(self.root)["lines"]
         flock = (CONFIG_H.count("\n") + LANE_CC.count("\n") +
-                 COMBINE_CC.count("\n"))
+                 COMBINE_CC.count("\n") + RECEIVER_CC.count("\n"))
         self.assertEqual(lines["src/flock"], flock)
         self.assertEqual(lines["src"], flock + SIMULATOR_H.count("\n"))
         self.assertEqual(lines["bench"], 2)
@@ -126,6 +137,28 @@ class SizeReportTest(unittest.TestCase):
         rc, out = self.run_main("--max-send-paths", "1")
         self.assertEqual(rc, 1)
         self.assertIn("FAIL: src/flock has 2 send_pool.New( call sites", out)
+
+    def test_state_writers_skip_lane_cc_reads_and_comments(self):
+        self.assertEqual(size_report.state_writers(self.root), {})
+
+    def test_max_state_writers_fails_only_when_exceeded(self):
+        rc, out = self.run_main("--max-state-writers", "0")
+        self.assertEqual(rc, 0)
+        self.assertIn("lane-state writers", out)
+        self.assertNotIn("FAIL", out)
+        write(self.root, "src/flock/sched/receiver.cc", RECEIVER_CC + """\
+void Flip(ServerLane& lane, SenderState* s) {
+  lane.state = ServerLaneState::kInactive;
+  s->dead = false;
+}
+""")
+        self.assertEqual(size_report.state_writers(self.root),
+                         {os.path.join("src", "flock", "sched", "receiver.cc"): 2})
+        rc, out = self.run_main("--max-state-writers", "1")
+        self.assertEqual(rc, 1)
+        self.assertIn("FAIL: 2 lane/sender lifecycle-state assignments", out)
+        rc, out = self.run_main("--max-state-writers", "2")
+        self.assertEqual(rc, 0)
 
     def test_missing_config_struct_is_an_error(self):
         write(self.root, "src/flock/config.h", "struct NotIt {};\n")

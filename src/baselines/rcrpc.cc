@@ -13,13 +13,12 @@ uint64_t PendingKey(uint16_t thread_id, uint32_t seq) {
 // Posts a (possibly wrapped) single-request message already encoded in the
 // lane staging buffer.
 template <typename LaneT>
-verbs::WcStatus PostRingWrite(flock::TransportOps& transport, LaneT& lane,
-                              const RingProducer::Reservation& resv,
+verbs::WcStatus PostRingWrite(LaneT& lane, const RingProducer::Reservation& resv,
                               uint32_t msg_len, uint64_t canary) {
   verbs::SendWr wrs[2];
   size_t nwrs = 0;
   flock::AppendRingWrite(lane, resv, msg_len, canary, /*wr_id=*/0, wrs, &nwrs);
-  return transport.PostBatch(*lane.qp, wrs, nwrs);
+  return lane.qp->PostSendBatch(wrs, nwrs);
 }
 
 }  // namespace
@@ -95,7 +94,7 @@ sim::Proc RcRpcServer::Dispatcher(int index) {
       FLOCK_CHECK_EQ(encoder.Seal(lane.req_consumer->consumed_report(), 0), msg_len);
 
       co_await core.Work(2 * cost.cpu_wqe_prep + cost.cpu_mmio_doorbell);
-      FLOCK_CHECK(PostRingWrite(*transport_, lane, resv, msg_len, canary) ==
+      FLOCK_CHECK(PostRingWrite(lane, resv, msg_len, canary) ==
                   verbs::WcStatus::kSuccess);
     }
     co_await core.Work(pass_cost > 0 ? pass_cost : cost.cpu_ring_poll_empty);
@@ -190,8 +189,7 @@ sim::Co<bool> RcRpcClient::Call(FlockThread& thread, Lane& lane, uint16_t rpc_id
   co_await thread.core().Work(cost.cpu_msg_fixed + cost.cpu_msg_per_req +
                               cost.MemcpyCost(len) + 2 * cost.cpu_wqe_prep +
                               cost.cpu_mmio_doorbell);
-  FLOCK_CHECK(PostRingWrite(*transport_, lane, resv, msg_len, canary) ==
-              verbs::WcStatus::kSuccess);
+  FLOCK_CHECK(PostRingWrite(lane, resv, msg_len, canary) == verbs::WcStatus::kSuccess);
   lane.requests += 1;
   lane.lock.Release();
 

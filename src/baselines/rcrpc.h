@@ -79,8 +79,6 @@ class RcRpcClient {
   const int node_;
   RcRpcServer& server_;
   const uint32_t ring_bytes_;
-  // Post/poll seam shared with the Flock runtime (simulated verbs by default).
-  TransportOps* transport_ = &SimTransportInstance();
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::unique_ptr<FlockThread>> threads_;
   std::unordered_map<uint64_t, Pending*> pending_;
@@ -117,7 +115,6 @@ class RcRpcServer {
   verbs::Cluster& cluster_;
   const int node_;
   const int dispatcher_cores_;
-  TransportOps* transport_ = &SimTransportInstance();
   std::unordered_map<uint16_t, RpcHandler> handlers_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::vector<Lane*>> dispatcher_lanes_;

@@ -35,7 +35,7 @@ UdRpcServer::UdRpcServer(verbs::Cluster& cluster, int node, const Config& config
     for (uint32_t i = 0; i < config_.recv_pool; ++i) {
       const uint64_t addr = mem.Alloc(buf_bytes);
       worker.recv_buffers.push_back(addr);
-      transport_->PostRecv(*worker.qp, verbs::RecvWr{addr, addr, buf_bytes});
+      worker.qp->PostRecv(verbs::RecvWr{addr, addr, buf_bytes});
     }
     worker.send_buf = mem.Alloc(static_cast<size_t>(buf_bytes) * kServerSendSlots);
   }
@@ -76,7 +76,7 @@ sim::Proc UdRpcServer::WorkerLoop(int index) {
     // suspend mid-batch, so a fresh poll after each batch picks up datagrams
     // that landed while we were parked (same coverage as a one-at-a-time
     // Poll loop, one poll_cq call per kCqPollBatch CQEs).
-    for (size_t nc; (nc = transport_->PollBatch(*worker.recv_cq, wcs, kCqPollBatch)) > 0;) {
+    for (size_t nc; (nc = worker.recv_cq->PollBatch(wcs, kCqPollBatch)) > 0;) {
       found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
@@ -105,7 +105,7 @@ sim::Proc UdRpcServer::WorkerLoop(int index) {
         // queue is deeper than the staging pool.
         while (posts - acked > kServerSendSlots - kSignal) {
           verbs::Completion send_wcs[kCqPollBatch];
-          for (size_t ns; (ns = transport_->PollBatch(*worker.send_cq, send_wcs, kCqPollBatch)) > 0;) {
+          for (size_t ns; (ns = worker.send_cq->PollBatch(send_wcs, kCqPollBatch)) > 0;) {
             acked += kSignal * ns;
             work += cost.cpu_cqe_handle * static_cast<Nanos>(ns);
           }
@@ -130,16 +130,16 @@ sim::Proc UdRpcServer::WorkerLoop(int index) {
         send.dest_qpn = header.src_qpn;
         posts += 1;
         send.signaled = (posts % kSignal) == 0;
-        if (transport_->Post(*worker.qp, send) != verbs::WcStatus::kSuccess) {
+        if (worker.qp->PostSend(send) != verbs::WcStatus::kSuccess) {
           ++send_failures_;
         }
 
         // Recycle the receive buffer (the dominant Fig. 2(b) cost).
-        transport_->PostRecv(*worker.qp, verbs::RecvWr{wc.wr_id, wc.wr_id, buf_bytes});
+        worker.qp->PostRecv(verbs::RecvWr{wc.wr_id, wc.wr_id, buf_bytes});
         work += cost.cpu_post_recv;
       }
     }
-    for (size_t nc; (nc = transport_->PollBatch(*worker.send_cq, wcs, kCqPollBatch)) > 0;) {
+    for (size_t nc; (nc = worker.send_cq->PollBatch(wcs, kCqPollBatch)) > 0;) {
       acked += kSignal * nc;
       work += cost.cpu_cqe_handle * static_cast<Nanos>(nc);
     }
@@ -176,7 +176,7 @@ UdRpcClient::Thread::Thread(verbs::Cluster& cluster, int node, int core,
   const uint32_t buf_bytes = 4096;
   for (uint32_t i = 0; i < recv_pool; ++i) {
     const uint64_t addr = mem.Alloc(buf_bytes);
-    transport_->PostRecv(*qp_, verbs::RecvWr{addr, addr, buf_bytes});
+    qp_->PostRecv(verbs::RecvWr{addr, addr, buf_bytes});
   }
   send_buf_ = mem.Alloc(static_cast<uint64_t>(buf_bytes) * kSendSlots);
 }
@@ -215,7 +215,7 @@ sim::Co<UdRpcClient::Pending*> UdRpcClient::Thread::Send(const UdEndpoint& serve
   send.dest_node = server.node;
   send.dest_qpn = server.qpn;
   send.signaled = (pending->seq % 64) == 0;
-  FLOCK_CHECK(transport_->Post(*qp_, send) == verbs::WcStatus::kSuccess);
+  FLOCK_CHECK(qp_->PostSend(send) == verbs::WcStatus::kSuccess);
   co_return pending;
 }
 
@@ -224,14 +224,14 @@ bool UdRpcClient::Thread::DrainCompletions(Nanos* work) {
   fabric::MemorySpace& mem = cluster_.mem(node_);
   bool any = false;
   verbs::Completion wcs[kCqPollBatch];
-  for (size_t nc; (nc = transport_->PollBatch(*recv_cq_, wcs, kCqPollBatch)) > 0;) {
+  for (size_t nc; (nc = recv_cq_->PollBatch(wcs, kCqPollBatch)) > 0;) {
     any = true;
     for (size_t ci = 0; ci < nc; ++ci) {
       const verbs::Completion& wc = wcs[ci];
       *work += cost.cpu_cqe_handle + cost.cpu_ud_pkt_process + cost.cpu_post_recv;
       UdWireHeader header;
       mem.Read(wc.wr_id, &header, sizeof(header));
-      transport_->PostRecv(*qp_, verbs::RecvWr{wc.wr_id, wc.wr_id, 4096});
+      qp_->PostRecv(verbs::RecvWr{wc.wr_id, wc.wr_id, 4096});
       auto it = pending_.find(header.seq);
       if (it == pending_.end()) {
         continue;  // response for a request we already declared lost
@@ -251,7 +251,7 @@ bool UdRpcClient::Thread::DrainCompletions(Nanos* work) {
       break;
     }
   }
-  for (size_t nc; (nc = transport_->PollBatch(*send_cq_, wcs, kCqPollBatch)) > 0;) {
+  for (size_t nc; (nc = send_cq_->PollBatch(wcs, kCqPollBatch)) > 0;) {
     *work += cost.cpu_cqe_handle * static_cast<Nanos>(nc);
     if (nc < kCqPollBatch) {
       break;

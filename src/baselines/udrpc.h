@@ -75,8 +75,6 @@ class UdRpcServer {
   verbs::Cluster& cluster_;
   const int node_;
   Config config_;
-  // Post/poll seam shared with the Flock runtime (simulated verbs by default).
-  TransportOps* transport_ = &SimTransportInstance();
   std::unordered_map<uint16_t, RpcHandler> handlers_;
   std::vector<Worker> workers_;
   uint64_t requests_handled_ = 0;
@@ -132,7 +130,6 @@ class UdRpcClient {
     verbs::Cluster& cluster_;
     int node_;
     sim::Core* core_;
-    TransportOps* transport_ = &SimTransportInstance();
     verbs::Qp* qp_ = nullptr;
     verbs::Cq* send_cq_ = nullptr;
     verbs::Cq* recv_cq_ = nullptr;

@@ -282,12 +282,12 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
     RingProducer::Reservation resv;
     bool requeued = false;  // batch handed off (migrated or dropped)
     while (true) {
-      if (!lane.active && lane.credits == 0) {
+      if (lane.state != ClientLaneState::kActive && lane.credits == 0) {
         // Deactivated and drained: migrate the queued work to an active lane
         // (sender-side thread scheduling will move the threads themselves).
         ClientLane* target = nullptr;
         for (const auto& other : conn.lanes) {
-          if (other->active) {
+          if (other->state == ClientLaneState::kActive) {
             target = other.get();
             break;
           }
@@ -314,7 +314,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
           requeued = true;  // queue is empty now: park at the loop top
           break;
         }
-        if (lane.failed) {
+        if (lane.quarantined()) {
           // Quarantined with nowhere to migrate: drop the queued sends and
           // release their waiters. The RPCs stay pending — the retry watchdog
           // retransmits them (or fails them) on whatever lane survives.
@@ -400,8 +400,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
 
     co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +
                        cost.cpu_mmio_doorbell);
-    const verbs::WcStatus status =
-        conn.env->transport->PostBatch(*lane.qp, wrs, nwrs);
+    const verbs::WcStatus status = lane.qp->PostSendBatch(wrs, nwrs);
     if (status != verbs::WcStatus::kSuccess) {
       // The QP is dead (it rejects posts only in the error state). Quarantine
       // the lane and push the batch back in front of the queue: the migration
@@ -495,11 +494,9 @@ sim::Proc MemPump(ClientConnState& conn, ClientLane& lane) {
     // above covers every WR (PostSendBatch is all-or-nothing, so a rejected
     // batch falls back to per-op posts — each op then learns its own status
     // instead of inheriting whichever WR poisoned the chain).
-    if (conn.env->transport->PostBatch(*lane.qp, wrs.data(), wrs.size()) !=
-        verbs::WcStatus::kSuccess) {
+    if (lane.qp->PostSendBatch(wrs.data(), wrs.size()) != verbs::WcStatus::kSuccess) {
       for (PendingMemOp* op = batch_head; op != nullptr; op = op->next) {
-        const verbs::WcStatus status =
-            conn.env->transport->Post(*lane.qp, op->wr);
+        const verbs::WcStatus status = lane.qp->PostSend(op->wr);
         if (status != verbs::WcStatus::kSuccess) {
           op->status = status;
           op->done_event.Fire(conn.env->sim());

@@ -26,7 +26,7 @@ sim::Proc RequestDispatcher(NodeEnv& env, ServerState& server, int index) {
          li < server.dispatcher_lanes[static_cast<size_t>(index)].size(); ++li) {
       ServerLane& lane = *server.dispatcher_lanes[static_cast<size_t>(index)][li];
       pass_cost += cost.cpu_ring_poll_empty;
-      if (lane.in_service || lane.failed) {
+      if (lane.in_service || lane.state == ServerLaneState::kFailed) {
         continue;  // owned by an RPC worker right now, or quarantined
       }
       wire::MsgHeader header;
@@ -71,7 +71,7 @@ sim::Proc RpcWorker(NodeEnv& env, ServerState& server, int index) {
     ServerLane& lane = *server.work_queue.front();
     server.work_queue.pop_front();
     wire::MsgHeader header;
-    if (!lane.failed &&
+    if (lane.state != ServerLaneState::kFailed &&
         lane.req_consumer->Probe(&header) == wire::ProbeResult::kMessage) {
       co_await core.Work(cost.cpu_cacheline_transfer);  // take over the lane
       co_await HandleRequestMessage(env, server, lane, core, header, scratch);
@@ -97,7 +97,7 @@ sim::Co<bool> PostResponse(NodeEnv& env, ServerState& server, ServerLane& lane,
   RingProducer::Reservation resv;
   uint64_t stalls = 0;
   while (!lane.resp_producer.Reserve(msg_len, &resv)) {
-    if (lane.failed) {
+    if (lane.state == ServerLaneState::kFailed) {
       // The client stopped consuming because it is gone, not slow. Drop the
       // responses; its RPCs recover (or fail) through their own timeouts.
       server.stats.responses_dropped += 1;
@@ -109,7 +109,7 @@ sim::Co<bool> PostResponse(NodeEnv& env, ServerState& server, ServerLane& lane,
     // and ends this stall.
     if ((++stalls & 63) == 0) {
       WriteCtrlSlot(env, lane, server.stats, /*signaled=*/true);
-      if (lane.failed) {
+      if (lane.state == ServerLaneState::kFailed) {
         server.stats.responses_dropped += 1;
         co_return false;
       }
@@ -140,8 +140,7 @@ sim::Co<bool> PostResponse(NodeEnv& env, ServerState& server, ServerLane& lane,
                   TagWrId(WrTag::kServerWrite, &lane), wrs, &nwrs);
   co_await core.Work(static_cast<Nanos>(nwrs) * cost.cpu_wqe_prep +
                      cost.cpu_mmio_doorbell);
-  if (env.transport->PostBatch(*lane.qp, wrs, nwrs) !=
-      verbs::WcStatus::kSuccess) {
+  if (lane.qp->PostSendBatch(wrs, nwrs) != verbs::WcStatus::kSuccess) {
     QuarantineServerLane(lane, server.stats);
     server.stats.responses_dropped += 1;
     co_return false;
@@ -349,8 +348,7 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
     bool found = false;
     // Vectorized send-CQ drain (selective signaling keeps this sparse, but
     // error bursts — a flushed QP — arrive as whole batches).
-    for (size_t nc;
-         (nc = env.transport->PollBatch(*env.send_cq, wcs, kCqPollBatch)) > 0;) {
+    for (size_t nc; (nc = env.send_cq->PollBatch(wcs, kCqPollBatch)) > 0;) {
       found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
@@ -506,7 +504,7 @@ sim::Proc ResponseDispatcher(NodeEnv& env, ClientState& client,
           slot_wr.remote_addr = lane.head_slot_remote_addr;
           slot_wr.rkey = lane.head_slot_rkey;
           slot_wr.signaled = false;
-          if (env.transport->Post(*lane.qp, slot_wr) != verbs::WcStatus::kSuccess) {
+          if (lane.qp->PostSend(slot_wr) != verbs::WcStatus::kSuccess) {
             QuarantineLane(*conn, lane);
           }
           work += cost.cpu_wqe_prep + cost.cpu_mmio_doorbell;

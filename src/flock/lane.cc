@@ -9,15 +9,19 @@ namespace flock {
 namespace internal {
 
 // ---------------------------------------------------------------------------
-// Quarantine and lane selection
+// Lane state transitions (DESIGN.md §10) and lane selection
 // ---------------------------------------------------------------------------
 
+void SetLaneActive(ClientLane& lane, bool active) {
+  FLOCK_CHECK(!lane.quarantined());
+  lane.state = active ? ClientLaneState::kActive : ClientLaneState::kInactive;
+}
+
 void QuarantineLane(ClientConnState& conn, ClientLane& lane) {
-  if (lane.failed) {
+  if (lane.quarantined()) {
     return;
   }
-  lane.failed = true;
-  lane.active = false;
+  lane.state = ClientLaneState::kFailed;
   lane.credits = 0;
   lane.renew_in_flight = false;
   conn.client->stats.lane_failures += 1;
@@ -55,19 +59,21 @@ ClientLane& LaneFor(ClientConnState& conn, FlockThread& thread) {
     conn.thread_lane[tid] = current;
   }
   if (current == UINT32_MAX ||
-      (!conn.lanes[current]->active && thread.outstanding == 0)) {
+      (conn.lanes[current]->state != ClientLaneState::kActive &&
+       thread.outstanding == 0)) {
     // Initial (or repair) assignment: spread over the active lanes.
     std::vector<uint32_t> active;
     for (uint32_t i = 0; i < conn.lanes.size(); ++i) {
-      if (conn.lanes[i]->active) {
+      if (conn.lanes[i]->state == ClientLaneState::kActive) {
         active.push_back(i);
       }
     }
     if (active.empty()) {
       // Server guarantees >= 1 active in healthy operation, so this is
-      // transient; prefer any surviving lane over a quarantined one.
-      for (uint32_t i = 0; i < conn.lanes.size(); ++i) {
-        if (!conn.lanes[i]->failed && !conn.lanes[i]->retired) {
+      // transient; prefer any surviving lane over a quarantined one (a
+      // closed handle has none).
+      for (uint32_t i = 0; !conn.closed && i < conn.lanes.size(); ++i) {
+        if (!conn.lanes[i]->quarantined()) {
           active.push_back(i);
           break;
         }
@@ -83,16 +89,43 @@ ClientLane& LaneFor(ClientConnState& conn, FlockThread& thread) {
   return *conn.lanes[current];
 }
 
+void SetServerLaneActive(ServerLane& lane, bool active, ServerStats& stats) {
+  FLOCK_CHECK(lane.state != ServerLaneState::kFailed);
+  lane.state = active ? ServerLaneState::kActive : ServerLaneState::kInactive;
+  (active ? stats.activations : stats.deactivations) += 1;
+}
+
 void QuarantineServerLane(ServerLane& lane, ServerStats& stats) {
-  if (lane.failed) {
+  if (lane.state == ServerLaneState::kFailed) {
     return;
   }
-  lane.failed = true;
-  if (lane.active) {
-    lane.active = false;
+  if (lane.state == ServerLaneState::kActive) {
     stats.deactivations += 1;
   }
+  lane.state = ServerLaneState::kFailed;
   stats.lane_failures += 1;
+}
+
+void MarkSenderDead(NodeEnv& env, ServerState& server, SenderState& sender) {
+  if (sender.dead) {
+    return;
+  }
+  sender.dead = true;
+  server.stats.dead_senders += 1;
+  // The tenant_charged latch releases the admission accounting exactly once
+  // across the sender's lifetime: a sender revived after this and killed
+  // again releases nothing more.
+  if (sender.tenant_charged) {
+    ctrl::ControlPlane::For(*env.cluster)
+        .tenants()
+        .ReleaseConnection(sender.tenant_id, sender.tenant_lanes_charged);
+    sender.tenant_charged = false;
+    sender.tenant_lanes_charged = 0;
+  }
+}
+
+void ReviveSender(SenderState& sender) {
+  sender.dead = false;
 }
 
 void HandleSendError(const verbs::Completion& wc, ServerStats& stats) {
@@ -198,7 +231,7 @@ void ResetRings(NodeEnv& env, ServerLane& lane, ServerStats& stats) {
 // Receives for the control write-with-imm messages a lane half takes.
 void PostCtrlRecvs(NodeEnv& env, verbs::Qp& qp, uint64_t wr_id) {
   for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(qp, verbs::RecvWr{wr_id, 0, 0});
+    qp.PostRecv(verbs::RecvWr{wr_id, 0, 0});
   }
 }
 
@@ -220,13 +253,15 @@ cw::ServerLaneInfo Advertise(const ServerLane& lane) {
   info.req_ring_rkey = lane.req_ring_rkey;
   info.head_slot_addr = lane.head_slot_addr;
   info.head_slot_rkey = lane.head_slot_rkey;
-  info.active = lane.active ? 1 : 0;
+  info.active = lane.state == ServerLaneState::kActive ? 1 : 0;
   info.credits = static_cast<uint32_t>(lane.credits_outstanding);
   return info;
 }
 
 // Applies a (connect/reconnect/add-lane) accept to the client lane: peer QP
-// wiring, remote addresses, posted receives, bootstrap control slot.
+// wiring, remote addresses, posted receives, bootstrap control slot, and the
+// state the server gave it. This is how a lane enters service: built fresh,
+// or revived from kReconnecting.
 void WireClientLane(ClientLane& lane, const cw::ServerLaneInfo& info,
                     uint32_t grant_cumulative) {
   NodeEnv& env = *lane.conn->env;
@@ -236,7 +271,8 @@ void WireClientLane(ClientLane& lane, const cw::ServerLaneInfo& info,
   lane.head_slot_remote_addr = info.head_slot_addr;
   lane.head_slot_rkey = info.head_slot_rkey;
   PostCtrlRecvs(env, *lane.qp, TagWrId(WrTag::kRecv, &lane));
-  lane.active = info.active != 0;
+  lane.state = info.active != 0 ? ClientLaneState::kActive
+                                : ClientLaneState::kInactive;
   lane.credits = info.credits;
   lane.grants_seen = grant_cumulative;
   CtrlSlot bootstrap;
@@ -294,7 +330,7 @@ void AddServerLane(NodeEnv& env, ServerState& server, uint32_t sender_key,
   sl->remote_ring_addr = in.resp_ring_addr;
   sl->remote_ring_rkey = in.resp_ring_rkey;
   PostCtrlRecvs(env, *sl->qp, TagWrId(WrTag::kServerRecv, sl.get()));
-  sl->active = active;
+  sl->state = active ? ServerLaneState::kActive : ServerLaneState::kInactive;
   sl->credits_outstanding = active ? env.config->credits : 0;
   *out = Advertise(*sl);
 
@@ -400,6 +436,14 @@ struct CtrlReply {
     return cw::EncodeMessage(buf, cap, type, nonce, &body, len);
   }
 };
+
+// Revive: a reconnect handshake brings a quarantined server lane back
+// active.
+void ReviveServerLane(ServerLane& lane, ServerStats& stats) {
+  FLOCK_CHECK(lane.state == ServerLaneState::kFailed);
+  lane.state = ServerLaneState::kActive;
+  stats.activations += 1;
+}
 
 // The sender a per-handle request (reconnect, add-lane, disconnect) names by
 // conn_id, or nullptr when this node serves none by that id (kBadConnId).
@@ -533,9 +577,7 @@ uint32_t HandleReconnect(NodeEnv& env, ServerState& server,
   // The client is authoritative about its half being dead. If this side has
   // not noticed yet (no send completed in error), condemn it now so the
   // revival below starts from the quarantined state either way.
-  if (!lane.failed) {
-    QuarantineServerLane(lane, server.stats);
-  }
+  QuarantineServerLane(lane, server.stats);
 
   // Fresh server QP wired to the client's fresh QP. The dead QP is abandoned
   // in place — qpns are never reused, so its late flushes are recognizably
@@ -552,15 +594,12 @@ uint32_t HandleReconnect(NodeEnv& env, ServerState& server,
   lane.qp = fresh;
   PostCtrlRecvs(env, *fresh, TagWrId(WrTag::kServerRecv, &lane));
 
-  lane.failed = false;
-  lane.active = true;
-  server.stats.activations += 1;
+  ReviveServerLane(lane, server.stats);
   lane.credits_outstanding = env.config->credits;
   lane.utilization = 0;
   lane.messages_at_last_sweep = lane.messages_handled;
   server.stats.lane_reconnects += 1;
-  sender->dead = false;
-  sender->functioning = true;
+  ReviveSender(*sender);
   // Shield the revived lane from dead-sender reclamation for two sweeps; it
   // has zero utilization by construction (the double-reclaim bug).
   sender->revive_grace = 2;
@@ -620,7 +659,7 @@ uint32_t HandleAddLane(NodeEnv& env, ServerState& server,
 void TearDownOneSender(NodeEnv& env, ServerState& server,
                        SenderState& sender) {
   for (ServerLane* lane : sender.lanes) {
-    if (!lane->failed) {
+    if (lane->state != ServerLaneState::kFailed) {
       // Destroy the transport the way a real server tears down a departed
       // client's QPs: error it (flushing our posts) so the peer — should
       // the node come back before rejoining — sees kRemoteInvalidQp.
@@ -628,20 +667,8 @@ void TearDownOneSender(NodeEnv& env, ServerState& server,
       QuarantineServerLane(*lane, server.stats);
     }
   }
-  sender.dead = true;
-  sender.functioning = false;
+  MarkSenderDead(env, server, sender);
   sender.revive_grace = 0;
-  server.stats.dead_senders += 1;
-  // The departed client's tenant admission accounting is released here
-  // exactly once — tenant_charged also guards the Redistribute dead-sender
-  // reclamation path, so a sender reclaimed both ways releases once.
-  if (sender.tenant_charged) {
-    ctrl::ControlPlane::For(*env.cluster)
-        .tenants()
-        .ReleaseConnection(sender.tenant_id, sender.tenant_lanes_charged);
-    sender.tenant_charged = false;
-    sender.tenant_lanes_charged = 0;
-  }
 
   // Release every lane that is not mid-dispatch (DESIGN.md §13). A lane
   // handed to an RPC worker (in_service) stays quarantined in place; its
@@ -762,6 +789,18 @@ bool CtrlExchange(const ClientConnState& conn, cw::MsgType type,
   return false;
 }
 
+// Begin/abandon reconnect: the reconnect daemon's transitions of a
+// quarantined client lane (WireClientLane revives it).
+void BeginReconnect(ClientLane& lane) {
+  FLOCK_CHECK(lane.state == ClientLaneState::kFailed);
+  lane.state = ClientLaneState::kReconnecting;
+}
+
+void AbandonReconnect(ClientLane& lane) {
+  FLOCK_CHECK(lane.state == ClientLaneState::kReconnecting);
+  lane.state = ClientLaneState::kFailed;
+}
+
 // Accelerates watchdog recovery of the RPCs accounted to a just-revived
 // lane: their deadlines collapse to "now" so the next tick retransmits.
 void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index) {
@@ -787,7 +826,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     }
     ClientLane* victim = nullptr;
     for (const auto& lane : conn.lanes) {
-      if (lane->failed) {
+      if (lane->state == ClientLaneState::kFailed) {
         victim = lane.get();
         break;
       }
@@ -798,7 +837,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
       continue;
     }
 
-    victim->reconnecting = true;
+    BeginReconnect(*victim);
     co_await sim::Delay(sim, backoff);
     // The out-of-band channel is slow (RDMA-CM over TCP): one RTT of latency
     // charged up front, so everything from the gate below through the resync
@@ -812,7 +851,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
         !cp.IsMember(conn.server_node) ||
         victim->pump_running || victim->mem_pump_running ||
         victim->in_dispatch) {
-      victim->reconnecting = false;
+      AbandonReconnect(*victim);
       backoff = std::min<Nanos>(backoff * 2, kReconnectBackoff * 256);
       continue;
     }
@@ -824,7 +863,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     if (fresh->in_error()) {
       // This node was killed (Device::MarkKilled): its NIC never comes back,
       // so no handshake can give any lane a working QP.
-      victim->reconnecting = false;
+      AbandonReconnect(*victim);
       co_return;
     }
     cw::ReconnectRequest req;
@@ -842,7 +881,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     if (!CtrlExchange(conn, cw::MsgType::kReconnectRequest, cp.NextNonce(),
                       req, sizeof(req), cw::DecodeReconnectAccept, &accept,
                       &reason)) {
-      victim->reconnecting = false;
+      AbandonReconnect(*victim);
       // The server no longer knows this handle (its slot was torn down, or
       // names another handle now): no retry can succeed, so stop for good.
       if (reason == cw::RejectReason::kBadConnId ||
@@ -860,11 +899,9 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     // resync from the accept.
     ResetRings(*conn.env, *victim, conn.client->stats);
     victim->qp = fresh;
-    victim->failed = false;
     victim->renew_in_flight = false;
     victim->resp_bytes_since_send = 0;
     WireClientLane(*victim, accept.lane, accept.grant_cumulative);
-    victim->reconnecting = false;
     victim->reconnects += 1;
     conn.client->stats.lane_reconnects += 1;
     victim->send_ready.NotifyAll();
@@ -1032,8 +1069,9 @@ void CloseClientConn(ClientConnState& conn) {
 
   for (auto& lane_ptr : conn.lanes) {
     ClientLane& lane = *lane_ptr;
-    lane.retired = true;
-    lane.active = false;
+    if (!lane.quarantined()) {
+      SetLaneActive(lane, false);
+    }
     lane.credits = 0;
     // Releasable only when nothing still references the transport half: no
     // pump mid-batch, no dispatcher mid-probe, nothing combined or in flight.
@@ -1042,11 +1080,11 @@ void CloseClientConn(ClientConnState& conn) {
     const bool quiescent = !lane.pump_running && !lane.mem_pump_running &&
                            !lane.in_dispatch && lane.inflight == 0 &&
                            lane.combine_head == nullptr &&
-                           lane.memop_head == nullptr && !lane.failed &&
+                           lane.memop_head == nullptr && !lane.quarantined() &&
                            lane.qp != nullptr;
     if (quiescent) {
       ReleaseClientLane(lane);
-    } else if (lane.qp != nullptr && !lane.failed) {
+    } else if (lane.qp != nullptr && !lane.quarantined()) {
       // Not recyclable: error the QP so the server side sees the departure
       // (kRemoteInvalidQp on its next write) instead of a silent ghost.
       env.device().ErrorQp(*lane.qp);

@@ -3,7 +3,7 @@
 // on, and the control-plane lifecycle (handshake build/wire, quarantine,
 // reconnect, lazy add-lane, close and membership teardown).
 //
-// Layering (DESIGN.md §11): lane sits directly above the transport seam.
+// Layering (DESIGN.md §11): lane sits directly above the verbs layer.
 // Everything here is mechanism-module internal; the public API wrapping it
 // lives in runtime.h.
 #ifndef FLOCK_FLOCK_LANE_H_
@@ -237,6 +237,23 @@ struct ServerLaneRes {
 
 struct ClientConnState;
 
+// ---- lane lifecycle states (DESIGN.md §10) ----
+//
+// One state per lane half, changed only by the transitions in lane.cc; the
+// other modules read it. "Retired" is the handle's `closed`, not a state.
+enum class ClientLaneState : uint8_t {
+  kActive,        // healthy and switched on by the server's QP scheduler
+  kInactive,      // healthy, switched off (§5.1): drains, then migrates work
+  kFailed,        // quarantined: the QP errored; work migrates off the lane
+  kReconnecting,  // quarantined, and the reconnect daemon is mid-handshake
+};
+
+enum class ServerLaneState : uint8_t {
+  kActive,    // granted credits, counted against MAX_AQP
+  kInactive,  // switched off by Redistribute: no grants
+  kFailed,    // quarantined: no dispatch, grants or reactivation
+};
+
 // ---- client side of one QP lane ----
 struct ClientLane : ClientLaneRes {
   ClientLane(sim::Simulator& sim, fabric::MemorySpace& mem,
@@ -266,17 +283,14 @@ struct ClientLane : ClientLaneRes {
 
   // Credits and activation (receiver-side QP scheduling, §5.1).
   uint64_t credits = 0;
-  bool active = true;
-  // Quarantined: the lane's QP errored. Queued work and threads migrate to
-  // surviving lanes, in-flight RPCs recover via retry, and the connection's
-  // reconnect daemon revives the lane through the control plane.
-  bool failed = false;
-  // The reconnect daemon is mid-handshake for this lane (introspection only;
-  // the lane still counts as failed until the handshake lands).
-  bool reconnecting = false;
-  // Retired by CloseConnection: deactivated for good, excluded from failure
-  // accounting and never reconnected or reactivated.
-  bool retired = false;
+  ClientLaneState state = ClientLaneState::kActive;
+  // Failed or reconnecting. Queued work and threads migrate to surviving
+  // lanes, in-flight RPCs recover via retry, and the connection's reconnect
+  // daemon revives the lane through the control plane.
+  bool quarantined() const {
+    return state == ClientLaneState::kFailed ||
+           state == ClientLaneState::kReconnecting;
+  }
   // A response dispatcher is between its probe of this lane's rings and the
   // matching consume; the reconnect daemon must not resync state under it.
   bool in_dispatch = false;
@@ -362,12 +376,11 @@ struct ServerLane : ServerLaneRes {
   uint32_t ctrl_slot_rkey = 0;
   uint32_t grant_cumulative = 0;  // total credits ever granted on this lane
 
-  // Receiver-side scheduling state (§5.1).
-  bool active = true;
-  // Quarantined: the QP errored (flush on our posts, or the client side
-  // vanished). Excluded from dispatch, credit grants and redistribution
-  // until a control-plane reconnect revives it.
-  bool failed = false;
+  // Receiver-side scheduling state (§5.1). kFailed: the QP errored (flush
+  // on our posts, or the client side vanished); excluded from dispatch,
+  // credit grants and redistribution until a control-plane reconnect
+  // revives it.
+  ServerLaneState state = ServerLaneState::kActive;
   uint64_t credits_outstanding = 0;  // granted minus (estimated) consumed
   uint64_t utilization = 0;          // U_ij: Σ reported degrees this interval
   uint64_t posts = 0;
@@ -399,9 +412,9 @@ struct SenderState {
   int client_node = -1;
   std::vector<ServerLane*> lanes;
   uint64_t utilization = 0;  // U_i
-  bool functioning = true;
   // All lanes failed (directly, or by dead-sender reclamation): the sender
-  // no longer participates in the QP-scheduling budget at all.
+  // no longer participates in the QP-scheduling budget at all. Written only
+  // by MarkSenderDead and ReviveSender.
   bool dead = false;
   // Redistribute passes to skip dead-sender reclamation after a lane of this
   // sender was revived through the control plane. A just-reconnected lane has
@@ -425,15 +438,14 @@ struct SenderState {
 // ---- per-node / per-connection state containers ----
 
 // The per-node environment every mechanism module runs against: the cluster,
-// the node identity, the shared CQs, the transport seam, and the runtime's
-// RNG stream. One NodeEnv per FlockRuntime; the pointers alias the runtime's
-// own members (notably rng_state: client canaries, thread seeds and server
-// canaries must draw from one per-node stream, in program order).
+// the node identity, the shared CQs, and the runtime's RNG stream. One
+// NodeEnv per FlockRuntime; the pointers alias the runtime's own members
+// (notably rng_state: client canaries, thread seeds and server canaries must
+// draw from one per-node stream, in program order).
 struct NodeEnv {
   verbs::Cluster* cluster = nullptr;
   int node = -1;
   const FlockConfig* config = nullptr;
-  TransportOps* transport = nullptr;
   verbs::Cq* send_cq = nullptr;
   verbs::Cq* recv_cq = nullptr;
   uint64_t* rng_state = nullptr;
@@ -562,8 +574,12 @@ struct ServerState {
 
 // ---- lane lifecycle (lane.cc) ----
 
-// Marks a lane's QP as dead: deactivates it, zeroes its credits and wakes
-// the pump so queued work migrates to a surviving lane, and kicks the
+// Activate/deactivate (§5.1): the server's QP scheduler switched a healthy
+// client lane on or off (ApplyCtrlSlot), or a close switched it off.
+void SetLaneActive(ClientLane& lane, bool active);
+
+// Quarantine: marks a lane's QP as dead (kFailed), zeroes its credits and
+// wakes the pump so queued work migrates to a surviving lane, and kicks the
 // reconnect daemon. Idempotent.
 void QuarantineLane(ClientConnState& conn, ClientLane& lane);
 
@@ -571,8 +587,22 @@ void QuarantineLane(ClientConnState& conn, ClientLane& lane);
 // repairing assignments that point at dead lanes.
 ClientLane& LaneFor(ClientConnState& conn, FlockThread& thread);
 
+// Activate/deactivate a healthy server lane (Redistribute), counted in
+// stats.activations / stats.deactivations.
+void SetServerLaneActive(ServerLane& lane, bool active, ServerStats& stats);
+
 // Marks a server lane's QP dead: no more dispatch, grants or reactivation.
 void QuarantineServerLane(ServerLane& lane, ServerStats& stats);
+
+// The one sender death: marks `sender` dead, counts it in
+// stats.dead_senders and releases its tenant admission charge. Idempotent,
+// so a sender reclaimed by Redistribute and later torn down (or the
+// reverse) dies, counts and releases once.
+void MarkSenderDead(NodeEnv& env, ServerState& server, SenderState& sender);
+
+// A dead sender regained a live lane (a reconnect, or a lane added while it
+// was dead): it rejoins the QP-scheduling budget.
+void ReviveSender(SenderState& sender);
 
 // Routes an errored send completion to the owning lane (either role: the
 // node-shared CQs are drained by whichever poller gets there first).

@@ -48,7 +48,6 @@ FlockRuntime::FlockRuntime(verbs::Cluster& cluster, int node, const FlockConfig&
   env_.cluster = &cluster_;
   env_.node = node_;
   env_.config = &config_;
-  env_.transport = &SimTransportInstance();
   env_.send_cq = send_cq_;
   env_.recv_cq = recv_cq_;
   env_.rng_state = &rng_state_;
@@ -160,7 +159,7 @@ FlockThread* FlockRuntime::CreateThread(int core) {
 uint32_t FlockRuntime::ActiveServerLanes() const {
   uint32_t n = 0;
   for (const auto& lane : server_.lanes) {
-    n += lane->active ? 1 : 0;
+    n += lane->state == internal::ServerLaneState::kActive ? 1 : 0;
   }
   return n;
 }
@@ -297,7 +296,7 @@ void FlockRuntime::CloseConnection(Connection* conn) {
 uint32_t Connection::num_active_lanes() const {
   uint32_t n = 0;
   for (const auto& lane : state_.lanes) {
-    n += lane->active ? 1 : 0;
+    n += lane->state == internal::ClientLaneState::kActive ? 1 : 0;
   }
   return n;
 }
@@ -305,7 +304,7 @@ uint32_t Connection::num_active_lanes() const {
 uint32_t Connection::num_failed_lanes() const {
   uint32_t n = 0;
   for (const auto& lane : state_.lanes) {
-    n += lane->failed ? 1 : 0;
+    n += lane->quarantined() ? 1 : 0;
   }
   return n;
 }
@@ -343,14 +342,12 @@ double Connection::MeanCoalescing() const {
 Connection::LaneStates Connection::CountLaneStates() const {
   LaneStates s;
   for (const auto& lane : state_.lanes) {
-    if (lane->retired) {
+    if (state_.closed) {
       s.retired += 1;
-    } else if (lane->failed) {
-      if (lane->reconnecting) {
-        s.reconnecting += 1;
-      } else {
-        s.quarantined += 1;
-      }
+    } else if (lane->state == internal::ClientLaneState::kReconnecting) {
+      s.reconnecting += 1;
+    } else if (lane->state == internal::ClientLaneState::kFailed) {
+      s.quarantined += 1;
     } else {
       s.healthy += 1;
     }

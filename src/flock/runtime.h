@@ -9,7 +9,7 @@
 // live in per-module headers beneath it (DESIGN.md §11): lane lifecycle in
 // lane.h, thread combining in combine.h, credit/thread scheduling in sched/,
 // retransmission in watchdog.h, request/response dispatch in dispatch.h, all
-// over the transport seam in transport.h.
+// over the verbs layer.
 //
 // Table 2 mapping:
 //   fl_connect        → FlockRuntime::Connect

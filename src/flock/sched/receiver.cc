@@ -12,7 +12,7 @@ void WriteCtrlSlot(NodeEnv& env, ServerLane& lane, ServerStats& stats,
                    bool signaled) {
   CtrlSlot slot;
   slot.grant_cumulative = lane.grant_cumulative;
-  slot.active = lane.active ? 1 : 0;
+  slot.active = lane.state == ServerLaneState::kActive ? 1 : 0;
   if (env.config->segment_threshold > 0 && lane.req_consumer != nullptr) {
     // Segmentation (DESIGN.md §16): ride the request-ring head report in the
     // pad bytes so a pure-chunk upload (no response messages to piggyback
@@ -29,7 +29,7 @@ void WriteCtrlSlot(NodeEnv& env, ServerLane& lane, ServerStats& stats,
   wr.remote_addr = lane.ctrl_slot_remote_addr;
   wr.rkey = lane.ctrl_slot_rkey;
   wr.signaled = signaled;
-  if (env.transport->Post(*lane.qp, wr) != verbs::WcStatus::kSuccess) {
+  if (lane.qp->PostSend(wr) != verbs::WcStatus::kSuccess) {
     QuarantineServerLane(lane, stats);
   }
 }
@@ -55,7 +55,7 @@ verbs::SendWr RenewalWr(ClientLane& lane) {
 
 void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
                        verbs::SendWr* wrs, size_t* nwrs) {
-  if (!lane.active || lane.renew_in_flight ||
+  if (lane.state != ClientLaneState::kActive || lane.renew_in_flight ||
       lane.credits > config.credits / 2) {
     return;
   }
@@ -63,7 +63,7 @@ void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
 }
 
 bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
-  if (lane.failed || lane.retired) {
+  if (lane.quarantined() || lane.conn->closed) {
     return false;  // quarantined/retired: stale grants must not resurrect it
   }
   // Polled every dispatcher pass: read through the cached pointer rather than
@@ -79,8 +79,8 @@ bool ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
     changed = true;
   }
   const bool active = slot.active != 0;
-  if (active != lane.active) {
-    lane.active = active;
+  if (active != (lane.state == ClientLaneState::kActive)) {
+    SetLaneActive(lane, active);
     lane.renew_in_flight = false;
     changed = true;
   }
@@ -121,8 +121,7 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
     // Credit-renew requests arrive as write-with-imm completions on the RCQ
     // (§7: polling the RCQ avoids synchronizing with the request dispatchers).
     // Vectorized drain: one poll call pulls a whole batch of CQEs.
-    for (size_t nc;
-         (nc = env.transport->PollBatch(*env.recv_cq, wcs, kCqPollBatch)) > 0;) {
+    for (size_t nc; (nc = env.recv_cq->PollBatch(wcs, kCqPollBatch)) > 0;) {
       found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
@@ -152,10 +151,10 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
         uint32_t lane_index, value;
         UnpackCtrl(wc.imm, &type, &lane_index, &value);
         FLOCK_CHECK(type == CtrlType::kRenewRequest);
-        env.transport->PostRecv(*lane->qp, verbs::RecvWr{wc.wr_id, 0, 0});
+        lane->qp->PostRecv(verbs::RecvWr{wc.wr_id, 0, 0});
         server.stats.credit_renewals += 1;
         lane->utilization += value;  // U_ij += reported median degree
-        if (lane->active) {
+        if (lane->state == ServerLaneState::kActive) {
           // Grant C more credits through the lane's control slot (§5.1).
           // The grant is clipped against the tenant's window budget; the
           // shortfall is remembered on the lane and paid out of the next
@@ -177,8 +176,7 @@ sim::Proc ReceiverSched::Run(NodeEnv& env, ServerState& server) {
       }
     }
     // Our own posted writes (signaled responses, control messages).
-    for (size_t nc;
-         (nc = env.transport->PollBatch(*env.send_cq, wcs, kCqPollBatch)) > 0;) {
+    for (size_t nc; (nc = env.send_cq->PollBatch(wcs, kCqPollBatch)) > 0;) {
       found = true;
       for (size_t ci = 0; ci < nc; ++ci) {
         const verbs::Completion& wc = wcs[ci];
@@ -226,7 +224,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
   // in index order so the payout is deterministic at any shard count.
   for (SenderState& sender : server.senders) {
     for (ServerLane* lane : sender.lanes) {
-      if (lane->deferred_grant == 0 || lane->failed || !lane->active) {
+      if (lane->deferred_grant == 0 || lane->state != ServerLaneState::kActive) {
         continue;
       }
       const uint32_t pay =
@@ -267,7 +265,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     bool any_failed = false;
     uint32_t live = 0;
     for (ServerLane* lane : sender.lanes) {
-      if (lane->failed) {
+      if (lane->state == ServerLaneState::kFailed) {
         any_failed = true;
         continue;
       }
@@ -290,23 +288,12 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       }
       live = 0;
     }
-    const bool was_dead = sender.dead;
-    sender.dead = live == 0 && !sender.lanes.empty();
-    if (sender.dead) {
-      sender.functioning = false;
-      if (!was_dead) {
-        server.stats.dead_senders += 1;
-        // Release the tenant's admission accounting exactly once; the
-        // tenant_charged latch also guards the TearDownSenders path, so a
-        // later explicit teardown of this conn_id cannot double-release.
-        if (sender.tenant_charged) {
-          tenants.ReleaseConnection(sender.tenant_id,
-                                    sender.tenant_lanes_charged);
-          sender.tenant_charged = false;
-          sender.tenant_lanes_charged = 0;
-        }
-      }
+    if (live == 0) {
+      MarkSenderDead(env, server, sender);
       continue;  // no budget participation at all
+    }
+    if (sender.dead) {
+      ReviveSender(sender);  // a lane was added while it was dead
     }
     total_utilization += sender.utilization * sender_weight(sender);
     dormant += sender.utilization == 0 ? 1 : 0;
@@ -328,17 +315,15 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     }
     uint32_t lane_count = 0;  // live (non-quarantined) lanes only
     for (ServerLane* lane : sender.lanes) {
-      lane_count += lane->failed ? 0 : 1;
+      lane_count += lane->state == ServerLaneState::kFailed ? 0 : 1;
     }
     if (lane_count == 0) {
       continue;
     }
-    uint32_t target;
-    if (sender.utilization == 0 || total_utilization == 0) {
-      sender.functioning = false;  // dormant: keep one QP for the future
-      target = 1;
-    } else {
-      sender.functioning = true;
+    // Dormant senders keep one QP for the future.
+    const bool functioning = sender.utilization > 0 && total_utilization > 0;
+    uint32_t target = 1;
+    if (functioning) {
       target = static_cast<uint32_t>(
           (static_cast<uint64_t>(budget) * sender.utilization *
            sender_weight(sender)) /
@@ -354,9 +339,9 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     // under-provisioned sender benefits immediately).
     uint32_t currently_active = 0;
     for (ServerLane* lane : sender.lanes) {
-      currently_active += lane->active ? 1 : 0;
+      currently_active += lane->state == ServerLaneState::kActive ? 1 : 0;
     }
-    if (sender.functioning && currently_active >= 1 &&
+    if (functioning && currently_active >= 1 &&
         target + 1 == currently_active) {
       target = currently_active;
     }
@@ -370,8 +355,10 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     // allocation on every scheduling interval.
     std::sort(order.begin(), order.end(),
               [](const ServerLane* a, const ServerLane* b) {
-                if (a->active != b->active) {
-                  return a->active > b->active;
+                const bool a_active = a->state == ServerLaneState::kActive;
+                const bool b_active = b->state == ServerLaneState::kActive;
+                if (a_active != b_active) {
+                  return a_active;
                 }
                 if (a->utilization != b->utilization) {
                   return a->utilization > b->utilization;
@@ -381,22 +368,19 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     uint32_t rank = 0;  // rank among live lanes: failed ones hold no slot
     for (uint32_t i = 0; i < order.size(); ++i) {
       ServerLane& lane = *order[i];
-      if (lane.failed) {
+      if (lane.state == ServerLaneState::kFailed) {
         lane.messages_at_last_sweep = lane.messages_handled;
         lane.utilization = 0;
         continue;
       }
       const bool want_active = rank < target;
       ++rank;
-      if (want_active && !lane.active) {
-        lane.active = true;
-        server.stats.activations += 1;
-        lane.grant_cumulative += config.credits;  // re-arm with C credits
-        lane.credits_outstanding += config.credits;
-        WriteCtrlSlot(env, lane, server.stats);
-      } else if (!want_active && lane.active) {
-        lane.active = false;
-        server.stats.deactivations += 1;
+      if (want_active != (lane.state == ServerLaneState::kActive)) {
+        SetServerLaneActive(lane, want_active, server.stats);
+        if (want_active) {
+          lane.grant_cumulative += config.credits;  // re-arm with C credits
+          lane.credits_outstanding += config.credits;
+        }
         WriteCtrlSlot(env, lane, server.stats);
       }
       lane.messages_at_last_sweep = lane.messages_handled;
@@ -414,7 +398,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     } else if (now - sender.quiet_since >= config.rpc_timeout) {
       sender.quiet_since = now;
       for (ServerLane* lane : sender.lanes) {
-        if (lane->active && !lane->failed) {
+        if (lane->state == ServerLaneState::kActive) {
           WriteCtrlSlot(env, *lane, server.stats, /*signaled=*/true);
           break;
         }

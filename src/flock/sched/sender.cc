@@ -133,7 +133,7 @@ void SenderSched::Reschedule(ClientConnState& conn,
   std::vector<uint32_t>& active = active_scratch;
   active.clear();
   for (uint32_t i = 0; i < conn.lanes.size(); ++i) {
-    if (conn.lanes[i]->active) {
+    if (conn.lanes[i]->state == ClientLaneState::kActive) {
       active.push_back(i);
     }
   }

@@ -69,9 +69,9 @@ void RetryPendingRpc(ClientConnState& conn, PendingRpc* rpc) {
   // flight, and a pump with no credit posts nothing: re-send the renewal
   // here. Cumulative grants make a duplicate harmless. With credits left,
   // clearing the latch lets the pump's next post re-request instead.
-  if (lane.active && lane.credits == 0 && lane.renew_in_flight) {
-    if (conn.env->transport->Post(*lane.qp, RenewalWr(lane)) !=
-        verbs::WcStatus::kSuccess) {
+  if (lane.state == ClientLaneState::kActive && lane.credits == 0 &&
+      lane.renew_in_flight) {
+    if (lane.qp->PostSend(RenewalWr(lane)) != verbs::WcStatus::kSuccess) {
       QuarantineLane(conn, lane);
     }
   } else {

@@ -265,6 +265,126 @@ TEST(CtrlTest, QpKillReconnectsAndRestoresLane) {
   EXPECT_GE(world.clients[0]->client_stats().lane_failures, 1u);
 }
 
+// One census reading of a handle: its lane states and the two lane counts
+// the public API reports.
+struct Census {
+  Connection::LaneStates states;
+  uint32_t failed = 0;
+  uint32_t active = 0;
+
+  bool operator==(const Census& o) const {
+    return states.healthy == o.states.healthy &&
+           states.quarantined == o.states.quarantined &&
+           states.reconnecting == o.states.reconnecting &&
+           states.retired == o.states.retired && failed == o.failed &&
+           active == o.active;
+  }
+};
+
+Census TakeCensus(const Connection& conn) {
+  return Census{conn.CountLaneStates(), conn.num_failed_lanes(),
+                conn.num_active_lanes()};
+}
+
+// Reads the census every microsecond until `until`, keeping each reading
+// that differs from the one before.
+sim::Proc WatchCensus(sim::Simulator& sim, const Connection* conn, Nanos until,
+                      std::vector<Census>* seen) {
+  while (sim.Now() < until) {
+    const Census c = TakeCensus(*conn);
+    if (seen->empty() || !(seen->back() == c)) {
+      seen->push_back(c);
+    }
+    co_await sim::Delay(sim, kMicrosecond);
+  }
+}
+
+// The lane states move only as the lifecycle allows (DESIGN.md §10): two
+// killed QPs are quarantined, the reconnect daemon takes them one at a time
+// (one reconnecting while the other waits quarantined), every lane comes back
+// healthy, and a close retires them all for good — a grant that reaches a
+// retired lane's control slot late does not switch it back on.
+TEST(CtrlTest, LaneCensusFollowsKillReconnectAndClose) {
+  CtrlWorld world;
+  Connection* conn = world.clients[0]->Connect(*world.server, 4);
+  ASSERT_NE(conn, nullptr);
+  int ok = 0, fail = 0;
+  for (int t = 0; t < 4; ++t) {
+    world.cluster.sim().Spawn(
+        EchoLoop(conn, world.clients[0]->CreateThread(t), 400, &ok, &fail));
+  }
+  const uint32_t victim = conn->lane(0).qp->qpn();
+  world.cluster.fault().KillQpAt(200 * kMicrosecond, /*node=*/1, victim);
+  world.cluster.fault().KillQpAt(200 * kMicrosecond, /*node=*/1,
+                                 conn->lane(1).qp->qpn());
+  std::vector<Census> seen;
+  world.cluster.sim().Spawn(
+      WatchCensus(world.cluster.sim(), conn, 20 * kMillisecond, &seen));
+  world.cluster.sim().RunFor(200 * kMillisecond);
+  EXPECT_EQ(ok + fail, 4 * 400);
+  EXPECT_EQ(fail, 0);
+
+  const auto find = [&seen](size_t from, auto pred) {
+    for (size_t i = from; i < seen.size(); ++i) {
+      if (pred(seen[i])) {
+        return i;
+      }
+    }
+    return seen.size();
+  };
+  ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.front().states.healthy, 4u);
+  EXPECT_EQ(seen.front().failed, 0u);
+  // Both lanes down: one reconnecting, the other quarantined behind it.
+  const size_t both = find(0, [](const Census& c) {
+    return c.states.quarantined == 1 && c.states.reconnecting == 1 &&
+           c.states.healthy == 2 && c.failed == 2 && c.active <= 2;
+  });
+  ASSERT_LT(both, seen.size()) << "never saw one lane quarantined and one "
+                                  "reconnecting";
+  // The first revived; the second now reconnecting.
+  const size_t second = find(both, [](const Census& c) {
+    return c.states.quarantined == 0 && c.states.reconnecting == 1 &&
+           c.states.healthy == 3 && c.failed == 1;
+  });
+  ASSERT_LT(second, seen.size());
+  // Every sample counts each lane once, and only a healthy lane is active.
+  for (const Census& c : seen) {
+    EXPECT_EQ(c.states.healthy + c.states.quarantined + c.states.reconnecting,
+              4u);
+    EXPECT_EQ(c.states.retired, 0u);
+    EXPECT_EQ(c.failed, c.states.quarantined + c.states.reconnecting);
+    EXPECT_LE(c.active, c.states.healthy);
+  }
+  const Census revived = TakeCensus(*conn);
+  EXPECT_EQ(revived.states.healthy, 4u);
+  EXPECT_EQ(revived.failed, 0u);
+  EXPECT_GE(revived.active, 1u);
+  EXPECT_EQ(world.clients[0]->client_stats().lane_failures, 2u);
+  EXPECT_EQ(conn->lane_reconnects(), 2u);
+
+  world.clients[0]->CloseConnection(conn);
+  const Census closed = TakeCensus(*conn);
+  EXPECT_EQ(closed.states.retired, 4u);
+  EXPECT_EQ(closed.states.healthy, 0u);
+  EXPECT_EQ(closed.failed, 0u);
+  EXPECT_EQ(closed.active, 0u);
+
+  // A late grant: the slot says "active, 32 more credits".
+  auto& lane = const_cast<internal::ClientLane&>(conn->lane(0));
+  internal::CtrlSlot slot;
+  slot.grant_cumulative = lane.grants_seen + 32;
+  slot.active = 1;
+  world.cluster.mem(1).Write(lane.ctrl_slot_addr, &slot, sizeof(slot));
+  EXPECT_FALSE(internal::ApplyCtrlSlot(*lane.conn->env, lane));
+  world.cluster.sim().RunFor(10 * kMillisecond);
+  const Census after = TakeCensus(*conn);
+  EXPECT_EQ(after.states.retired, 4u);
+  EXPECT_EQ(after.active, 0u);
+  EXPECT_EQ(after.failed, 0u);
+  EXPECT_EQ(lane.credits, 0u);
+}
+
 TEST(CtrlTest, RepeatedKillsOnSameLaneKeepRecovering) {
   CtrlWorld world;
   Connection* conn = world.clients[0]->Connect(*world.server, 2);

@@ -354,6 +354,102 @@ TEST(IdleParkTest, EqualPeriodPollersInTwoPhasesStayParked) {
 }
 
 // ---------------------------------------------------------------------------
+// Twins: two pollers on one node with equal period and phase, so every pass
+// of one is due with a pass of the other, and a deposit of two units lets
+// both find work at one instant. Which twin runs first decides who takes
+// which unit, so a kernel that re-queues parked twins in the other order
+// than the unparked kernel ran them shows in the log. Deposits land by a
+// local delay on a twin pass instant and off one, and by a direct write from
+// another node (TouchNode) queued after and before the twins' completions,
+// which re-queues the twins as passes whose completion fired and as passes
+// still to complete.
+// ---------------------------------------------------------------------------
+
+constexpr Nanos kTwinPeriod = 22;
+constexpr Nanos kTwinEnd = 10 * kMicrosecond;
+constexpr Nanos kTwinLocalDeposits[] = {200 * kTwinPeriod, 4003};
+// (instant, lag): the writing event is queued `lag` before it runs.
+constexpr Nanos kTwinRemoteDeposits[][2] = {{250 * kTwinPeriod, 5},
+                                            {300 * kTwinPeriod, 30}};
+
+struct TwinWorld {
+  explicit TwinWorld(bool idle) : idle(idle) {}
+  Simulator sim;
+  Cpu cpu{sim, 2};
+  bool idle;
+  int pending = 0;
+  std::vector<Record> log;
+};
+
+Proc TwinPoller(TwinWorld* w, int id) {
+  Core& core = w->cpu.core(id);
+  for (;;) {
+    if (w->pending > 0) {
+      --w->pending;
+      w->log.emplace_back(w->sim.Now(), id, 1, w->pending);
+      co_await core.Work(2 * kTwinPeriod);
+    } else if (w->idle) {
+      co_await core.Idle(kTwinPeriod);
+    } else {
+      co_await core.Work(kTwinPeriod);
+    }
+  }
+}
+
+Proc TwinDeposit(TwinWorld* w, Nanos at, Nanos lag, bool remote) {
+  co_await Delay(w->sim, at - lag);
+  co_await Delay(w->sim, lag);
+  if (remote) {
+    w->sim.TouchNode(0);
+  }
+  w->pending += 2;
+  w->log.emplace_back(w->sim.Now(), -2, 2, w->pending);
+}
+
+Outcome RunTwinWorld(TwinWorld& w) {
+  for (int id = 0; id < 2; ++id) {
+    w.sim.Spawn(TwinPoller(&w, id), 0);
+  }
+  for (const Nanos at : kTwinLocalDeposits) {
+    w.sim.Spawn(TwinDeposit(&w, at, 0, /*remote=*/false), 0);
+  }
+  for (const auto& [at, lag] : kTwinRemoteDeposits) {
+    w.sim.Spawn(TwinDeposit(&w, at, lag, /*remote=*/true), 1);
+  }
+  w.sim.RunUntil(kTwinEnd);
+  Outcome out;
+  out.logs.push_back(w.log);
+  for (int c = 0; c < 2; ++c) {
+    out.busy.push_back(w.cpu.core(c).busy_time());
+  }
+  out.events = w.sim.events_processed();
+  out.elided = w.sim.elided_passes();
+  return out;
+}
+
+TEST(IdleParkTest, TwinPollersFindingWorkAtOneInstantKeepTheirOrder) {
+  TwinWorld work_world(/*idle=*/false);
+  const Outcome work = RunTwinWorld(work_world);
+  TwinWorld idle_world(/*idle=*/true);
+  const Outcome idle = RunTwinWorld(idle_world);
+  ExpectSameSimulation(work, idle);
+  EXPECT_GT(idle.elided, 0u);
+  // Every deposit was taken by both twins at one instant.
+  const std::vector<Record>& log = work.logs[0];
+  size_t twin_instants = 0;
+  for (size_t i = 1; i < log.size(); ++i) {
+    const Record& a = log[i - 1];
+    const Record& b = log[i];
+    if (std::get<0>(a) == std::get<0>(b) && std::get<1>(a) >= 0 &&
+        std::get<1>(b) >= 0) {
+      ++twin_instants;
+    }
+  }
+  EXPECT_EQ(log.size(), 4u * 3u);
+  EXPECT_EQ(twin_instants, 4u);
+}
+
+// ---------------------------------------------------------------------------
 // The two orderings the kernel cannot recover fail a FLOCK_CHECK (DESIGN.md
 // §7). Node 1 runs idle pollers of period 22, parked from their first pass
 // at t=0, so 440 is a pass instant of each; node 0 mutates node 1 directly
