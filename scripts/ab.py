@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""A/B comparison of two revisions on the repo benchmark (perfbench).
+"""A/B comparison of two revisions on the repo benchmark (perfbench) or on
+bench/perf_smoke.
 
-    python3 scripts/ab.py REV_A REV_B [--workloads fanin_rpc,...] [--rounds 10]
+    python3 scripts/ab.py REV_A REV_B [--bench perfbench|perf_smoke]
+                          [--workloads fanin_rpc,...] [--rounds 10]
                           [--seed 1] [--scratch DIR]
 
 Checks out REV_A and REV_B as `git worktree`s under the scratch directory
@@ -22,6 +24,14 @@ a verdict:
 It also reports whether the two sides' trace_hash / sim_hash agree, and exits
 1 if any run failed, reported correct=false or failed operations.
 
+With --bench perf_smoke, each worktree is built with CMake (RelWithDebInfo)
+into its own directory under the scratch directory, and every round runs
+`bench/perf_smoke --json` once per side, in the same ABBA order. For each
+row (default, scale_seq, scale_par) it prints events_per_sec and
+rpcs_per_sec with the verdicts above, and whether the simulated identity of
+the row (events, rpcs, trace_hash) agrees across every run of both sides.
+--workloads and --seed do not apply; it exits 1 if any build or run failed.
+
 The worktrees and their builds are removed at the end.
 """
 
@@ -40,6 +50,13 @@ WORKLOADS = ("fanin_rpc", "extent_mix", "conn_churn", "scale_out")
 RUN_TIMEOUT_S = 1200
 # A side must win at least this share of the pairs to be called better/worse.
 DECISIVE_SHARE = 0.9
+# perf_smoke: the rows compared, their host rates (higher is better) and the
+# fields that name a row's simulated run, which must agree across revisions
+# that claim no simulated change.
+PERF_SMOKE_ROWS = ("default", "scale_seq", "scale_par")
+PERF_SMOKE_RATES = (("events_per_sec", "events/s"), ("rpcs_per_sec", "rpcs/s"))
+PERF_SMOKE_IDENTITY = ("events", "rpcs", "trace_hash")
+BUILD_JOBS = min(4, os.cpu_count() or 1)
 
 
 def quartiles(values):
@@ -136,11 +153,61 @@ def run_once(side, workload, seed, seconds, log=subprocess.DEVNULL):
     return json.loads(lines[-1]), hashes
 
 
+def perf_smoke_rows(dump):
+    """{row: {field: value}} of one perf_smoke --json dump: the host rates and
+    the identity fields of each compared row. Raises ValueError if the dump is
+    not perf_smoke's or lacks a row or a field."""
+    if dump.get("bench") != "perf_smoke":
+        raise ValueError(f"not a perf_smoke dump: bench {dump.get('bench')!r}")
+    by_config = {row.get("config"): row for row in dump.get("rows", [])}
+    fields = [name for name, _ in PERF_SMOKE_RATES] + list(PERF_SMOKE_IDENTITY)
+    rows = {}
+    for name in PERF_SMOKE_ROWS:
+        row = by_config.get(name)
+        if row is None:
+            raise ValueError(f"perf_smoke dump has no {name!r} row")
+        missing = [f for f in fields if f not in row]
+        if missing:
+            raise ValueError(f"perf_smoke row {name!r} lacks {', '.join(missing)}")
+        rows[name] = {f: row[f] for f in fields}
+    return rows
+
+
+def build_perf_smoke(side):
+    """Configures and builds bench/perf_smoke of `side`; False on failure (the
+    log goes to stderr)."""
+    for cmd in (["cmake", "-S", str(side["tree"]), "-B", str(side["build"]),
+                 "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
+                ["cmake", "--build", str(side["build"]), "--target", "perf_smoke",
+                 "-j", str(BUILD_JOBS)]):
+        if subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr,
+                          check=False).returncode != 0:
+            return False
+    return True
+
+
+def run_perf_smoke(side, dump):
+    """One perf_smoke run of `side` writing `dump`; its rows, or None."""
+    binary = side["build"] / "bench" / "perf_smoke"
+    try:
+        proc = subprocess.run([str(binary), f"--json={dump}"], cwd=side["tree"],
+                              stdout=subprocess.DEVNULL, stderr=sys.stderr,
+                              timeout=RUN_TIMEOUT_S, check=False)
+        if proc.returncode != 0:
+            return None
+        return perf_smoke_rows(json.loads(Path(dump).read_text(encoding="utf-8")))
+    except (subprocess.TimeoutExpired, OSError, ValueError):
+        return None
+
+
 def main(argv):
     parser = argparse.ArgumentParser(prog="scripts/ab.py", allow_abbrev=False,
                                      description=__doc__.splitlines()[0])
     parser.add_argument("rev_a")
     parser.add_argument("rev_b")
+    parser.add_argument("--bench", choices=("perfbench", "perf_smoke"),
+                        default="perfbench",
+                        help="perfbench workloads (default) or bench/perf_smoke")
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated workload names (default: all)")
     parser.add_argument("--rounds", type=int, default=10, help="paired rounds (default 10)")
@@ -163,12 +230,62 @@ def main(argv):
             tree = scratch / key.lower()
             sha = add_worktree(rev, tree)
             sides[key] = {"rev": rev, "sha": sha, "tree": tree,
-                          "target": scratch / f"{key.lower()}-target"}
+                          "target": scratch / f"{key.lower()}-target",
+                          "build": scratch / f"{key.lower()}-build"}
+        if args.bench == "perf_smoke":
+            return compare_perf_smoke(args, sides, scratch)
         return compare(args, workloads, sides)
     finally:
         for side in sides.values():
             remove_worktree(side["tree"])
             shutil.rmtree(side["target"], ignore_errors=True)
+            shutil.rmtree(side["build"], ignore_errors=True)
+
+
+def compare_perf_smoke(args, sides, scratch):
+    for key, side in sides.items():
+        print(f"{key}: {side['rev']} ({side['sha'][:12]})", flush=True)
+        if not build_perf_smoke(side):
+            print(f"{key}: perf_smoke build failed", file=sys.stderr)
+            return 1
+
+    ok = True
+    values = {row: {"A": {}, "B": {}} for row in PERF_SMOKE_ROWS}
+    idents = {row: {"A": set(), "B": set()} for row in PERF_SMOKE_ROWS}
+    for rnd in range(args.rounds):
+        order = ("A", "B") if rnd % 2 == 0 else ("B", "A")
+        for key in order:
+            rows = run_perf_smoke(sides[key], scratch / f"{key.lower()}-perf_smoke.json")
+            if rows is None:
+                print(f"round {rnd} {key}: perf_smoke run failed", file=sys.stderr)
+                ok = False
+                continue
+            for row, fields in rows.items():
+                idents[row][key].add(tuple(fields[f] for f in PERF_SMOKE_IDENTITY))
+                for name, _ in PERF_SMOKE_RATES:
+                    values[row][key].setdefault(name, []).append(fields[name])
+            shown = " ".join(f"{row}={rows[row]['events_per_sec']:.4g}"
+                             for row in PERF_SMOKE_ROWS)
+            print(f"round {rnd} {key}: events_per_sec {shown}", file=sys.stderr,
+                  flush=True)
+
+    print(f"\nA = {sides['A']['rev']}, B = {sides['B']['rev']}; {args.rounds} ABBA "
+          f"rounds of bench/perf_smoke")
+    for row in PERF_SMOKE_ROWS:
+        a_ids, b_ids = idents[row]["A"], idents[row]["B"]
+        same = a_ids == b_ids and len(a_ids) == 1
+        print(f"\n{row}: {'/'.join(PERF_SMOKE_IDENTITY)} "
+              f"{'identical' if same else 'DIFFER'} (A {sorted(a_ids)}, B {sorted(b_ids)})")
+        print(header())
+        for name, unit in PERF_SMOKE_RATES:
+            a = values[row]["A"].get(name, [])
+            b = values[row]["B"].get(name, [])
+            if not a or len(a) != len(b):
+                print(f"  {name:<12} incomplete ({len(a)} A runs, {len(b)} B runs)")
+                ok = False
+                continue
+            print(format_row(name, unit, summarize(a, b, "higher")))
+    return 0 if ok else 1
 
 
 def compare(args, workloads, sides):

@@ -14,17 +14,24 @@ aim is measured by.
   - the assignments to a lane's or a sender's lifecycle state (a `state` or
     `dead` member) under src/flock outside src/flock/lane.cc: every change
     of state is a named transition in lane.cc (DESIGN.md §10), which the
-    other modules call.
+    other modules call;
+  - the assignments to a sender's `dead` anywhere under src/flock, lane.cc
+    included: a sender has one death, TearDownOneSender, and nothing
+    revives it (DESIGN.md §10).
 
 Usage: python3 scripts/size_report.py [--root DIR] [--max-config-fields N]
                                       [--max-send-paths N]
                                       [--max-state-writers N]
+                                      [--max-sender-death-writers N]
 
 With --max-config-fields, exits 1 if FlockConfig has more than N fields, so
 CI fails when a change adds a knob. With --max-send-paths, exits 1 if there
 are more than N send_pool.New( call sites, so CI fails when a change adds a
 second way to stage a request. With --max-state-writers, exits 1 if more
-than N lifecycle-state assignments sit outside lane.cc.
+than N lifecycle-state assignments sit outside lane.cc. With
+--max-sender-death-writers, exits 1 if src/flock assigns a sender's `dead`
+in more than N places, so CI fails when a second death or a revival path
+appears.
 """
 
 import argparse
@@ -122,6 +129,12 @@ def state_writers(root):
     return sites
 
 
+def sender_death_writers(root):
+    """{relative path: count} of assignments to a `dead` member in the C++
+    files under src/flock, lane.cc included, comments excluded."""
+    return call_sites(root, "src/flock", r"(?:\.|->)\s*dead\s*=(?!=)")
+
+
 def report(root):
     lines = {rel: sum(count_lines(p) for p in cxx_files(root, rel))
              for rel in LINE_DIRS}
@@ -132,6 +145,7 @@ def report(root):
         "touchnode_sites": touchnode_sites(root),
         "send_paths": send_paths(root),
         "state_writers": state_writers(root),
+        "sender_death_writers": sender_death_writers(root),
     }
 
 
@@ -146,6 +160,9 @@ def main(argv=None):
     parser.add_argument("--max-state-writers", type=int, default=None,
                         help="fail if more lane/sender lifecycle-state "
                              "assignments than this sit outside lane.cc")
+    parser.add_argument("--max-sender-death-writers", type=int, default=None,
+                        help="fail if src/flock assigns a sender's `dead` in "
+                             "more places than this")
     args = parser.parse_args(argv)
 
     r = report(args.root)
@@ -155,7 +172,8 @@ def main(argv=None):
     print(f"FlockConfig fields {len(fields):>13}  ({', '.join(fields)})")
     for label, key in (("TouchNode call sites", "touchnode_sites"),
                        ("send_pool.New( sites", "send_paths"),
-                       ("lane-state writers", "state_writers")):
+                       ("lane-state writers", "state_writers"),
+                       ("sender-death writers", "sender_death_writers")):
         sites = r[key]
         detail = ", ".join(f"{p} {n}" for p, n in sorted(sites.items()))
         print(f"{label:<20} {sum(sites.values()):>11}  ({detail})")
@@ -175,6 +193,13 @@ def main(argv=None):
         print(f"FAIL: {writers} lane/sender lifecycle-state assignments "
               f"outside {LANE_CC}, more than --max-state-writers "
               f"{args.max_state_writers}")
+        rc = 1
+    deaths = sum(r["sender_death_writers"].values())
+    if (args.max_sender_death_writers is not None and
+            deaths > args.max_sender_death_writers):
+        print(f"FAIL: src/flock assigns a sender's dead in {deaths} places, "
+              f"more than --max-sender-death-writers "
+              f"{args.max_sender_death_writers}")
         rc = 1
     return rc
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for the summary statistics of ab.py on canned inputs (no build).
+"""Tests for the summary statistics and the perf_smoke row extraction of
+ab.py on canned inputs (no build).
 
 Run: python3 scripts/test_ab.py
 """
 
+import json
 import os
 import sys
 import unittest
@@ -98,6 +100,47 @@ class SummarizeTest(unittest.TestCase):
         unresolved = ab.format_row("host_krps", "krps",
                                    ab.summarize([200, 201, 199], [150, 260, 150], "higher"))
         self.assertIn("unresolved", unresolved)
+
+
+def smoke_row(config, **extra):
+    row = {"config": config, "events_per_sec": 9.5e6, "rpcs_per_sec": 2.4e5,
+           "events": 6505529, "rpcs": 168865, "trace_hash": "8465846057676975718",
+           "sim_mops": 8.44}
+    row.update(extra)
+    return row
+
+
+class PerfSmokeRowsTest(unittest.TestCase):
+    def test_extracts_rates_and_identity_of_each_row(self):
+        dump = {"bench": "perf_smoke",
+                "rows": [smoke_row("scale_par", events=4921900),
+                         smoke_row("default"),
+                         smoke_row("scale_seq", rpcs_per_sec=2.5e5)]}
+        rows = ab.perf_smoke_rows(dump)
+        self.assertEqual(sorted(rows), ["default", "scale_par", "scale_seq"])
+        self.assertEqual(rows["default"],
+                         {"events_per_sec": 9.5e6, "rpcs_per_sec": 2.4e5,
+                          "events": 6505529, "rpcs": 168865,
+                          "trace_hash": "8465846057676975718"})
+        self.assertEqual(rows["scale_par"]["events"], 4921900)
+        self.assertEqual(rows["scale_seq"]["rpcs_per_sec"], 2.5e5)
+
+    def test_rejects_another_bench_a_missing_row_or_field(self):
+        rows = [smoke_row(c) for c in ab.PERF_SMOKE_ROWS]
+        with self.assertRaises(ValueError):
+            ab.perf_smoke_rows({"bench": "sim_kernel", "rows": rows})
+        with self.assertRaises(ValueError):
+            ab.perf_smoke_rows({"bench": "perf_smoke", "rows": rows[:2]})
+        del rows[1]["trace_hash"]
+        with self.assertRaisesRegex(ValueError, "trace_hash"):
+            ab.perf_smoke_rows({"bench": "perf_smoke", "rows": rows})
+
+    def test_reads_the_committed_baseline(self):
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "BENCH_perf_smoke.json")
+        with open(path, encoding="utf-8") as f:
+            rows = ab.perf_smoke_rows(json.load(f))
+        self.assertEqual(rows["scale_seq"]["trace_hash"], rows["scale_par"]["trace_hash"])
 
 
 if __name__ == "__main__":

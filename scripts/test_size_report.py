@@ -160,6 +160,29 @@ void Flip(ServerLane& lane, SenderState* s) {
         rc, out = self.run_main("--max-state-writers", "2")
         self.assertEqual(rc, 0)
 
+    def test_sender_death_writers_count_lane_cc_too(self):
+        self.assertEqual(size_report.sender_death_writers(self.root),
+                         {os.path.join("src", "flock", "lane.cc"): 1})
+
+    def test_max_sender_death_writers_fails_only_when_exceeded(self):
+        rc, out = self.run_main("--max-sender-death-writers", "1")
+        self.assertEqual(rc, 0)
+        self.assertIn("sender-death writers", out)
+        self.assertNotIn("FAIL", out)
+        # A revival inside lane.cc counts as much as one elsewhere; a lane's
+        # `state` and a `dead ==` read do not count.
+        write(self.root, "src/flock/lane.cc", LANE_CC + """\
+void Revive(SenderState* s) { if (s->dead == true) { s->dead = false; } }
+""")
+        self.assertEqual(size_report.sender_death_writers(self.root),
+                         {os.path.join("src", "flock", "lane.cc"): 2})
+        rc, out = self.run_main("--max-sender-death-writers", "1")
+        self.assertEqual(rc, 1)
+        self.assertIn("FAIL: src/flock assigns a sender's dead in 2 places",
+                      out)
+        rc, out = self.run_main("--max-sender-death-writers", "2")
+        self.assertEqual(rc, 0)
+
     def test_missing_config_struct_is_an_error(self):
         write(self.root, "src/flock/config.h", "struct NotIt {};\n")
         with self.assertRaises(ValueError):

@@ -119,6 +119,9 @@ struct AddLaneRequest {
   uint32_t conn_id = 0;
   uint32_t lane_index = 0;  // index the new lane will occupy (== current count)
   uint32_t ring_bytes = 0;
+  // Lane 0's response-ring address, which names the handle: a stale handle
+  // whose sender slot a newer handle reused cannot grow that handle.
+  uint64_t handle_ring_addr = 0;
   ClientLaneInfo lane;
 };
 
@@ -135,6 +138,7 @@ struct AddLaneAccept {
 struct DisconnectRequest {
   int32_t client_node = -1;
   uint32_t conn_id = 0;
+  uint64_t handle_ring_addr = 0;  // lane 0's response ring, as in AddLane
 };
 
 struct DisconnectAccept {

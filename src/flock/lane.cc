@@ -106,28 +106,6 @@ void QuarantineServerLane(ServerLane& lane, ServerStats& stats) {
   stats.lane_failures += 1;
 }
 
-void MarkSenderDead(NodeEnv& env, ServerState& server, SenderState& sender) {
-  if (sender.dead) {
-    return;
-  }
-  sender.dead = true;
-  server.stats.dead_senders += 1;
-  // The tenant_charged latch releases the admission accounting exactly once
-  // across the sender's lifetime: a sender revived after this and killed
-  // again releases nothing more.
-  if (sender.tenant_charged) {
-    ctrl::ControlPlane::For(*env.cluster)
-        .tenants()
-        .ReleaseConnection(sender.tenant_id, sender.tenant_lanes_charged);
-    sender.tenant_charged = false;
-    sender.tenant_lanes_charged = 0;
-  }
-}
-
-void ReviveSender(SenderState& sender) {
-  sender.dead = false;
-}
-
 void HandleSendError(const verbs::Completion& wc, ServerStats& stats) {
   switch (WrIdTag(wc.wr_id)) {
     case WrTag::kRpcWrite:
@@ -456,6 +434,15 @@ SenderState* FindSender(ServerState& server, uint32_t conn_id) {
   return &server.senders[conn_id];
 }
 
+// Whether a per-handle request comes from the handle `sender` serves. A
+// handle names itself by lane 0's response-ring address, which no other open
+// handle of its node shares; a stale handle whose slot a newer handle of the
+// node reused (after a Leave or a teardown it never heard of) names another.
+bool NamesSender(const SenderState& sender, uint64_t handle_ring_addr) {
+  return !sender.lanes.empty() &&
+         sender.lanes[0]->remote_ring_addr == handle_ring_addr;
+}
+
 uint32_t HandleConnect(NodeEnv& env, ServerState& server,
                        const cw::MsgHeader& header, const uint8_t* msg,
                        const CtrlReply& reply) {
@@ -509,9 +496,8 @@ uint32_t HandleConnect(NodeEnv& env, ServerState& server,
   sender.tenant_id = req.tenant_id;
   sender.quiet_since = env.sim().Now();
   // AdmitConnect charged one connection and `granted_lanes` lanes above;
-  // record exactly what teardown (or dead-sender reclamation) must release.
+  // record exactly what TearDownOneSender must release.
   sender.tenant_lanes_charged = granted_lanes;
-  sender.tenant_charged = true;
 
   // Receiver-side initial allocation: a new client gets the average active-QP
   // share per *live* sender (§5.1), refined at the next redistribution.
@@ -552,7 +538,7 @@ uint32_t HandleReconnect(NodeEnv& env, ServerState& server,
     return reply.Reject(cw::RejectReason::kUnknown);
   }
   SenderState* sender = FindSender(server, req.conn_id);
-  if (sender == nullptr) {
+  if (sender == nullptr || sender->dead) {
     return reply.Reject(cw::RejectReason::kBadConnId);
   }
   if (sender->client_node != req.client_node ||
@@ -599,10 +585,7 @@ uint32_t HandleReconnect(NodeEnv& env, ServerState& server,
   lane.utilization = 0;
   lane.messages_at_last_sweep = lane.messages_handled;
   server.stats.lane_reconnects += 1;
-  ReviveSender(*sender);
-  // Shield the revived lane from dead-sender reclamation for two sweeps; it
-  // has zero utilization by construction (the double-reclaim bug).
-  sender->revive_grace = 2;
+  // A reconnect restarts the quiet clock: the client just proved it is alive.
   sender->quiet_since = env.sim().Now();
 
   cw::ReconnectAccept accept;
@@ -623,7 +606,7 @@ uint32_t HandleAddLane(NodeEnv& env, ServerState& server,
     return reply.Reject(cw::RejectReason::kUnknown);
   }
   SenderState* sender = FindSender(server, req.conn_id);
-  if (sender == nullptr) {
+  if (sender == nullptr || sender->dead) {
     return reply.Reject(cw::RejectReason::kBadConnId);
   }
   if (sender->client_node != req.client_node ||
@@ -632,6 +615,9 @@ uint32_t HandleAddLane(NodeEnv& env, ServerState& server,
     // Lane indexes must stay aligned across both sides; out-of-sequence adds
     // (e.g. a replayed or reordered request) are refused.
     return reply.Reject(cw::RejectReason::kBadLane);
+  }
+  if (!NamesSender(*sender, req.handle_ring_addr)) {
+    return reply.Reject(cw::RejectReason::kBadConnId);
   }
 
   // Lane growth is charged against the same tenant ceiling as the connect
@@ -652,39 +638,6 @@ uint32_t HandleAddLane(NodeEnv& env, ServerState& server,
   return reply.Accept(cw::MsgType::kAddLaneAccept, accept);
 }
 
-// Tears down one live sender: quarantines its lanes, marks it dead, releases
-// tenant admission accounting, and releases each lane's resources into the
-// pool (a lane mid-service stays quarantined in place). Shared by the
-// membership-leave sweep and the Disconnect handler.
-void TearDownOneSender(NodeEnv& env, ServerState& server,
-                       SenderState& sender) {
-  for (ServerLane* lane : sender.lanes) {
-    if (lane->state != ServerLaneState::kFailed) {
-      // Destroy the transport the way a real server tears down a departed
-      // client's QPs: error it (flushing our posts) so the peer — should
-      // the node come back before rejoining — sees kRemoteInvalidQp.
-      env.device().ErrorQp(*lane->qp);
-      QuarantineServerLane(*lane, server.stats);
-    }
-  }
-  MarkSenderDead(env, server, sender);
-  sender.revive_grace = 0;
-
-  // Release every lane that is not mid-dispatch (DESIGN.md §13). A lane
-  // handed to an RPC worker (in_service) stays quarantined in place; its
-  // slot-blocking is why the connect handler's free-slot scan requires
-  // lanes.empty().
-  std::vector<ServerLane*> kept;
-  for (ServerLane* lane : sender.lanes) {
-    if (lane->in_service) {
-      kept.push_back(lane);
-    } else {
-      ReleaseServerLane(env, server, lane);
-    }
-  }
-  sender.lanes = std::move(kept);
-}
-
 // Orderly whole-handle close (DESIGN.md §15): tears down the named sender
 // exactly like a membership leave would, so sender-slot and tenant admission
 // accounting are reclaimed immediately.
@@ -696,7 +649,8 @@ uint32_t HandleDisconnect(NodeEnv& env, ServerState& server,
     return reply.Reject(cw::RejectReason::kUnknown);
   }
   SenderState* sender = FindSender(server, req.conn_id);
-  if (sender == nullptr || sender->client_node != req.client_node) {
+  if (sender == nullptr || sender->client_node != req.client_node ||
+      (!sender->dead && !NamesSender(*sender, req.handle_ring_addr))) {
     return reply.Reject(cw::RejectReason::kBadConnId);
   }
   cw::DisconnectAccept accept;
@@ -729,6 +683,38 @@ uint32_t HandleCtrlMessage(NodeEnv& env, ServerState& server,
     default:
       return reply.Reject(cw::RejectReason::kUnknown);
   }
+}
+
+void TearDownOneSender(NodeEnv& env, ServerState& server, SenderState& sender) {
+  FLOCK_CHECK(!sender.dead);
+  for (ServerLane* lane : sender.lanes) {
+    if (lane->state != ServerLaneState::kFailed) {
+      // Destroy the transport the way a real server tears down a departed
+      // client's QPs: error it (flushing our posts) so the peer, if it is
+      // still there, sees kRemoteInvalidQp on its next post.
+      env.device().ErrorQp(*lane->qp);
+      QuarantineServerLane(*lane, server.stats);
+    }
+  }
+  sender.dead = true;
+  server.stats.dead_senders += 1;
+  ctrl::ControlPlane::For(*env.cluster)
+      .tenants()
+      .ReleaseConnection(sender.tenant_id, sender.tenant_lanes_charged);
+
+  // Release every lane that is not mid-dispatch (DESIGN.md §13). A lane
+  // handed to an RPC worker (in_service) stays quarantined in place; its
+  // slot-blocking is why the connect handler's free-slot scan requires
+  // lanes.empty().
+  std::vector<ServerLane*> kept;
+  for (ServerLane* lane : sender.lanes) {
+    if (lane->in_service) {
+      kept.push_back(lane);
+    } else {
+      ReleaseServerLane(env, server, lane);
+    }
+  }
+  sender.lanes = std::move(kept);
 }
 
 bool TearDownSenders(NodeEnv& env, ServerState& server, int node) {
@@ -1014,6 +1000,7 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     req.conn_id = conn.conn_id;
     req.lane_index = index;
     req.ring_bytes = env.config->ring_bytes;
+    req.handle_ring_addr = conn.lanes[0]->resp_ring_addr;
     req.lane = Advertise(*lane);
     const uint64_t nonce = cp.NextNonce();
     co_await sim::Delay(sim, kCtrlRtt);
@@ -1054,10 +1041,12 @@ void SendDisconnect(ClientConnState& conn) {
   cw::DisconnectRequest req;
   req.client_node = conn.env->node;
   req.conn_id = conn.conn_id;
+  req.handle_ring_addr = conn.lanes[0]->resp_ring_addr;
   cw::DisconnectAccept accept;
   cw::RejectReason reason;
-  // Best effort: a reject (server gone, already dead) leaves reclamation to
-  // the dead-sender path, which TearDownOneSender guards for.
+  // Best effort: a sender already torn down re-acks, and a reject (server
+  // gone, or the slot holds a newer handle) leaves this handle's sender, if
+  // any, to the server's dead-sender rule.
   CtrlExchange(conn, cw::MsgType::kDisconnectRequest,
                ctrl::ControlPlane::For(*conn.env->cluster).NextNonce(), req,
                sizeof(req), cw::DecodeDisconnectAccept, &accept, &reason);

@@ -46,7 +46,7 @@ struct ServerStats {
   uint64_t activations = 0;
   uint64_t deactivations = 0;
   uint64_t lane_failures = 0;  // server lanes quarantined
-  uint64_t dead_senders = 0;   // senders fully reclaimed by Redistribute
+  uint64_t dead_senders = 0;   // senders torn down (TearDownOneSender)
   uint64_t responses_dropped = 0;  // responses lost to a dead lane
   uint64_t lane_reconnects = 0;    // server lanes revived via control plane
   uint64_t lanes_added = 0;        // AddLane handshakes accepted
@@ -412,27 +412,22 @@ struct SenderState {
   int client_node = -1;
   std::vector<ServerLane*> lanes;
   uint64_t utilization = 0;  // U_i
-  // All lanes failed (directly, or by dead-sender reclamation): the sender
-  // no longer participates in the QP-scheduling budget at all. Written only
-  // by MarkSenderDead and ReviveSender.
+  // Torn down (TearDownOneSender, its only writer): out of the
+  // QP-scheduling budget for good. Nothing revives a dead sender; a later
+  // connect may reuse its slot once its lanes are released.
   bool dead = false;
-  // Redistribute passes to skip dead-sender reclamation after a lane of this
-  // sender was revived through the control plane. A just-reconnected lane has
-  // zero utilization by construction; without the grace, the reclamation's
-  // "failed sibling + idle interval" test would re-condemn it immediately
-  // (the double-reclaim bug) and a rejoining node could never come back.
-  uint32_t revive_grace = 0;
-  // Last sweep (or handshake) that saw this sender move traffic; once it has
-  // been quiet for rpc_timeout, Redistribute sends it a liveness probe.
+  // The quiet clock: the last sweep that saw this sender move traffic, or its
+  // connect or reconnect handshake. Redistribute probes a sender quiet for
+  // rpc_timeout and tears one down that has also lost a lane.
   Nanos quiet_since = 0;
+  // The last liveness probe: probes repeat once per rpc_timeout of quiet
+  // without restarting the quiet clock.
+  Nanos probed_at = 0;
   // ---- tenants (DESIGN.md §15) ----
-  // Identity this sender's connect handshake presented, and the admission
-  // accounting charged for it (released exactly once at teardown or
-  // dead-sender reclamation, whichever runs first — tenant_charged guards
-  // the double-release).
+  // Identity this sender's connect handshake presented, and the lanes charged
+  // for it, which TearDownOneSender releases with the connection.
   tenant::TenantId tenant_id = tenant::kDefaultTenant;
   uint32_t tenant_lanes_charged = 0;
-  bool tenant_charged = false;
 };
 
 // ---- per-node / per-connection state containers ----
@@ -594,15 +589,13 @@ void SetServerLaneActive(ServerLane& lane, bool active, ServerStats& stats);
 // Marks a server lane's QP dead: no more dispatch, grants or reactivation.
 void QuarantineServerLane(ServerLane& lane, ServerStats& stats);
 
-// The one sender death: marks `sender` dead, counts it in
-// stats.dead_senders and releases its tenant admission charge. Idempotent,
-// so a sender reclaimed by Redistribute and later torn down (or the
-// reverse) dies, counts and releases once.
-void MarkSenderDead(NodeEnv& env, ServerState& server, SenderState& sender);
-
-// A dead sender regained a live lane (a reconnect, or a lane added while it
-// was dead): it rejoins the QP-scheduling budget.
-void ReviveSender(SenderState& sender);
+// The one sender death (DESIGN.md §10): errors and quarantines every live
+// lane of a live sender, so a client that is still there learns on its next
+// post; marks it dead, counts it in stats.dead_senders, releases its tenant
+// admission charge and releases each lane not mid-service into the pool.
+// Leave (TearDownSenders), disconnect and Redistribute's dead-sender rule
+// all run it, once per sender.
+void TearDownOneSender(NodeEnv& env, ServerState& server, SenderState& sender);
 
 // Routes an errored send completion to the owning lane (either role: the
 // node-shared CQs are drained by whichever poller gets there first).
@@ -630,11 +623,10 @@ uint32_t HandleCtrlMessage(NodeEnv& env, ServerState& server,
                            const uint8_t* msg, uint32_t len, uint8_t* resp,
                            uint32_t resp_cap);
 
-// Membership change (server side): tears down a departed client's senders —
-// quarantines their lanes, releases tenant admission accounting and the
-// lanes' resources. Returns true if any sender was torn down — the caller
-// must then repartition the AQP budget (sched/receiver.h Redistribute)
-// immediately.
+// Membership change (server side): runs TearDownOneSender on each live
+// sender of a departed client node. Returns true if any sender was torn
+// down — the caller must then repartition the AQP budget
+// (sched/receiver.h Redistribute) immediately.
 bool TearDownSenders(NodeEnv& env, ServerState& server, int node);
 
 // ---- connection-storm path (DESIGN.md §13) ----

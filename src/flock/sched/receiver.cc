@@ -251,15 +251,12 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
   // renewal at half, a lane renews only once per 16 messages, which can
   // starve the pure-renewal metric at modest rates and deactivate senders
   // that are in fact active.
+  const Nanos now = env.sim().Now();
   uint64_t total_utilization = 0;
   uint32_t dormant = 0;
   for (SenderState& sender : server.senders) {
-    if (sender.lanes.empty()) {
-      // Fully harvested by TearDownSenders: the slot is only a conn_id
-      // placeholder awaiting reuse. Without the skip, the
-      // dead-recomputation below ("live == 0 && !lanes.empty()") would flip
-      // it back to not-dead and re-admit it to the budget.
-      continue;
+    if (sender.dead) {
+      continue;  // torn down: the slot awaits reuse by a connect
     }
     sender.utilization = 0;
     bool any_failed = false;
@@ -273,27 +270,21 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       lane->utilization += lane->messages_handled - lane->messages_at_last_sweep;
       sender.utilization += lane->utilization;
     }
-    // Dead-sender reclamation: transport evidence (>= 1 failed lane) plus a
-    // fully idle interval condemns the rest — the sender's QPs terminate at
-    // one client node, and a node that stopped driving every one of its lanes
-    // is gone, not slow. Releases the sender's share of MAX_AQP. A revive
-    // grace window (set by the reconnect handler) exempts just-revived lanes:
-    // they have zero utilization by construction and would otherwise be
-    // re-condemned on the spot (the double-reclaim bug).
-    if (sender.revive_grace > 0) {
-      --sender.revive_grace;
-    } else if (any_failed && live > 0 && sender.utilization == 0) {
-      for (ServerLane* lane : sender.lanes) {
-        QuarantineServerLane(*lane, server.stats);  // idempotent on failed
-      }
-      live = 0;
+    if (sender.utilization > 0) {
+      sender.quiet_since = now;
+    }
+    // Dead-sender reclamation: transport evidence (>= 1 failed lane) plus
+    // rpc_timeout without traffic, handshake or reconnect condemns the
+    // sender — its QPs terminate at one client node, and a node that lost a
+    // lane and stopped driving the rest is gone, not slow. The teardown
+    // errors the live QPs, so a client that is still there learns on its
+    // next post, and gives back the sender's share of MAX_AQP.
+    if (any_failed && now - sender.quiet_since >= config.rpc_timeout) {
+      TearDownOneSender(env, server, sender);
+      continue;
     }
     if (live == 0) {
-      MarkSenderDead(env, server, sender);
-      continue;  // no budget participation at all
-    }
-    if (sender.dead) {
-      ReviveSender(sender);  // a lane was added while it was dead
+      continue;  // not condemned yet, but out of the budget
     }
     total_utilization += sender.utilization * sender_weight(sender);
     dormant += sender.utilization == 0 ? 1 : 0;
@@ -304,16 +295,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       config.max_active_qps > dormant ? config.max_active_qps - dormant : 1;
 
   for (SenderState& sender : server.senders) {
-    if (sender.dead) {
-      // Sweep bookkeeping only: no activation, no grants, nothing to decide.
-      for (ServerLane* lane : sender.lanes) {
-        lane->messages_at_last_sweep = lane->messages_handled;
-        lane->utilization = 0;
-      }
-      sender.utilization = 0;
-      continue;
-    }
-    uint32_t lane_count = 0;  // live (non-quarantined) lanes only
+    uint32_t lane_count = 0;  // live (non-quarantined) lanes only; none if dead
     for (ServerLane* lane : sender.lanes) {
       lane_count += lane->state == ServerLaneState::kFailed ? 0 : 1;
     }
@@ -390,13 +372,13 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     // dead client whose QPs the server would otherwise never touch again.
     // One signaled slot rewrite on an active lane is idempotent against a
     // healthy peer and completes in error against a dead one; the quarantine
-    // that follows lets the reclamation rule above condemn the rest at the
-    // next sweep. Busy senders are never probed.
-    const Nanos now = env.sim().Now();
-    if (sender.utilization > 0) {
-      sender.quiet_since = now;
-    } else if (now - sender.quiet_since >= config.rpc_timeout) {
-      sender.quiet_since = now;
+    // that follows lets the reclamation rule above condemn the sender at the
+    // next sweep. Probes repeat once per rpc_timeout of quiet and leave the
+    // quiet clock alone. Busy senders are never probed.
+    if (sender.utilization == 0 &&
+        now - std::max(sender.quiet_since, sender.probed_at) >=
+            config.rpc_timeout) {
+      sender.probed_at = now;
       for (ServerLane* lane : sender.lanes) {
         if (lane->state == ServerLaneState::kActive) {
           WriteCtrlSlot(env, *lane, server.stats, /*signaled=*/true);

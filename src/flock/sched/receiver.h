@@ -53,7 +53,8 @@ struct ReceiverSched {
   // AQP budget every kQpSchedInterval.
   sim::Proc Run(NodeEnv& env, ServerState& server);
 
-  // One §5.1 sweep: recompute per-sender utilization, reclaim dead senders,
+  // One §5.1 sweep: recompute per-sender utilization, tear down senders
+  // condemned by the dead-sender rule (TearDownOneSender), probe quiet ones,
   // and re-partition MAX_AQP proportionally (called by Run on its interval
   // and by the membership listener on a departure).
   void Redistribute(NodeEnv& env, ServerState& server);

@@ -131,9 +131,10 @@ uint32_t RejectReasonOf(ctrl::ControlPlane& cp, int node, ctrl::wire::MsgType ty
 }
 
 // Every reject reason the server's four handlers give a malformed or
-// misaddressed request (kLaneBusy needs a lane mid-dispatch; the tenant
-// reasons are tenant_test's). Node 0 serves one 2-lane handle of node 1;
-// node 1 runs a runtime that never called StartServer.
+// misaddressed request, or one naming a torn-down sender (kLaneBusy needs a
+// lane mid-dispatch; the tenant reasons are tenant_test's). Node 0 serves
+// one 2-lane handle of node 1; node 1 runs a runtime that never called
+// StartServer.
 TEST(CtrlTest, ServerRejectReasonsArePinned) {
   namespace cw = ctrl::wire;
   using R = cw::RejectReason;
@@ -231,6 +232,22 @@ TEST(CtrlTest, ServerRejectReasonsArePinned) {
   EXPECT_EQ(world.server->server_stats().dead_senders, 0u);
   EXPECT_EQ(world.server->server_stats().lanes_added, 0u);
   EXPECT_EQ(world.server->server_stats().lane_reconnects, 0u);
+
+  // A torn-down sender stays dead: its conn_id names no sender to reconnect
+  // or grow, even with its slot still unused.
+  world.clients[0]->CloseConnection(conn);
+  ASSERT_EQ(world.server->server_stats().dead_senders, 1u);
+  reconnect.conn_id = conn_id;
+  reconnect.lane_index = 0;
+  expect_reject("reconnect: torn-down sender", 0,
+                cw::MsgType::kReconnectRequest, &reconnect, sizeof(reconnect),
+                R::kBadConnId);
+  add.conn_id = conn_id;
+  add.lane_index = 0;
+  add.ring_bytes = FlockConfig{}.ring_bytes;
+  expect_reject("add-lane: torn-down sender", 0, cw::MsgType::kAddLaneRequest,
+                &add, sizeof(add), R::kBadConnId);
+  EXPECT_EQ(world.server->ServerLiveLanes(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -613,6 +630,53 @@ TEST(CtrlTest, StaleCloseOfTenantHandleLeavesNewHandleIntact) {
   }
   world.cluster.sim().RunFor(100 * kMillisecond);
   EXPECT_EQ(ok, 2 * 500);
+  EXPECT_EQ(fail, 0);
+  EXPECT_EQ(fresh->num_failed_lanes(), 0u);
+}
+
+// The same shape without a Leave: the server tears an idle handle down after
+// it lost its QP (dead-sender reclamation, DESIGN.md §8), and the node's next
+// connect reuses the slot. The old handle does not know, so it still sends
+// an add-lane when a second thread uses it and a disconnect when it closes;
+// both name the new handle by (client_node, conn_id), and the server refuses
+// both because they carry the old handle's response-ring address.
+TEST(CtrlTest, StaleAddLaneAndCloseAfterReclamationLeaveNewHandleIntact) {
+  CtrlWorld world;
+  FlockRuntime* client = world.clients[0].get();
+  Connection* old_conn = nullptr;
+  world.cluster.sim().Spawn(ConnectAsyncInto(client, 0, 2, &old_conn));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  ASSERT_NE(old_conn, nullptr);
+  ASSERT_EQ(old_conn->num_lanes(), 1u);
+  int ok = 0, fail = 0;
+  world.cluster.sim().Spawn(
+      EchoLoop(old_conn, client->CreateThread(0), 20, &ok, &fail));
+  world.cluster.sim().RunFor(1 * kMillisecond);
+  ASSERT_EQ(ok, 20);
+  world.cluster.fault().KillQp(/*node=*/1, old_conn->lane(0).qp->qpn());
+  world.cluster.sim().RunFor(2 * FlockConfig{}.rpc_timeout);
+  ASSERT_EQ(world.server->server_stats().dead_senders, 1u);
+
+  Connection* fresh = client->Connect(*world.server, 1);
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_EQ(fresh->conn_id(), old_conn->conn_id());
+  int old_ok = 0, old_fail = 0;
+  world.cluster.sim().Spawn(
+      EchoLoop(old_conn, client->CreateThread(1), 5, &old_ok, &old_fail));
+  world.cluster.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(old_ok + old_fail, 5) << "a call on the old handle hung";
+  EXPECT_EQ(world.server->server_stats().lanes_added, 0u)
+      << "the old handle grew a lane onto the new handle's sender";
+  client->CloseConnection(old_conn);
+  EXPECT_EQ(world.server->server_stats().dead_senders, 1u)
+      << "closing the old handle tore down the new handle's sender";
+  EXPECT_EQ(world.server->ServerLiveLanes(), 1u);
+
+  ok = fail = 0;
+  world.cluster.sim().Spawn(
+      EchoLoop(fresh, client->CreateThread(2), 200, &ok, &fail));
+  world.cluster.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(ok, 200);
   EXPECT_EQ(fail, 0);
   EXPECT_EQ(fresh->num_failed_lanes(), 0u);
 }

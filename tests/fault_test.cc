@@ -449,7 +449,7 @@ TEST(FlockFaultTest, AllLanesDeadFailsRpcsAndReclaimsSender) {
   // The healthy client is unaffected.
   EXPECT_EQ(h_ok, 500);
   EXPECT_EQ(h_fail, 0);
-  // The server reclaims the dead sender wholesale.
+  // The server tears the dead sender down.
   EXPECT_GE(world.server->server_stats().dead_senders, 1u);
   EXPECT_GE(world.server->server_stats().lane_failures, 2u);
 }
@@ -458,7 +458,7 @@ TEST(FlockFaultTest, AllLanesDeadFailsRpcsAndReclaimsSender) {
 // goes idle, and its node dies. The server has no traffic left to post on
 // that sender's lanes, so only the Redistribute probe can notice: once the
 // sender has been quiet for rpc_timeout, a signaled control-slot write
-// completes in error, and the next sweep reclaims the rest of the sender.
+// completes in error, and the next sweep tears the sender down.
 TEST(FlockFaultTest, IdleDeadClientIsReclaimedByLivenessProbe) {
   FaultWorld world;
   Connection* conn = world.clients[0]->Connect(*world.server, 2);
@@ -473,7 +473,8 @@ TEST(FlockFaultTest, IdleDeadClientIsReclaimedByLivenessProbe) {
 
   world.cluster.fault().KillNode(/*node=*/1);
   // The quiet clock started no later than the kill: the probe goes out at the
-  // first sweep past rpc_timeout, and the sweep after it reclaims the sender.
+  // first sweep past rpc_timeout, and the sweep after it tears the sender
+  // down.
   world.cluster.sim().RunFor(FlockConfig{}.rpc_timeout +
                              2 * internal::kQpSchedInterval);
   EXPECT_GE(world.server->server_stats().dead_senders, 1u);
@@ -620,10 +621,10 @@ TEST(FlockFaultTest, QpKillMidExtentReclaimsPartialAndRetransmits) {
 // status (never a hang), the lane is quarantined, and RPC traffic on the
 // same connection heals onto the surviving lane — the contract the one-sided
 // KV/index/txn paths rely on for their fall-back-to-RPC behavior. The RPCs
-// resume immediately after the kill: a sender that goes silent with a failed
-// lane is reclaimed wholesale by the dead-sender sweep (see
-// AllLanesDeadFailsRpcsAndReclaimsSender), so the supported recovery path is
-// live traffic, not idle-then-resume.
+// resume immediately after the kill: a sender that stays quiet for
+// rpc_timeout with a failed lane is torn down for good by the dead-sender
+// rule (see AllLanesDeadFailsRpcsAndReclaimsSender), so the supported
+// recovery path is live traffic, not idle-then-resume.
 TEST(FlockFaultTest, MemOpOnKilledLaneErrorsQuarantinesAndRpcsSurvive) {
   FaultWorld world;
   Connection* conn = world.clients[0]->Connect(*world.server, 2);

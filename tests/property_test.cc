@@ -21,6 +21,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/tenant/tenant.h"
+#include "src/verbs/fault.h"
 
 namespace flock {
 namespace {
@@ -983,6 +984,139 @@ TEST(CtrlPlaneGuardTest, ReplayMalformedAndNonMemberAreRejected) {
 
   cp.DeregisterEndpoint(0, &ep);
 }
+
+
+// ---------------------------------------------------------------------------
+// Sender death under seeded faults (DESIGN.md §10). Each seed draws a QP kill
+// (the client or the server half of either lane of a 2-lane tenant handle,
+// or none), an idle gap below or above rpc_timeout with the kill inside it,
+// and a resume. A sender is live or torn down, and nothing revives a
+// torn-down one. At quiescence:
+//   - every call resolved (ok + failed == issued);
+//   - a gap below rpc_timeout recovered, through a reconnect when a QP died,
+//     with no failed call;
+//   - no call succeeded once its sender was torn down;
+//   - the tenant's live connections equal its senders not torn down.
+// ---------------------------------------------------------------------------
+
+constexpr uint16_t kFaultEchoRpc = 1;
+
+uint32_t FaultEchoHandler(const uint8_t* req, uint32_t len, uint8_t* resp,
+                          uint32_t cap, Nanos* cpu) {
+  const uint32_t n = std::min(len, cap);
+  std::memcpy(resp, req, n);
+  *cpu = 60;
+  return n;
+}
+
+struct CallTally {
+  int issued = 0;
+  int ok = 0;
+  int failed = 0;
+  int ok_after_teardown = 0;  // ok answers while the server counted a teardown
+};
+
+sim::Proc TalliedEchoes(Connection* conn, FlockThread* thread, int count,
+                        const FlockRuntime* server, CallTally* tally) {
+  std::vector<uint8_t> resp;
+  for (int i = 0; i < count; ++i) {
+    tally->issued += 1;
+    uint64_t payload = static_cast<uint64_t>(i);
+    const bool ok = co_await conn->Call(
+        *thread, kFaultEchoRpc, reinterpret_cast<const uint8_t*>(&payload), 8,
+        &resp);
+    if (!ok) {
+      tally->failed += 1;
+      continue;
+    }
+    tally->ok += 1;
+    if (server->server_stats().dead_senders > 0) {
+      tally->ok_after_teardown += 1;
+    }
+  }
+}
+
+class SenderDeathProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SenderDeathProperty, CallsResolveOnceAndTornDownSendersStayDead) {
+  Rng rng(GetParam());
+  FlockConfig cfg;
+  cfg.rpc_timeout = 100 * kMicrosecond;
+  verbs::Cluster cluster(
+      verbs::Cluster::Config{.num_nodes = 2, .cores_per_node = 8});
+  FlockRuntime server(cluster, 0, cfg);
+  server.RegisterHandler(kFaultEchoRpc, FaultEchoHandler);
+  server.StartServer(2);
+  FlockRuntime client(cluster, 1, cfg);
+  client.StartClient();
+  tenant::TenantRegistry& tenants = ctrl::ControlPlane::For(cluster).tenants();
+  tenants.Register(1, tenant::TenantPolicy{});
+  Connection* conn = client.Connect(0, 2, /*tenant=*/1);
+  ASSERT_NE(conn, nullptr);
+  FlockThread* threads[2] = {client.CreateThread(0), client.CreateThread(1)};
+
+  // kill: 0 none, else (kill - 1) / 2 picks the lane and its parity the half.
+  const int kill = static_cast<int>(rng.NextBelow(5));
+  const uint32_t kill_lane = static_cast<uint32_t>((kill - 1) / 2);
+  const bool kill_server_half = kill > 0 && (kill - 1) % 2 == 1;
+  const bool short_gap = rng.NextBelow(2) == 0;
+  const Nanos gap =
+      short_gap ? static_cast<Nanos>(rng.NextInRange(10, 80)) * kMicrosecond
+                : static_cast<Nanos>(rng.NextInRange(150, 1000)) * kMicrosecond;
+  const Nanos kill_at = static_cast<Nanos>(rng.NextBelow(gap));
+  const int warm = static_cast<int>(rng.NextInRange(5, 20));
+  const int resume = static_cast<int>(rng.NextInRange(5, 15));
+  SCOPED_TRACE(::testing::Message()
+               << "kill " << kill << " gap " << gap << " ns, kill at "
+               << kill_at << " ns, " << warm << " warm, " << resume
+               << " resumed calls per thread");
+
+  CallTally before;
+  for (FlockThread* t : threads) {
+    cluster.sim().Spawn(TalliedEchoes(conn, t, warm, &server, &before));
+  }
+  // Step until the warm calls are done: the gap starts within one step of
+  // the last call, so a short gap stays below rpc_timeout.
+  for (int step = 0; before.ok + before.failed < 2 * warm && step < 1000;
+       ++step) {
+    cluster.sim().RunFor(5 * kMicrosecond);
+  }
+  ASSERT_EQ(before.ok, 2 * warm);
+
+  cluster.sim().RunFor(kill_at);
+  if (kill > 0) {
+    const verbs::Qp& qp = *conn->lane(kill_lane).qp;
+    if (kill_server_half) {
+      cluster.fault().KillQp(/*node=*/0, qp.peer_qpn());
+    } else {
+      cluster.fault().KillQp(/*node=*/1, qp.qpn());
+    }
+  }
+  cluster.sim().RunFor(gap - kill_at);
+
+  CallTally after;
+  for (FlockThread* t : threads) {
+    cluster.sim().Spawn(TalliedEchoes(conn, t, resume, &server, &after));
+  }
+  cluster.sim().RunFor(200 * kMillisecond);
+
+  const uint64_t dead = server.server_stats().dead_senders;
+  EXPECT_EQ(after.issued, 2 * resume) << "a call never returned";
+  EXPECT_EQ(after.ok + after.failed, after.issued);
+  if (short_gap) {
+    EXPECT_EQ(after.failed, 0);
+    EXPECT_EQ(dead, 0u);
+    if (kill > 0) {
+      EXPECT_GE(conn->lane_reconnects(), 1u);
+    }
+  }
+  EXPECT_EQ(after.ok_after_teardown, 0);
+  EXPECT_LE(dead, 1u) << "a sender died twice";
+  EXPECT_EQ(tenants.LiveConnections(1), 1u - dead);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SenderDeathProperty,
+                         ::testing::Range(uint64_t{1}, uint64_t{51}));
 
 }  // namespace
 }  // namespace flock

@@ -16,6 +16,7 @@
 #include "src/ctrl/control_plane.h"
 #include "src/flock/flock.h"
 #include "src/tenant/tenant.h"
+#include "src/verbs/fault.h"
 
 namespace flock {
 namespace {
@@ -519,6 +520,54 @@ TEST(TenantTeardownTest, CloseReclaimsConnectionsAndLanes) {
   world.cluster.sim().RunFor(20 * kMillisecond);
   EXPECT_EQ(world.tenants().LiveConnections(1), 0u);
   EXPECT_EQ(world.tenants().LiveLanes(1), 0u);
+}
+
+// Dead-sender reclamation is the teardown Leave and disconnect run
+// (DESIGN.md §10). An idle handle loses lane 0's QP; once the sender has a
+// failed lane and has been quiet for rpc_timeout, the server tears it down:
+// it errors the surviving QP, so the client learns on its next post, and
+// releases the tenant's connection exactly once. Nothing revives it: the
+// handle's later calls fail, its reconnect is refused, and the freed
+// connection is admittable again.
+TEST(TenantTeardownTest, IdleSenderWithKilledLaneIsTornDownForGood) {
+  FlockConfig cfg;
+  cfg.rpc_timeout = 100 * kMicrosecond;
+  TenantWorld world(3, cfg);
+  TenantPolicy one_conn;
+  one_conn.max_connections = 1;
+  world.tenants().Register(1, one_conn);
+
+  Connection* conn = world.clients[0]->Connect(0, 2, /*tenant=*/1);
+  ASSERT_NE(conn, nullptr);
+  FlockThread* thread = world.clients[0]->CreateThread(0);
+  int ok = 0, fail = 0;
+  world.cluster.sim().Spawn(EchoLoop(conn, thread, 20, &ok, &fail));
+  world.cluster.sim().RunFor(2 * kMillisecond);
+  ASSERT_EQ(ok, 20);
+  ASSERT_EQ(world.server->server_stats().dead_senders, 0u);
+
+  world.cluster.fault().KillQp(/*node=*/1, conn->lane(0).qp->qpn());
+  world.cluster.sim().RunFor(cfg.rpc_timeout + 2 * internal::kQpSchedInterval);
+  EXPECT_EQ(world.server->server_stats().dead_senders, 1u);
+  EXPECT_EQ(world.tenants().LiveConnections(1), 0u);
+  EXPECT_EQ(world.tenants().LiveLanes(1), 0u);
+
+  // The freed connection is admittable again.
+  Connection* second = world.clients[1]->Connect(0, 2, /*tenant=*/1);
+  EXPECT_NE(second, nullptr);
+  EXPECT_EQ(world.tenants().LiveConnections(1), 1u);
+
+  // The torn-down handle's calls all resolve, as failures: no reconnect
+  // revives either lane.
+  ok = fail = 0;
+  world.cluster.sim().Spawn(EchoLoop(conn, thread, 5, &ok, &fail));
+  world.cluster.sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(ok + fail, 5) << "a call on the torn-down handle hung";
+  EXPECT_EQ(ok, 0);
+  EXPECT_EQ(conn->lane_reconnects(), 0u);
+  EXPECT_EQ(conn->num_failed_lanes(), 2u);
+  EXPECT_EQ(world.server->server_stats().dead_senders, 1u);
+  EXPECT_EQ(world.tenants().LiveConnections(1), 1u);
 }
 
 TEST(TenantRecyclingTest, PooledLaneShellsCarryNoQuotaDebt) {
